@@ -8,121 +8,43 @@ complete covering into a basis context, and render the result as text.
 from .basis import IncompleteCoveringError, build_basis
 from .context import (
     ClarificationMap,
-    Concept,
     FormalContext,
     UnclarifiedObjectsError,
     clarify_objects,
-    closure_within,
-    require_clarified,
-    subcontext_extents,
 )
-from .covering import (
-    CoveringStep,
-    HeuristicKind,
-    coverage_curve,
-    covered_extents,
-    family_ratios,
-    greedy_cover,
-    ratio_curve,
-)
-from .dimension import meet_irreducible_extents, scaling_dimension
-from .enumeration import (
-    EnumerationConfig,
-    MotifInventory,
-    enumerate_family,
-    enumerate_motifs,
-    maximal_filter,
-    motif_stats,
-    stats_table,
-)
-from .explain import (
-    TEMPLATES,
-    ExplanationDoc,
-    ExplanationEntry,
-    explain_covering,
-    join_names,
-    render_motif,
-)
-from .io import (
-    ParseError,
-    load_context,
-    parse_burmeister,
-    parse_csv,
-    save_context,
-    to_burmeister,
-    to_csv,
-)
-from .recognition import (
-    Motif,
-    is_valid_motif,
-    motif_witnesses,
-    realized_families,
-    recognize,
-    verify_full,
-    verify_scale_measure,
-)
-from .scales import (
-    ScaleFamily,
-    apposition,
-    build_scale,
-    expected_extent_count,
-    scale_extents,
-    semiproduct,
-)
+from .covering import CoveringStep, HeuristicKind, greedy_cover
+from .dimension import scaling_dimension
+from .enumeration import EnumerationConfig, MotifInventory, enumerate_motifs
+from .explain import ExplanationDoc, explain_covering
+from .io import ParseError, load_context
+from .recognition import Motif, recognize, verify_full, verify_scale_measure
+from .scales import ScaleFamily, build_scale, scale_extents
 
 __all__ = [
-    "ClarificationMap",
-    "Concept",
-    "CoveringStep",
-    "EnumerationConfig",
-    "ExplanationDoc",
-    "ExplanationEntry",
     "FormalContext",
-    "HeuristicKind",
-    "IncompleteCoveringError",
-    "Motif",
-    "MotifInventory",
-    "TEMPLATES",
-    "ParseError",
-    "ScaleFamily",
-    "UnclarifiedObjectsError",
-    "apposition",
-    "build_basis",
-    "build_scale",
+    "ClarificationMap",
     "clarify_objects",
-    "closure_within",
-    "coverage_curve",
-    "covered_extents",
-    "enumerate_family",
-    "enumerate_motifs",
-    "expected_extent_count",
-    "explain_covering",
-    "family_ratios",
-    "greedy_cover",
-    "is_valid_motif",
-    "join_names",
+    "UnclarifiedObjectsError",
+    "ParseError",
     "load_context",
-    "maximal_filter",
-    "meet_irreducible_extents",
-    "motif_stats",
-    "motif_witnesses",
-    "parse_burmeister",
-    "parse_csv",
-    "ratio_curve",
-    "realized_families",
-    "recognize",
-    "render_motif",
-    "require_clarified",
-    "save_context",
+    "ScaleFamily",
+    "build_scale",
     "scale_extents",
-    "scaling_dimension",
-    "semiproduct",
-    "stats_table",
-    "subcontext_extents",
-    "to_burmeister",
-    "to_csv",
+    "Motif",
+    "recognize",
     "verify_full",
     "verify_scale_measure",
+    "EnumerationConfig",
+    "MotifInventory",
+    "enumerate_motifs",
+    "HeuristicKind",
+    "CoveringStep",
+    "greedy_cover",
+    "ExplanationDoc",
+    "explain_covering",
+    "IncompleteCoveringError",
+    "build_basis",
+    "scaling_dimension",
 ]
 
 __version__ = "0.1.0"

@@ -18,8 +18,7 @@ from typing import Sequence
 
 from .bitsets import bits
 from .context import FormalContext
-from .covering import covered_extents
-from .recognition import Motif
+from .recognition import Motif, witness_preimage
 from .scales import build_scale, scale_extents, apposition
 
 
@@ -33,27 +32,19 @@ class IncompleteCoveringError(ValueError):
 
 def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContext:
     """Apposition of the per-motif blocks; requires a complete covering."""
-    if not motifs:
-        raise IncompleteCoveringError(len(set(context.extents())))
-    covered: set[int] = set()
-    for m in motifs:
-        covered |= covered_extents(context, m)
-    missing = set(context.extents()) - covered
-    if missing:
-        raise IncompleteCoveringError(len(missing))
-
     blocks = []
+    covered: set[int] = set()
     for number, motif in enumerate(motifs, start=1):
         scale = build_scale(motif.family, motif.size)
         extras = sorted(set(scale_extents(motif.family, motif.size)) - set(scale.cols))
         labels = [f"{number}:{label}" for label in scale.attributes]
         labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
-        columns = []
-        for e in list(scale.cols) + extras:
-            pre = 0
-            for i in bits(e):
-                pre |= 1 << motif.domain[i]
-            columns.append(context.object_closure(pre))
+        # One column per scale extent, so the columns are the motif's covered extents.
+        columns = [
+            context.object_closure(witness_preimage(motif.domain, e))
+            for e in list(scale.cols) + extras
+        ]
+        covered.update(columns)
         rows = [0] * len(context.objects)
         for m_idx, column in enumerate(columns):
             for g in bits(column):
@@ -61,4 +52,7 @@ def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContex
         blocks.append(
             FormalContext.from_rows(context.objects, tuple(labels), tuple(rows))
         )
+    missing = set(context.extents()) - covered
+    if missing:
+        raise IncompleteCoveringError(len(missing))
     return apposition(*blocks)

@@ -33,19 +33,3 @@ def compress(mask: int, positions: list[int]) -> int:
             out |= 1 << j
     return out
 
-
-def expand(mask: int, positions: list[int]) -> int:
-    """Inverse of :func:`compress`: bit ``j`` becomes bit ``positions[j]``."""
-    out = 0
-    for j, p in enumerate(positions):
-        if mask >> j & 1:
-            out |= 1 << p
-    return out
-
-
-def lectic_less(a: int, b: int) -> bool:
-    """Lectic order on bitmasks: ``a < b`` iff the smallest differing bit is in ``b``."""
-    if a == b:
-        return False
-    low = (a ^ b) & -(a ^ b)
-    return bool(b & low)

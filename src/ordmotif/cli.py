@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .basis import IncompleteCoveringError, build_basis
+from .bitsets import bits
 from .context import ClarificationMap, FormalContext, clarify_objects
 from .covering import (
     CoveringStep,
@@ -94,12 +95,7 @@ def _config(args: argparse.Namespace) -> EnumerationConfig:
     families = tuple(
         ScaleFamily.from_name(part) for part in args.families.split(",") if part
     )
-    return EnumerationConfig.with_sizes(
-        families=families,
-        min_size=args.min_size,
-        max_size=args.max_size,
-        crown_size_cap=args.crown_cap,
-    )
+    return EnumerationConfig(families, args.min_size, args.max_size, args.crown_cap)
 
 
 def _enumerate(args: argparse.Namespace, context: FormalContext) -> list[Motif]:
@@ -115,35 +111,33 @@ def _labels(
     return [clarification.label(g) for g in range(len(context.objects))]
 
 
-def _extent_labels(context: FormalContext, extent: int) -> list[str]:
-    return [context.objects[g] for g in range(len(context.objects)) if extent >> g & 1]
-
-
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2))
 
 
 def cmd_concepts(args: argparse.Namespace) -> int:
-    context, _ = _load(args)
+    context, clarification = _load(args)
+    labels = _labels(context, clarification)
     extents = context.extents()
     if args.json:
         payload: dict = {"command": "concepts", "count": len(extents)}
         if args.list:
-            payload["extents"] = [_extent_labels(context, e) for e in extents]
+            payload["extents"] = [[labels[g] for g in bits(e)] for e in extents]
         _emit_json(payload)
         return 0
     print(f"{len(extents)} extents")
     if args.list:
         for e in extents:
-            print("{" + ", ".join(_extent_labels(context, e)) + "}")
+            print("{" + ", ".join(labels[g] for g in bits(e)) + "}")
     return 0
 
 
 def cmd_motifs(args: argparse.Namespace) -> int:
-    context, _ = _load(args)
+    context, clarification = _load(args)
     inventory = enumerate_motifs(context, _config(args))
     if args.json:
+        labels = _labels(context, clarification)
         stats = motif_stats(inventory)
         motifs = inventory.all_motifs(maximal_only=args.maximal_only)
         _emit_json(
@@ -156,7 +150,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
                 "motifs": [
                     {
                         "family": str(m.family),
-                        "domain": [context.objects[g] for g in m.domain],
+                        "domain": [labels[g] for g in m.domain],
                     }
                     for m in motifs
                 ],
@@ -235,6 +229,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     context, clarification, steps = _run_cover(args)
     doc = explain_covering(context, steps, clarification=clarification)
     if args.json:
+        labels = _labels(context, clarification)
         _emit_json(
             {
                 "command": "explain",
@@ -244,7 +239,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                         "text": e.text,
                         "family": str(e.motif.family),
                         "families_rendered": [str(f) for f in e.families_rendered],
-                        "domain": [context.objects[g] for g in e.motif.domain],
+                        "domain": [labels[g] for g in e.motif.domain],
                     }
                     for e in doc.entries
                 ],
@@ -258,7 +253,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_basis(args: argparse.Namespace) -> int:
     context, _ = _load(args)
     motifs = _enumerate(args, context)
-    basis = build_basis(context, motifs)
+    # Greedy picks run to the end cover what the whole pool covers.
+    steps = greedy_cover(context, motifs, len(motifs))
+    basis = build_basis(context, [s.motif for s in steps])
     text = to_burmeister(basis)
     if args.output:
         args.output.write_text(text, encoding="utf-8")

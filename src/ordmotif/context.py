@@ -24,14 +24,6 @@ class UnclarifiedObjectsError(ValueError):
 
 
 @dataclass(frozen=True)
-class Concept:
-    """A formal concept: extent and intent bitmasks, each the derivation of the other."""
-
-    extent: int
-    intent: int
-
-
-@dataclass(frozen=True)
 class ClarificationMap:
     """Maps each kept object index to the labels it absorbed.
 
@@ -176,9 +168,6 @@ class FormalContext:
                     return b
         return None
 
-    def concepts(self) -> list[Concept]:
-        return [Concept(e, self.derive_objects(e)) for e in self.extents()]
-
     # -- derived contexts ------------------------------------------------
 
     def transpose(self) -> "FormalContext":
@@ -240,10 +229,4 @@ def subcontext_extents(context: FormalContext, object_set: int) -> set[int]:
     extents ``E`` of the full context.
     """
     return {e & object_set for e in context.extents()}
-
-
-def closure_within(context: FormalContext, subset: int, object_set: int) -> int:
-    """Closure of ``subset`` inside the induced subcontext on ``object_set``."""
-    return context.object_closure(subset) & object_set
-
 

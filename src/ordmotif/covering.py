@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bitsets import bits
 from .context import FormalContext
-from .recognition import Motif, realized_families
+from .recognition import Motif, realized_families, witness_preimage
 from .scales import ScaleFamily, expected_extent_count, scale_extents
 
 
@@ -44,13 +43,10 @@ class CoveringStep:
 
 def covered_extents(context: FormalContext, motif: Motif) -> frozenset[int]:
     """Closures in ``context`` of the preimages of the motif's scale extents."""
-    out = set()
-    for e in scale_extents(motif.family, motif.size):
-        pre = 0
-        for i in bits(e):
-            pre |= 1 << motif.domain[i]
-        out.add(context.object_closure(pre))
-    return frozenset(out)
+    return frozenset(
+        context.object_closure(witness_preimage(motif.domain, e))
+        for e in scale_extents(motif.family, motif.size)
+    )
 
 
 def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:

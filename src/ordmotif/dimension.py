@@ -5,7 +5,8 @@ component, each a scale-measure on its own, whose attribute-extent
 preimages jointly meet-generate the extent system. Every extent is an
 intersection of meet-irreducible ones, so the search reduces to covering
 the irreducibles with per-map preimage families. The problem is hard in
-general, hence the hard caps on object count and tuple length.
+general, hence the hard caps on object count, tuple length and the
+number of maps tried.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .context import FormalContext
 
 MAX_OBJECTS = 8
 MAX_TUPLE_LENGTH = 4
+# Enough for an 8-object context against one scale of size 8; larger
+# searches would run for hours.
+MAX_MAPS = 8**8
 
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
@@ -81,6 +85,11 @@ def scaling_dimension(
         raise ValueError(f"max_d must be between 1 and {MAX_TUPLE_LENGTH}")
     if not scales:
         raise ValueError("the scale family must not be empty")
+    maps = sum(len(scale.objects) ** len(context.objects) for scale in scales)
+    if maps > MAX_MAPS:
+        raise ValueError(
+            f"scaling dimension search would try {maps} maps; the cap is {MAX_MAPS}"
+        )
 
     irreducibles = frozenset(meet_irreducible_extents(context))
     coverages: set[frozenset[int]] = set()

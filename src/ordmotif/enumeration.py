@@ -10,22 +10,15 @@ pruned depth-first cycle search, capped by size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
-from .bitsets import bits, mask_of
+from .bitsets import bits
 from .context import FormalContext, require_clarified
 from .recognition import Motif, recognize
-from .scales import ScaleFamily
+from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
-DEFAULT_MIN_SIZE: Mapping[ScaleFamily, int] = {
-    ScaleFamily.NOMINAL: 2,
-    ScaleFamily.ORDINAL: 2,
-    ScaleFamily.INTERORDINAL: 2,
-    ScaleFamily.CONTRANOMINAL: 2,
-    ScaleFamily.CROWN: 3,
-}
-
+DEFAULT_MIN_SIZE = 2
 DEFAULT_CROWN_SIZE_CAP = 8
 
 _HEREDITARY = (
@@ -38,49 +31,32 @@ _HEREDITARY = (
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Bounds for the enumeration; sizes are inclusive and per family."""
+    """Bounds for the enumeration; sizes are inclusive and apply to every family.
+
+    ``min_size`` defaults to 2 and is raised to each family's own minimum
+    (1, or 3 for crowns); ``max_size`` defaults to the object count. A
+    family whose minimum exceeds ``max_size`` yields no motifs.
+    """
 
     families: tuple[ScaleFamily, ...] = tuple(ScaleFamily)
-    min_size: Mapping[ScaleFamily, int] = field(default_factory=lambda: dict(DEFAULT_MIN_SIZE))
-    max_size: Mapping[ScaleFamily, int | None] = field(
-        default_factory=lambda: {f: None for f in ScaleFamily}
-    )
+    min_size: int | None = None
+    max_size: int | None = None
     crown_size_cap: int = DEFAULT_CROWN_SIZE_CAP
 
     def __post_init__(self):
-        for f in ScaleFamily:
-            lo = self.min_size.get(f, DEFAULT_MIN_SIZE[f])
-            hi = self.max_size.get(f)
-            if lo < 1 or (f is ScaleFamily.CROWN and lo < 3):
-                raise ValueError(f"min size {lo} below the {f} family minimum")
-            if hi is not None and hi < lo:
-                raise ValueError(f"max size {hi} below min size {lo} for {f}")
+        if (
+            self.min_size is not None
+            and self.max_size is not None
+            and self.min_size > self.max_size
+        ):
+            raise ValueError(f"max size {self.max_size} below min size {self.min_size}")
         if self.crown_size_cap < 3:
             raise ValueError("crown size cap must be at least 3")
 
-    @classmethod
-    def with_sizes(
-        cls,
-        families: Iterable[ScaleFamily] | None = None,
-        min_size: int | None = None,
-        max_size: int | None = None,
-        crown_size_cap: int = DEFAULT_CROWN_SIZE_CAP,
-    ) -> "EnumerationConfig":
-        """Uniform bounds, raised to each family's own minimum where needed."""
-        fams = tuple(families) if families is not None else tuple(ScaleFamily)
-        lows = {}
-        for f in ScaleFamily:
-            lo = DEFAULT_MIN_SIZE[f] if min_size is None else max(min_size, 1)
-            if f is ScaleFamily.CROWN:
-                lo = max(lo, 3)
-            lows[f] = lo
-        highs = {f: max_size for f in ScaleFamily}
-        return cls(fams, lows, highs, crown_size_cap)
-
     def bounds(self, family: ScaleFamily, object_count: int) -> tuple[int, int]:
-        lo = self.min_size.get(family, DEFAULT_MIN_SIZE[family])
-        hi = self.max_size.get(family)
-        hi = object_count if hi is None else min(hi, object_count)
+        lo = DEFAULT_MIN_SIZE if self.min_size is None else self.min_size
+        lo = max(lo, FAMILY_MIN_SIZE[family])
+        hi = object_count if self.max_size is None else min(self.max_size, object_count)
         if family is ScaleFamily.CROWN:
             hi = min(hi, self.crown_size_cap)
         return lo, hi

@@ -40,6 +40,18 @@ class Motif:
         return frozenset(self.domain)
 
 
+def witness_preimage(domain: Sequence[int], scale_extent: int) -> int:
+    """Objects the witness ``domain`` maps into ``scale_extent``.
+
+    Bit ``i`` of ``scale_extent`` stands for scale object ``i + 1``, the
+    image of object ``domain[i]``.
+    """
+    out = 0
+    for i in bits(scale_extent):
+        out |= 1 << domain[i]
+    return out
+
+
 def _preimage(class_masks: Sequence[int], scale_extent: int) -> int:
     out = 0
     for s in bits(scale_extent):
@@ -94,12 +106,7 @@ def _system_matches(
     context: FormalContext, witness: Sequence[int], family: ScaleFamily, h_mask: int
 ) -> bool:
     # Compare the subcontext extent system against the image of the scale's.
-    expected = set()
-    for e in scale_extents(family, len(witness)):
-        pre = 0
-        for i in bits(e):
-            pre |= 1 << witness[i]
-        expected.add(pre)
+    expected = {witness_preimage(witness, e) for e in scale_extents(family, len(witness))}
     return expected == subcontext_extents(context, h_mask)
 
 
@@ -248,14 +255,6 @@ def realized_families(context: FormalContext, domain: Iterable[int]) -> tuple[Sc
     """All families whose scale the domain maps onto fully, in rank order."""
     idx = tuple(sorted(set(domain)))
     return tuple(f for f in ScaleFamily if recognize(context, idx, f) is not None)
-
-
-def motif_witnesses(context: FormalContext, motif: Motif) -> Motif:
-    """Re-derive the stored witness; raises if the motif does not verify."""
-    found = recognize(context, motif.domain, motif.family)
-    if found is None:
-        raise ValueError(f"{motif} does not verify against its context")
-    return found
 
 
 def is_valid_motif(context: FormalContext, motif: Motif) -> bool:

@@ -12,7 +12,6 @@ The five families live on the ground set [n] = {1, ..., n}:
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
 from .context import FormalContext
 
@@ -160,35 +159,3 @@ def apposition(*contexts: FormalContext) -> FormalContext:
         rows.append(row)
     return FormalContext.from_rows(first.objects, tuple(attributes), tuple(rows))
 
-
-def semiproduct(contexts: Sequence[FormalContext]) -> FormalContext:
-    """Semi-product: tuple objects, tagged disjoint attribute union.
-
-    A tuple is incident with attribute ``j:m`` iff its j-th component is
-    incident with ``m`` in operand ``j`` (1-based). The semi-product of a
-    single context is that context itself.
-    """
-    if not contexts:
-        raise ValueError("semiproduct needs at least one context")
-    if len(contexts) == 1:
-        return contexts[0]
-    shapes = [list(range(len(k.objects))) for k in contexts]
-    tuples: list[tuple[int, ...]] = [()]
-    for component in shapes:
-        tuples = [t + (g,) for t in tuples for g in component]
-    objects = tuple(
-        "(" + ",".join(contexts[j].objects[g] for j, g in enumerate(t)) + ")"
-        for t in tuples
-    )
-    attributes = tuple(
-        f"{j + 1}:{m}" for j, k in enumerate(contexts) for m in k.attributes
-    )
-    rows = []
-    for t in tuples:
-        row = 0
-        shift = 0
-        for j, k in enumerate(contexts):
-            row |= k.rows[t[j]] << shift
-            shift += len(k.attributes)
-        rows.append(row)
-    return FormalContext.from_rows(objects, attributes, tuple(rows))

@@ -31,6 +31,13 @@ def brute_force_extents(context: FormalContext) -> set[int]:
     return closed
 
 
+def lectic_less(a: int, b: int) -> bool:
+    """Lectic order on object sets: the least element of a xor b lies in b."""
+    width = max(a, b).bit_length()
+    differ = [i for i in range(width) if (a >> i & 1) != (b >> i & 1)]
+    return bool(differ) and b >> differ[0] & 1 == 1
+
+
 def random_context(rng: Random, n_objects: int, n_attributes: int, density: float) -> FormalContext:
     rows = [
         [1 if rng.random() < density else 0 for _ in range(n_attributes)]

@@ -16,7 +16,6 @@ from random import Random
 import pytest
 
 from ordmotif import (
-    TEMPLATES,
     EnumerationConfig,
     HeuristicKind,
     IncompleteCoveringError,
@@ -25,21 +24,20 @@ from ordmotif import (
     build_basis,
     build_scale,
     clarify_objects,
-    covered_extents,
-    enumerate_family,
     enumerate_motifs,
-    expected_extent_count,
     explain_covering,
     greedy_cover,
-    is_valid_motif,
     load_context,
-    motif_stats,
     recognize,
-    render_motif,
     scaling_dimension,
     verify_full,
     verify_scale_measure,
 )
+from ordmotif.covering import covered_extents
+from ordmotif.enumeration import enumerate_family, motif_stats
+from ordmotif.explain import TEMPLATES, render_motif
+from ordmotif.recognition import is_valid_motif
+from ordmotif.scales import expected_extent_count
 
 from oracles import dimension_oracle, random_context, subsets_oracle
 
@@ -81,7 +79,7 @@ def test_criterion_1_scale_self_recognition():
 
 
 def test_criterion_2_oracle_equivalence():
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     discrepancies = 0
     decisions = 0
     for ctx in corpus(CORPUS_SEED, CORPUS_SIZE):
@@ -110,7 +108,7 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_heredity_and_coverage_counts():
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     downward_closed = (
         ScaleFamily.NOMINAL,
         ScaleFamily.INTERORDINAL,
@@ -180,7 +178,7 @@ def test_criterion_4_spices_reproduction():
 
 def test_criterion_5_basis_property():
     rng = Random(239)
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     complete = 0
     attempts = 0
     while complete < 100:
@@ -282,7 +280,7 @@ def test_criterion_7_explanation_goldens():
         patterns[family] = re.compile(escaped)
 
     rng = Random(251)
-    config = EnumerationConfig.with_sizes(min_size=2)
+    config = EnumerationConfig(min_size=2)
     rendered = 0
     for _ in range(20):
         ctx, clar = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))

@@ -83,7 +83,7 @@ def test_basis_attribute_labels_are_numbered_per_motif():
 
 def test_basis_preserves_extents_on_random_contexts():
     rng = Random(109)
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     built = 0
     for _ in range(80):
         ctx, _ = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))
@@ -99,7 +99,7 @@ def test_basis_preserves_extents_on_random_contexts():
 
 def test_local_full_measures_agree_between_context_and_basis():
     rng = Random(113)
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     checked = 0
     for _ in range(60):
         ctx, _ = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))

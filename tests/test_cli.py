@@ -1,9 +1,12 @@
 import json
+import re
+import time
 
 import pytest
 
-from ordmotif import ScaleFamily, build_scale, parse_burmeister, to_burmeister
+from ordmotif import ScaleFamily, build_scale
 from ordmotif.cli import main
+from ordmotif.io import parse_burmeister, to_burmeister
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
@@ -130,6 +133,15 @@ def test_basis_prints_to_stdout_by_default(capsys, b3_path):
     assert set(rebuilt.extents()) == set(B3.extents())
 
 
+def test_basis_folds_the_greedy_picks(capsys, b3_path):
+    # The pool holds the contranominal and the crown triple; the greedy
+    # covering picks only the first, whose block has one column per extent.
+    assert main(["basis", str(b3_path)]) == 0
+    rebuilt = parse_burmeister(capsys.readouterr().out)
+    assert len(rebuilt.attributes) == 8
+    assert all(label.startswith("1:") for label in rebuilt.attributes)
+
+
 def test_scaling_dim_value_and_unknown(capsys, b3_path):
     assert main(["scaling-dim", str(b3_path), "--scales", "ordinal:2"]) == 0
     assert capsys.readouterr().out == "3\n"
@@ -162,9 +174,46 @@ def test_transpose_swaps_sides(capsys, tmp_path):
 def test_clarify_merges_labels_in_explanations(capsys, tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(",p,q\nx,1,0\ny,1,0\nz,0,1\n", encoding="utf-8")
-    assert main(["explain", str(path), "--clarify"]) == 0
-    out = capsys.readouterr().out
-    assert "x/y" in out
+    for command in (
+        ["explain"],
+        ["explain", "--json"],
+        ["cover"],
+        ["cover", "--json"],
+        ["motifs", "--json"],
+        ["concepts", "--list"],
+        ["concepts", "--list", "--json"],
+    ):
+        assert main([command[0], str(path), "--clarify", *command[1:]]) == 0
+        out = capsys.readouterr().out
+        assert "x/y" in out, command
+        # x never appears without the label it absorbed
+        assert re.search(r"\bx\b(?!/y)", out) is None, command
+
+
+def test_max_size_below_the_crown_minimum(capsys, b3_path):
+    # Crowns need three objects, so they yield nothing instead of failing.
+    payload = run_json(capsys, ["motifs", str(b3_path), "--max-size", "2", "--json"])
+    assert payload["stats"]["crown"] == {"total": 0, "maximal": 0, "largest": 0}
+    assert payload["stats"]["contranominal"]["largest"] == 2
+    payload = run_json(
+        capsys,
+        ["motifs", str(b3_path), "--families", "nominal", "--max-size", "1", "--json"],
+    )
+    assert payload["stats"]["nominal"]["total"] == 0
+    assert main(["motifs", str(b3_path), "--min-size", "3", "--max-size", "2"]) == 1
+    assert "below min size" in capsys.readouterr().err
+
+
+def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path):
+    path = tmp_path / "six.csv"
+    path.write_text(
+        ",p,q\n" + "".join(f"g{i},{i % 2},{i // 3}\n" for i in range(6)),
+        encoding="utf-8",
+    )
+    start = time.monotonic()
+    assert main(["scaling-dim", str(path), "--scales", "nominal:40"]) == 1
+    assert time.monotonic() - start < 5
+    assert "maps" in capsys.readouterr().err
 
 
 def test_missing_file_fails_cleanly(capsys, tmp_path):

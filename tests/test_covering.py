@@ -11,15 +11,12 @@ from ordmotif import (
     ScaleFamily,
     build_scale,
     clarify_objects,
-    coverage_curve,
-    covered_extents,
     enumerate_motifs,
-    expected_extent_count,
-    family_ratios,
     greedy_cover,
-    ratio_curve,
     recognize,
 )
+from ordmotif.covering import coverage_curve, covered_extents, family_ratios, ratio_curve
+from ordmotif.scales import expected_extent_count
 
 from oracles import random_context
 

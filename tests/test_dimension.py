@@ -6,9 +6,9 @@ from ordmotif import (
     FormalContext,
     ScaleFamily,
     build_scale,
-    meet_irreducible_extents,
     scaling_dimension,
 )
+from ordmotif.dimension import meet_irreducible_extents
 
 from oracles import dimension_oracle, random_context
 
@@ -71,6 +71,10 @@ def test_bounds_are_enforced():
         scaling_dimension(B3, [O2], max_d=5)
     with pytest.raises(ValueError):
         scaling_dimension(B3, [])
+    # 40**6 maps, far above the 8**8 cap: rejected before any search.
+    six = FormalContext.from_rows([f"g{i}" for i in range(6)], ["m"], (1,) * 6)
+    with pytest.raises(ValueError, match="maps"):
+        scaling_dimension(six, [build_scale(ScaleFamily.NOMINAL, 40)])
 
 
 def test_agrees_with_explicit_semiproduct_search():

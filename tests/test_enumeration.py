@@ -10,15 +10,18 @@ from ordmotif import (
     UnclarifiedObjectsError,
     build_scale,
     clarify_objects,
-    enumerate_family,
     enumerate_motifs,
-    is_valid_motif,
+    recognize,
+)
+from ordmotif.enumeration import (
+    enumerate_crowns,
+    enumerate_family,
+    enumerate_hereditary,
     maximal_filter,
     motif_stats,
-    recognize,
     stats_table,
 )
-from ordmotif.enumeration import enumerate_crowns, enumerate_hereditary
+from ordmotif.recognition import is_valid_motif
 
 from oracles import random_context, subsets_oracle
 
@@ -40,7 +43,7 @@ def test_boolean_four_contranominal_enumeration():
     assert domains(motifs) == expected
     assert len(motifs) == 11
     inv = enumerate_motifs(
-        b4, EnumerationConfig.with_sizes(families=[ScaleFamily.CONTRANOMINAL])
+        b4, EnumerationConfig(families=(ScaleFamily.CONTRANOMINAL,))
     )
     assert motif_stats(inv)[ScaleFamily.CONTRANOMINAL] == (11, 1, 4)
 
@@ -64,16 +67,14 @@ def test_crown_five_contains_exactly_itself():
 
 def test_crown_size_cap_hides_large_crowns():
     c6 = build_scale(ScaleFamily.CROWN, 6)
-    capped = EnumerationConfig.with_sizes(
-        families=[ScaleFamily.CROWN], crown_size_cap=5
-    )
+    capped = EnumerationConfig(families=(ScaleFamily.CROWN,), crown_size_cap=5)
     assert enumerate_family(c6, ScaleFamily.CROWN, capped) == []
     assert domains(enumerate_crowns(c6)) == {tuple(range(6))}
 
 
 def test_enumeration_matches_subset_oracle():
     rng = Random(53)
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     for _ in range(60):
         ctx, _ = clarify_objects(
             random_context(rng, rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.3, 0.7))
@@ -170,7 +171,7 @@ def test_unclarified_context_is_rejected():
 
 def test_singletons_when_minimum_allows():
     ctx = FormalContext(["full", "partial"], ["p", "q"], [[1, 1], [0, 1]])
-    config = EnumerationConfig.with_sizes(min_size=1)
+    config = EnumerationConfig(min_size=1)
     for f in (ScaleFamily.NOMINAL, ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL):
         assert (0,) in domains(enumerate_family(ctx, f, config))
         assert (1,) not in domains(enumerate_family(ctx, f, config))
@@ -180,12 +181,11 @@ def test_singletons_when_minimum_allows():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EnumerationConfig(min_size={f: 0 for f in ScaleFamily})
-    with pytest.raises(ValueError):
-        EnumerationConfig(
-            min_size={f: 4 for f in ScaleFamily},
-            max_size={f: 3 for f in ScaleFamily},
-        )
+        EnumerationConfig(min_size=4, max_size=3)
+    # Sizes below a family's own minimum are raised to it, not rejected.
+    assert EnumerationConfig(min_size=0).bounds(ScaleFamily.NOMINAL, 5) == (1, 5)
+    assert EnumerationConfig(min_size=1).bounds(ScaleFamily.CROWN, 5) == (3, 5)
+    assert EnumerationConfig().bounds(ScaleFamily.ORDINAL, 5) == (2, 5)
     with pytest.raises(ValueError):
         EnumerationConfig(crown_size_cap=2)
     with pytest.raises(ValueError):
@@ -207,8 +207,8 @@ def test_stats_table_shape():
 
 def test_size_bounds_are_respected():
     b4 = build_scale(ScaleFamily.CONTRANOMINAL, 4)
-    config = EnumerationConfig.with_sizes(
-        families=[ScaleFamily.CONTRANOMINAL], min_size=3, max_size=3
+    config = EnumerationConfig(
+        families=(ScaleFamily.CONTRANOMINAL,), min_size=3, max_size=3
     )
     motifs = enumerate_family(b4, ScaleFamily.CONTRANOMINAL, config)
     assert {m.size for m in motifs} == {3}

@@ -8,15 +8,13 @@ from ordmotif import (
     EnumerationConfig,
     Motif,
     ScaleFamily,
-    TEMPLATES,
     build_scale,
     clarify_objects,
     enumerate_motifs,
     explain_covering,
     greedy_cover,
-    join_names,
-    render_motif,
 )
+from ordmotif.explain import TEMPLATES, join_names, render_motif
 
 from oracles import random_context
 
@@ -130,7 +128,7 @@ def _pattern(template: str) -> re.Pattern[str]:
 
 def test_rendered_sentences_match_their_templates():
     rng = Random(131)
-    config = EnumerationConfig.with_sizes(min_size=2)
+    config = EnumerationConfig(min_size=2)
     rendered = 0
     for _ in range(25):
         ctx, clar = clarify_objects(

@@ -2,17 +2,16 @@ from random import Random
 
 import pytest
 
-from ordmotif import (
-    FormalContext,
-    ParseError,
-    load_context,
+from ordmotif import FormalContext, ParseError, load_context
+from ordmotif.io import (
+    format_for_path,
     parse_burmeister,
+    parse_context,
     parse_csv,
     save_context,
     to_burmeister,
     to_csv,
 )
-from ordmotif.io import format_for_path, parse_context
 
 from oracles import random_context
 
