@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .basis import IncompleteCoveringError, build_basis
 from .bitsets import bits
-from .context import ClarificationMap, FormalContext, clarify_objects
+from .context import ClarificationMap, FormalContext, clarify_objects, object_labels
 from .covering import (
     CoveringStep,
     HeuristicKind,
@@ -24,7 +24,7 @@ from .covering import (
     greedy_cover,
     ratio_curve,
 )
-from .dimension import scaling_dimension
+from .dimension import check_search_size, scaling_dimension
 from .enumeration import (
     DEFAULT_CROWN_SIZE_CAP,
     EnumerationConfig,
@@ -35,7 +35,7 @@ from .enumeration import (
 from .explain import explain_covering
 from .io import ParseError, load_context, to_burmeister
 from .recognition import Motif
-from .scales import ScaleFamily, build_scale
+from .scales import ScaleFamily, build_scale, check_scale_size
 
 SCHEMA_VERSION = 1
 
@@ -103,14 +103,6 @@ def _enumerate(args: argparse.Namespace, context: FormalContext) -> list[Motif]:
     return inventory.all_motifs(maximal_only=not args.all_motifs)
 
 
-def _labels(
-    context: FormalContext, clarification: Optional[ClarificationMap]
-) -> list[str]:
-    if clarification is None:
-        return list(context.objects)
-    return [clarification.label(g) for g in range(len(context.objects))]
-
-
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2))
@@ -118,7 +110,7 @@ def _emit_json(payload: dict) -> None:
 
 def cmd_concepts(args: argparse.Namespace) -> int:
     context, clarification = _load(args)
-    labels = _labels(context, clarification)
+    labels = object_labels(context, clarification)
     extents = context.extents()
     if args.json:
         payload: dict = {"command": "concepts", "count": len(extents)}
@@ -137,7 +129,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     context, clarification = _load(args)
     inventory = enumerate_motifs(context, _config(args))
     if args.json:
-        labels = _labels(context, clarification)
+        labels = object_labels(context, clarification)
         stats = motif_stats(inventory)
         motifs = inventory.all_motifs(maximal_only=args.maximal_only)
         _emit_json(
@@ -179,7 +171,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_cover(args: argparse.Namespace) -> int:
     context, clarification, steps = _run_cover(args)
-    labels = _labels(context, clarification)
+    labels = object_labels(context, clarification)
     total = len(context.extents())
     if args.coverage_csv:
         _write_csv(
@@ -229,7 +221,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     context, clarification, steps = _run_cover(args)
     doc = explain_covering(context, steps, clarification=clarification)
     if args.json:
-        labels = _labels(context, clarification)
+        labels = object_labels(context, clarification)
         _emit_json(
             {
                 "command": "explain",
@@ -264,16 +256,21 @@ def cmd_basis(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scale_spec(spec: str) -> FormalContext:
+def _parse_scale_spec(spec: str) -> tuple[ScaleFamily, int]:
     name, sep, size = spec.partition(":")
     if not sep:
         raise ValueError(f"scale spec {spec!r} must look like 'ordinal:4'")
-    return build_scale(ScaleFamily.from_name(name), int(size))
+    family, n = ScaleFamily.from_name(name), int(size)
+    check_scale_size(family, n)
+    return family, n
 
 
 def cmd_scaling_dim(args: argparse.Namespace) -> int:
     context, _ = _load(args)
-    scales = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
+    specs = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
+    # A scale of size n holds n rows of n bits: check the caps before building.
+    check_search_size(len(context.objects), [size for _, size in specs])
+    scales = [build_scale(family, size) for family, size in specs]
     d = scaling_dimension(context, scales, max_d=args.max_d)
     if args.json:
         _emit_json(

@@ -135,9 +135,6 @@ class FormalContext:
     def object_closure(self, object_set: int) -> int:
         return self.derive_attributes(self.derive_objects(object_set))
 
-    def is_extent(self, object_set: int) -> bool:
-        return self.object_closure(object_set) == object_set
-
     # -- global structure ----------------------------------------------
 
     def extents(self) -> tuple[int, ...]:
@@ -185,6 +182,13 @@ class FormalContext:
             tuple(self.attributes[m] for m in att_pos),
             tuple(compress(self.rows[g] & attribute_set, att_pos) for g in obj_pos),
         )
+
+
+def object_labels(context: FormalContext, clarification: ClarificationMap | None) -> list[str]:
+    """Object names for output; a clarified object shows its merged labels "x/y"."""
+    if clarification is None:
+        return list(context.objects)
+    return [clarification.label(g) for g in range(len(context.objects))]
 
 
 def require_clarified(context: FormalContext) -> None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .context import FormalContext
-from .recognition import Motif, realized_families, witness_preimage
+from .recognition import Motif, realizations, witness_preimage
 from .scales import ScaleFamily, expected_extent_count, scale_extents
 
 
@@ -29,16 +29,21 @@ class HeuristicKind(enum.Enum):
 class CoveringStep:
     """One greedy selection: the motif, its gain, and the running total.
 
-    ``families`` lists every family the selected domain realizes, which is
-    what fractional attribution and rendering consume. ``tie_count`` is the
+    ``witnesses`` holds one recognized motif per family the selected domain
+    realizes, in rank order; explanations render these. ``tie_count`` is the
     number of candidates that shared the winning score.
     """
 
     motif: Motif
-    families: tuple[ScaleFamily, ...]
+    witnesses: tuple[Motif, ...]
     new_extents: int
     cumulative: int
     tie_count: int = 1
+
+    @property
+    def families(self) -> tuple[ScaleFamily, ...]:
+        """The realized families, which fractional attribution splits over."""
+        return tuple(w.family for w in self.witnesses)
 
 
 def covered_extents(context: FormalContext, motif: Motif) -> frozenset[int]:
@@ -92,7 +97,7 @@ def greedy_cover(
         steps.append(
             CoveringStep(
                 motif=chosen,
-                families=realized_families(context, chosen.domain),
+                witnesses=realizations(context, chosen.domain),
                 new_extents=gain,
                 cumulative=len(covered),
                 tie_count=ties,

@@ -23,6 +23,17 @@ MAX_TUPLE_LENGTH = 4
 MAX_MAPS = 8**8
 
 
+def check_search_size(n_objects: int, scale_sizes: Sequence[int]) -> None:
+    """Reject a search over too many objects or maps before any scale is built."""
+    if n_objects > MAX_OBJECTS:
+        raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
+    maps = sum(size**n_objects for size in scale_sizes)
+    if maps > MAX_MAPS:
+        raise ValueError(
+            f"scaling dimension search would try {maps} maps; the cap is {MAX_MAPS}"
+        )
+
+
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
     """Extents that are not intersections of strictly larger extents."""
     extents = set(context.extents())
@@ -79,17 +90,11 @@ def scaling_dimension(
     Scales may repeat within a tuple. Returns ``None`` when no tuple of
     length up to ``max_d`` works.
     """
-    if len(context.objects) > MAX_OBJECTS:
-        raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
+    check_search_size(len(context.objects), [len(s.objects) for s in scales])
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:
         raise ValueError(f"max_d must be between 1 and {MAX_TUPLE_LENGTH}")
     if not scales:
         raise ValueError("the scale family must not be empty")
-    maps = sum(len(scale.objects) ** len(context.objects) for scale in scales)
-    if maps > MAX_MAPS:
-        raise ValueError(
-            f"scaling dimension search would try {maps} maps; the cap is {MAX_MAPS}"
-        )
 
     irreducibles = frozenset(meet_irreducible_extents(context))
     coverages: set[frozenset[int]] = set()

@@ -256,7 +256,6 @@ class MotifInventory:
 
     by_family: dict[ScaleFamily, list[Motif]]
     maximal_by_family: dict[ScaleFamily, list[Motif]]
-    config: EnumerationConfig
 
     def all_motifs(self, maximal_only: bool = False) -> list[Motif]:
         source = self.maximal_by_family if maximal_only else self.by_family
@@ -277,7 +276,7 @@ def enumerate_motifs(
         motifs = enumerate_family(context, family, config)
         by_family[family] = motifs
         maximal[family] = maximal_filter(motifs, family)
-    return MotifInventory(by_family, maximal, config)
+    return MotifInventory(by_family, maximal)
 
 
 def motif_stats(inventory: MotifInventory) -> dict[ScaleFamily, tuple[int, int, int]]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .context import ClarificationMap, FormalContext
+from .context import ClarificationMap, FormalContext, object_labels
 from .covering import CoveringStep
-from .recognition import Motif, recognize
+from .recognition import Motif
 from .scales import ScaleFamily
 
 TEMPLATES: dict[ScaleFamily, str] = {
@@ -50,25 +50,12 @@ def join_names(names: Sequence[str]) -> str:
     return ", ".join(names[:-1]) + " and " + names[-1]
 
 
-def _resolve(g: int, labels: Sequence[str], clarification: Optional[ClarificationMap]) -> str:
-    if clarification is not None and g in clarification.groups:
-        return clarification.label(g)
-    if 0 <= g < len(labels):
-        return labels[g]
-    raise ValueError(f"no label for object index {g}")
-
-
-def render_motif(
-    motif: Motif,
-    labels: Sequence[str],
-    clarification: Optional[ClarificationMap] = None,
-) -> str:
-    """Fill the family template with the motif's element names.
-
-    Names come from ``labels`` indexed by object, except that objects
-    standing for a clarified group render all merged labels joined by "/".
-    """
-    names = [_resolve(g, labels, clarification) for g in motif.domain]
+def render_motif(motif: Motif, labels: Sequence[str]) -> str:
+    """Fill the family template with the motif's element names, ``labels[g]``."""
+    for g in motif.domain:
+        if not 0 <= g < len(labels):
+            raise ValueError(f"no label for object index {g}")
+    names = [labels[g] for g in motif.domain]
     if motif.family is ScaleFamily.CROWN:
         return TEMPLATES[motif.family].format(
             names=join_names(names), first=names[0], rest=join_names(names[1:])
@@ -102,27 +89,21 @@ class ExplanationDoc:
 def explain_covering(
     context: FormalContext,
     steps: Sequence[CoveringStep],
-    labels: Optional[Sequence[str]] = None,
     clarification: Optional[ClarificationMap] = None,
 ) -> ExplanationDoc:
     """Render greedy covering steps in selection order.
 
-    Each step's motif is re-recognized per realized family so that every
-    paragraph uses that family's own witness order.
+    Each step's witnesses give one paragraph per realized family, each in
+    that family's own witness order. Clarified objects show merged labels.
     """
-    if labels is None:
-        labels = context.objects
-    entries = []
-    for step in steps:
-        parts = []
-        for family in step.families:
-            witness = recognize(context, step.motif.domain_set(), family)
-            if witness is None:
-                raise ValueError(
-                    f"step motif {step.motif} does not realize {family} on this context"
-                )
-            parts.append(render_motif(witness, labels, clarification))
-        entries.append(
-            ExplanationEntry("\n".join(parts), step.motif, step.families)
+    labels = object_labels(context, clarification)
+    return ExplanationDoc(
+        tuple(
+            ExplanationEntry(
+                "\n".join(render_motif(w, labels) for w in step.witnesses),
+                step.motif,
+                step.families,
+            )
+            for step in steps
         )
-    return ExplanationDoc(tuple(entries))
+    )

@@ -1,4 +1,4 @@
-"""Reading and writing formal contexts in Burmeister (.cxt) and CSV form.
+"""Reading formal contexts in Burmeister (.cxt) and CSV form, writing Burmeister.
 
 Burmeister layout::
 
@@ -145,50 +145,10 @@ def parse_csv(text: str) -> FormalContext:
         raise ParseError(str(exc)) from exc
 
 
-def to_csv(context: FormalContext) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(context.attributes))
-    for g, row in enumerate(context.rows):
-        writer.writerow(
-            [context.objects[g]]
-            + [str(row >> m & 1) for m in range(len(context.attributes))]
-        )
-    return buf.getvalue()
-
-
-_FORMATS = ("burmeister", "csv")
-
-
-def parse_context(data: str | bytes, fmt: str) -> FormalContext:
-    """Parse ``data`` in the named format ('burmeister' or 'csv')."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if fmt == "burmeister":
-        return parse_burmeister(data)
-    if fmt == "csv":
-        return parse_csv(data)
-    raise ParseError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
-
-
-def format_for_path(path: str | Path) -> str:
+def load_context(path: str | Path) -> FormalContext:
+    """Read a UTF-8 context file; the suffix (.cxt or .csv, any case) picks the format."""
     suffix = Path(path).suffix.lower()
-    if suffix == ".cxt":
-        return "burmeister"
-    if suffix == ".csv":
-        return "csv"
-    raise ParseError(f"cannot infer format from suffix {suffix!r}; pass it explicitly")
-
-
-def load_context(path: str | Path, fmt: str | None = None) -> FormalContext:
-    return parse_context(Path(path).read_bytes(), fmt or format_for_path(path))
-
-
-def save_context(context: FormalContext, path: str | Path, fmt: str | None = None) -> None:
-    fmt = fmt or format_for_path(path)
-    if fmt == "burmeister":
-        Path(path).write_text(to_burmeister(context), encoding="utf-8")
-    elif fmt == "csv":
-        Path(path).write_text(to_csv(context), encoding="utf-8")
-    else:
-        raise ParseError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
+    parsers = {".cxt": parse_burmeister, ".csv": parse_csv}
+    if suffix not in parsers:
+        raise ParseError(f"cannot infer format from suffix {suffix!r}")
+    return parsers[suffix](Path(path).read_bytes().decode("utf-8"))

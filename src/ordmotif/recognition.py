@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
 from .context import FormalContext, UnclarifiedObjectsError, subcontext_extents
-from .scales import FAMILY_MIN_SIZE, ScaleFamily, build_scale, scale_extents
+from .scales import FAMILY_MIN_SIZE, ScaleFamily, scale_extents
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class Motif:
     @property
     def domain_mask(self) -> int:
         return mask_of(self.domain)
-
-    def domain_set(self) -> frozenset[int]:
-        return frozenset(self.domain)
 
 
 def witness_preimage(domain: Sequence[int], scale_extent: int) -> int:
@@ -102,12 +99,10 @@ def _require_distinct_rows(context: FormalContext, domain: Sequence[int]) -> Non
         seen[row] = g
 
 
-def _system_matches(
-    context: FormalContext, witness: Sequence[int], family: ScaleFamily, h_mask: int
-) -> bool:
+def _system_matches(witness: Sequence[int], family: ScaleFamily, sub_extents: set[int]) -> bool:
     # Compare the subcontext extent system against the image of the scale's.
     expected = {witness_preimage(witness, e) for e in scale_extents(family, len(witness))}
-    return expected == subcontext_extents(context, h_mask)
+    return expected == sub_extents
 
 
 def _closed_within(context: FormalContext, subset: int, h_mask: int) -> bool:
@@ -153,7 +148,8 @@ def _recognize_ordinal(context: FormalContext, idx: list[int], h_mask: int) -> t
 
 def _recognize_interordinal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
     n = len(idx)
-    pairs = [e for e in subcontext_extents(context, h_mask) if e.bit_count() == 2]
+    sub_extents = subcontext_extents(context, h_mask)
+    pairs = [e for e in sub_extents if e.bit_count() == 2]
     if len(pairs) != n - 1:
         return None
     degree = {g: 0 for g in idx}
@@ -175,10 +171,11 @@ def _recognize_interordinal(context: FormalContext, idx: list[int], h_mask: int)
         walk.append(options[0])
     if walk[-1] != ends[1]:
         return None
-    for candidate in (walk, walk[::-1]):
-        if _system_matches(context, candidate, ScaleFamily.INTERORDINAL, h_mask):
-            return tuple(candidate)
-    return None
+    # Reversal maps intervals to intervals, so the reversed walk matches
+    # exactly when this one does.
+    if not _system_matches(walk, ScaleFamily.INTERORDINAL, sub_extents):
+        return None
+    return tuple(walk)
 
 
 def _recognize_contranominal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
@@ -213,7 +210,7 @@ def _recognize_crown(context: FormalContext, idx: list[int], h_mask: int) -> tup
         walk.append(nxt)
     if walk[0] not in neighbours[walk[-1]]:
         return None
-    if not _system_matches(context, walk, ScaleFamily.CROWN, h_mask):
+    if not _system_matches(walk, ScaleFamily.CROWN, subcontext_extents(context, h_mask)):
         return None
     return tuple(walk)
 
@@ -251,18 +248,8 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
     return Motif(family, witness)
 
 
-def realized_families(context: FormalContext, domain: Iterable[int]) -> tuple[ScaleFamily, ...]:
-    """All families whose scale the domain maps onto fully, in rank order."""
+def realizations(context: FormalContext, domain: Iterable[int]) -> tuple[Motif, ...]:
+    """The witness of every family whose scale the domain maps onto fully, in rank order."""
     idx = tuple(sorted(set(domain)))
-    return tuple(f for f in ScaleFamily if recognize(context, idx, f) is not None)
-
-
-def is_valid_motif(context: FormalContext, motif: Motif) -> bool:
-    """Full verification of the encoded witness on the induced subcontext."""
-    h_mask = motif.domain_mask
-    sub = context.induced_subcontext(h_mask)
-    positions = {g: j for j, g in enumerate(sorted(motif.domain))}
-    sigma = [0] * motif.size
-    for i, g in enumerate(motif.domain):
-        sigma[positions[g]] = i
-    return verify_full(sub, sigma, build_scale(motif.family, motif.size))
+    witnesses = (recognize(context, idx, f) for f in ScaleFamily)
+    return tuple(m for m in witnesses if m is not None)

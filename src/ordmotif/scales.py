@@ -47,14 +47,14 @@ FAMILY_MIN_SIZE = {
 }
 
 
-def _check_size(family: ScaleFamily, n: int) -> None:
+def check_scale_size(family: ScaleFamily, n: int) -> None:
     if n < FAMILY_MIN_SIZE[family]:
         raise ValueError(f"{family} scale needs size >= {FAMILY_MIN_SIZE[family]}, got {n}")
 
 
 def build_scale(family: ScaleFamily, n: int) -> FormalContext:
     """The standard scale of the given family and size, objects labelled 1..n."""
-    _check_size(family, n)
+    check_scale_size(family, n)
     labels = tuple(str(i + 1) for i in range(n))
     if family is ScaleFamily.NOMINAL:
         rows = [1 << g for g in range(n)]
@@ -90,7 +90,7 @@ def scale_extents(family: ScaleFamily, n: int) -> list[int]:
     Bit i of each mask stands for scale object i + 1. Order is deterministic
     but otherwise arbitrary; callers compare as sets.
     """
-    _check_size(family, n)
+    check_scale_size(family, n)
     full = (1 << n) - 1
     if family is ScaleFamily.NOMINAL:
         if n == 1:
@@ -116,7 +116,7 @@ def scale_extents(family: ScaleFamily, n: int) -> list[int]:
 
 def expected_extent_count(family: ScaleFamily, n: int) -> int:
     """Number of extents of the standard scale of the given family and size."""
-    _check_size(family, n)
+    check_scale_size(family, n)
     if family is ScaleFamily.NOMINAL:
         return 1 if n == 1 else n + 2
     if family is ScaleFamily.ORDINAL:

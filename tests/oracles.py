@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, permutations, product
 from random import Random
 
-from ordmotif import FormalContext, ScaleFamily
+from ordmotif import FormalContext, Motif, ScaleFamily, build_scale, verify_full
 
 
 def brute_force_extents(context: FormalContext) -> set[int]:
@@ -36,6 +36,36 @@ def lectic_less(a: int, b: int) -> bool:
     width = max(a, b).bit_length()
     differ = [i for i in range(width) if (a >> i & 1) != (b >> i & 1)]
     return bool(differ) and b >> differ[0] & 1 == 1
+
+
+def to_csv(context: FormalContext) -> str:
+    """The CSV layout written from its definition.
+
+    A header of attribute names after an empty corner cell, then one row
+    per object: its name and its 0/1 cells. A label holding a comma, a
+    quote or a line break is quoted, with its quotes doubled.
+    """
+
+    def cell(text: str) -> str:
+        if any(ch in text for ch in ',"\n\r'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join([""] + [cell(m) for m in context.attributes])]
+    for g, row in enumerate(context.rows):
+        bits = [str(row >> m & 1) for m in range(len(context.attributes))]
+        lines.append(",".join([cell(context.objects[g])] + bits))
+    return "".join(line + "\n" for line in lines)
+
+
+def is_valid_motif(context: FormalContext, motif: Motif) -> bool:
+    """Full verification of the encoded witness on the induced subcontext."""
+    sub = context.induced_subcontext(motif.domain_mask)
+    positions = {g: j for j, g in enumerate(sorted(motif.domain))}
+    sigma = [0] * motif.size
+    for i, g in enumerate(motif.domain):
+        sigma[positions[g]] = i
+    return verify_full(sub, sigma, build_scale(motif.family, motif.size))
 
 
 def random_context(rng: Random, n_objects: int, n_attributes: int, density: float) -> FormalContext:

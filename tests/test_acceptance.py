@@ -36,10 +36,9 @@ from ordmotif import (
 from ordmotif.covering import covered_extents
 from ordmotif.enumeration import enumerate_family, motif_stats
 from ordmotif.explain import TEMPLATES, render_motif
-from ordmotif.recognition import is_valid_motif
 from ordmotif.scales import expected_extent_count
 
-from oracles import dimension_oracle, random_context, subsets_oracle
+from oracles import dimension_oracle, is_valid_motif, random_context, subsets_oracle
 
 ALL = list(ScaleFamily)
 CORPUS_SEED = 233

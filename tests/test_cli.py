@@ -216,6 +216,24 @@ def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path):
     assert "maps" in capsys.readouterr().err
 
 
+def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):
+    def no_build(family, n):
+        raise AssertionError(f"built {family}:{n}")
+
+    monkeypatch.setattr("ordmotif.cli.build_scale", no_build)
+    two = tmp_path / "two.csv"
+    two.write_text(",p\ng0,1\ng1,0\n", encoding="utf-8")
+    assert main(["scaling-dim", str(two), "--scales", "nominal:100000"]) == 1
+    assert "the cap is" in capsys.readouterr().err
+    # An invalid size is reported as such, not as a map count.
+    assert main(["scaling-dim", str(two), "--scales", "nominal:-5000"]) == 1
+    assert "needs size >= 1" in capsys.readouterr().err
+    nine = tmp_path / "nine.csv"
+    nine.write_text(",p\n" + "".join(f"g{i},{i % 2}\n" for i in range(9)), encoding="utf-8")
+    assert main(["scaling-dim", str(nine), "--scales", "ordinal:2"]) == 1
+    assert "capped at 8 objects" in capsys.readouterr().err
+
+
 def test_missing_file_fails_cleanly(capsys, tmp_path):
     assert main(["concepts", str(tmp_path / "absent.cxt")]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -169,10 +169,9 @@ def test_family_ratios_split_across_dual_families():
 
 
 def test_family_ratios_prefix():
-    steps = [
-        CoveringStep(Motif(ScaleFamily.NOMINAL, (0, 1)), (ScaleFamily.NOMINAL,), 4, 4),
-        CoveringStep(Motif(ScaleFamily.ORDINAL, (0, 2)), (ScaleFamily.ORDINAL,), 1, 5),
-    ]
+    pair = Motif(ScaleFamily.NOMINAL, (0, 1))
+    chain = Motif(ScaleFamily.ORDINAL, (0, 2))
+    steps = [CoveringStep(pair, (pair,), 4, 4), CoveringStep(chain, (chain,), 1, 5)]
     assert family_ratios(steps, 1)[ScaleFamily.NOMINAL] == 1
     two = family_ratios(steps, 2)
     assert two[ScaleFamily.NOMINAL] == Fraction(1, 2)

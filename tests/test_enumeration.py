@@ -21,9 +21,8 @@ from ordmotif.enumeration import (
     motif_stats,
     stats_table,
 )
-from ordmotif.recognition import is_valid_motif
 
-from oracles import random_context, subsets_oracle
+from oracles import is_valid_motif, random_context, subsets_oracle
 
 ALL = list(ScaleFamily)
 

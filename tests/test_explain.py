@@ -6,6 +6,7 @@ import pytest
 from ordmotif import (
     ClarificationMap,
     EnumerationConfig,
+    FormalContext,
     Motif,
     ScaleFamily,
     build_scale,
@@ -14,6 +15,7 @@ from ordmotif import (
     explain_covering,
     greedy_cover,
 )
+from ordmotif.context import object_labels
 from ordmotif.explain import TEMPLATES, join_names, render_motif
 
 from oracles import random_context
@@ -85,9 +87,10 @@ def test_out_of_range_index_rejected():
 
 
 def test_clarified_groups_render_merged_labels():
+    ctx = FormalContext(["water", "wine"], ["cold", "red"], [[1, 0], [0, 1]])
     clar = ClarificationMap({0: ("water", "rain"), 1: ("wine",)})
     motif = Motif(ScaleFamily.NOMINAL, (0, 1))
-    text = render_motif(motif, ["water", "wine"], clar)
+    text = render_motif(motif, object_labels(ctx, clar))
     assert text.startswith("The elements water/rain and wine are incomparable")
 
 

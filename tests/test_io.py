@@ -3,17 +3,9 @@ from random import Random
 import pytest
 
 from ordmotif import FormalContext, ParseError, load_context
-from ordmotif.io import (
-    format_for_path,
-    parse_burmeister,
-    parse_context,
-    parse_csv,
-    save_context,
-    to_burmeister,
-    to_csv,
-)
+from ordmotif.io import parse_burmeister, parse_csv, to_burmeister
 
-from oracles import random_context
+from oracles import random_context, to_csv
 
 SAMPLE = FormalContext(
     ["water", "wine"],
@@ -67,6 +59,7 @@ def test_csv_round_trip():
 
 
 def test_csv_known_text():
+    assert parse_csv(",cold,red\nwater,1,0\nwine,0,1\n") == SAMPLE
     assert to_csv(SAMPLE) == ",cold,red\nwater,1,0\nwine,0,1\n"
 
 
@@ -83,6 +76,7 @@ def test_csv_errors_carry_line_numbers():
 
 def test_quoted_labels_with_commas_survive_csv():
     ctx = FormalContext(["a,b"], ["m,n"], [[1]])
+    assert parse_csv(',"m,n"\n"a,b",1\n') == ctx
     assert parse_csv(to_csv(ctx)) == ctx
 
 
@@ -94,21 +88,34 @@ def test_random_round_trips_both_formats():
         assert parse_csv(to_csv(ctx)) == ctx
 
 
-def test_parse_context_bytes_and_format_errors():
-    assert parse_context(to_burmeister(SAMPLE).encode(), "burmeister") == SAMPLE
-    with pytest.raises(ParseError):
-        parse_context("B\n", "xml")
+def test_parse_context_bytes_and_format_errors(tmp_path):
+    # load_context decodes the bytes as UTF-8 and rejects unknown suffixes.
+    accented = FormalContext(["crème"], ["süß"], [[1]])
+    path = tmp_path / "k.cxt"
+    path.write_bytes(to_burmeister(accented).encode("utf-8"))
+    assert load_context(path) == accented
+    path = tmp_path / "k.xml"
+    path.write_text(to_burmeister(SAMPLE), encoding="utf-8")
+    with pytest.raises(ParseError, match="suffix"):
+        load_context(path)
 
 
-def test_format_for_path():
-    assert format_for_path("k.cxt") == "burmeister"
-    assert format_for_path("K.CSV") == "csv"
+def test_format_for_path(tmp_path):
+    # The suffix picks the parser, in any case.
+    (tmp_path / "k.CXT").write_text(to_burmeister(SAMPLE), encoding="utf-8")
+    (tmp_path / "K.Csv").write_text(to_csv(SAMPLE), encoding="utf-8")
+    (tmp_path / "k.json").write_text(to_csv(SAMPLE), encoding="utf-8")
+    (tmp_path / "k.csv").write_text(to_burmeister(SAMPLE), encoding="utf-8")
+    assert load_context(tmp_path / "k.CXT") == SAMPLE
+    assert load_context(tmp_path / "K.Csv") == SAMPLE
     with pytest.raises(ParseError):
-        format_for_path("k.json")
+        load_context(tmp_path / "k.json")
+    with pytest.raises(ParseError):
+        load_context(tmp_path / "k.csv")  # Burmeister text under a CSV suffix
 
 
 def test_file_round_trip(tmp_path):
-    for name in ("k.cxt", "k.csv"):
+    for name, text in (("k.cxt", to_burmeister(SAMPLE)), ("k.csv", to_csv(SAMPLE))):
         p = tmp_path / name
-        save_context(SAMPLE, p)
+        p.write_text(text, encoding="utf-8")
         assert load_context(p) == SAMPLE

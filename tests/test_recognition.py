@@ -14,9 +14,9 @@ from ordmotif import (
     verify_full,
     verify_scale_measure,
 )
-from ordmotif.recognition import is_valid_motif, realized_families
+from ordmotif.recognition import realizations
 
-from oracles import bijection_oracle, brute_force_extents, random_context
+from oracles import bijection_oracle, brute_force_extents, is_valid_motif, random_context
 
 ALL = list(ScaleFamily)
 
@@ -82,9 +82,9 @@ def test_crown_on_boolean_three():
     b3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
     motif = recognize(b3, all_objects(b3), ScaleFamily.CROWN)
     assert motif is not None
-    assert realized_families(b3, all_objects(b3)) == (
-        ScaleFamily.CONTRANOMINAL,
-        ScaleFamily.CROWN,
+    assert realizations(b3, all_objects(b3)) == (
+        Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2)),
+        motif,
     )
 
 

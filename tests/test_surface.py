@@ -1,0 +1,32 @@
+"""Every public function and class of the package has a caller in ``src/``.
+
+A name that only the tests use belongs in the tests (see ``oracles.py``).
+Exports listed in ``ordmotif.__all__`` and the CLI's ``main`` count as used.
+"""
+
+import ast
+from pathlib import Path
+
+import ordmotif
+
+SRC = Path(ordmotif.__file__).parent
+
+
+def test_public_definitions_are_used_in_src():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    used = set(ordmotif.__all__) | {"main"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []
