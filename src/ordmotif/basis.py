@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .bitsets import bits
 from .context import FormalContext
-from .recognition import Motif, witness_preimage
+from .recognition import Motif, preimage
 from .scales import build_scale, scale_extents, apposition
 
 
@@ -40,8 +40,9 @@ def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContex
         labels = [f"{number}:{label}" for label in scale.attributes]
         labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
         # One column per scale extent, so the columns are the motif's covered extents.
+        class_masks = [1 << g for g in motif.domain]
         columns = [
-            context.object_closure(witness_preimage(motif.domain, e))
+            context.object_closure(preimage(class_masks, e))
             for e in list(scale.cols) + extras
         ]
         covered.update(columns)

@@ -20,16 +20,3 @@ def bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
         mask ^= low
 
-
-def compress(mask: int, positions: list[int]) -> int:
-    """Re-index ``mask`` onto the compact universe given by ``positions``.
-
-    Bit ``positions[j]`` of the input becomes bit ``j`` of the output; bits
-    outside ``positions`` are dropped.
-    """
-    out = 0
-    for j, p in enumerate(positions):
-        if mask >> p & 1:
-            out |= 1 << j
-    return out
-

@@ -269,7 +269,12 @@ def cmd_scaling_dim(args: argparse.Namespace) -> int:
     context, _ = _load(args)
     specs = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
     # A scale of size n holds n rows of n bits: check the caps before building.
-    check_search_size(len(context.objects), [size for _, size in specs])
+    # An interordinal scale has 2n attributes, the other families n.
+    shapes = [
+        (size, 2 * size if family is ScaleFamily.INTERORDINAL else size)
+        for family, size in specs
+    ]
+    check_search_size(len(context.objects), shapes)
     scales = [build_scale(family, size) for family, size in specs]
     d = scaling_dimension(context, scales, max_d=args.max_d)
     if args.json:

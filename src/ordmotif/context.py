@@ -8,9 +8,9 @@ attribute sets are plain ints throughout, extents included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .bitsets import bits, compress, mask_of
+from .bitsets import bits, mask_of
 
 
 class UnclarifiedObjectsError(ValueError):
@@ -33,14 +33,14 @@ class ClarificationMap:
 
     groups: dict[int, tuple[str, ...]]
 
-    def label(self, g: int, sep: str = "/") -> str:
-        return sep.join(self.groups[g])
+    def label(self, g: int) -> str:
+        return "/".join(self.groups[g])
 
 
 class FormalContext:
     """Immutable (G, M, I) triple with bitmask derivation operators."""
 
-    __slots__ = ("objects", "attributes", "rows", "cols", "_extents")
+    __slots__ = ("objects", "attributes", "rows", "cols", "_extents", "_closures")
 
     def __init__(
         self,
@@ -87,6 +87,7 @@ class FormalContext:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_extents", None)
+        object.__setattr__(self, "_closures", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FormalContext is immutable")
@@ -133,7 +134,16 @@ class FormalContext:
         return out
 
     def object_closure(self, object_set: int) -> int:
-        return self.derive_attributes(self.derive_objects(object_set))
+        """The smallest extent containing ``object_set``.
+
+        Memoized per context: the context is immutable, so an entry never
+        goes stale, and every stage of the pipeline asks the same sets.
+        """
+        closed = self._closures.get(object_set)
+        if closed is None:
+            closed = self.derive_attributes(self.derive_objects(object_set))
+            self._closures[object_set] = closed
+        return closed
 
     # -- global structure ----------------------------------------------
 
@@ -171,18 +181,6 @@ class FormalContext:
         """Swap objects with attributes; incidence rows become columns."""
         return FormalContext.from_rows(self.attributes, self.objects, self.cols)
 
-    def induced_subcontext(self, object_set: int, attribute_set: int | None = None) -> "FormalContext":
-        """Restrict to the given objects (and attributes; all by default)."""
-        if attribute_set is None:
-            attribute_set = self.attribute_mask
-        obj_pos = list(bits(object_set))
-        att_pos = list(bits(attribute_set))
-        return FormalContext.from_rows(
-            tuple(self.objects[g] for g in obj_pos),
-            tuple(self.attributes[m] for m in att_pos),
-            tuple(compress(self.rows[g] & attribute_set, att_pos) for g in obj_pos),
-        )
-
 
 def object_labels(context: FormalContext, clarification: ClarificationMap | None) -> list[str]:
     """Object names for output; a clarified object shows its merged labels "x/y"."""
@@ -191,10 +189,11 @@ def object_labels(context: FormalContext, clarification: ClarificationMap | None
     return [clarification.label(g) for g in range(len(context.objects))]
 
 
-def require_clarified(context: FormalContext) -> None:
-    """Raise :class:`UnclarifiedObjectsError` unless all object rows differ."""
+def require_clarified(context: FormalContext, objects: Iterable[int]) -> None:
+    """Raise :class:`UnclarifiedObjectsError` unless the given objects' rows all differ."""
     seen: dict[int, int] = {}
-    for g, row in enumerate(context.rows):
+    for g in objects:
+        row = context.rows[g]
         if row in seen:
             raise UnclarifiedObjectsError(
                 context.objects[seen[row]], context.objects[g]

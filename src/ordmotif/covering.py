@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .context import FormalContext
-from .recognition import Motif, realizations, witness_preimage
+from .recognition import Motif, preimage, realizations
 from .scales import ScaleFamily, expected_extent_count, scale_extents
 
 
@@ -48,8 +48,9 @@ class CoveringStep:
 
 def covered_extents(context: FormalContext, motif: Motif) -> frozenset[int]:
     """Closures in ``context`` of the preimages of the motif's scale extents."""
+    class_masks = [1 << g for g in motif.domain]
     return frozenset(
-        context.object_closure(witness_preimage(motif.domain, e))
+        context.object_closure(preimage(class_masks, e))
         for e in scale_extents(motif.family, motif.size)
     )
 

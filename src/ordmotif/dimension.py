@@ -6,7 +6,7 @@ preimages jointly meet-generate the extent system. Every extent is an
 intersection of meet-irreducible ones, so the search reduces to covering
 the irreducibles with per-map preimage families. The problem is hard in
 general, hence the hard caps on object count, tuple length and the
-number of maps tried.
+number of scale columns the maps scan.
 """
 
 from __future__ import annotations
@@ -18,19 +18,26 @@ from .context import FormalContext
 
 MAX_OBJECTS = 8
 MAX_TUPLE_LENGTH = 4
-# Enough for an 8-object context against one scale of size 8; larger
-# searches would run for hours.
-MAX_MAPS = 8**8
+# Every map scans the scale's columns, so the work is the number of maps
+# times the column count. The cap admits an 8-object context against
+# interordinal:8 (8**8 maps of 16 columns); larger searches would run
+# for hours.
+MAX_COLUMN_SCANS = 8**8 * 16
 
 
-def check_search_size(n_objects: int, scale_sizes: Sequence[int]) -> None:
-    """Reject a search over too many objects or maps before any scale is built."""
+def check_search_size(n_objects: int, scale_shapes: Sequence[tuple[int, int]]) -> None:
+    """Reject a search over too many objects or column scans before any scale is built.
+
+    ``scale_shapes`` holds the (object count, attribute count) of each scale.
+    """
     if n_objects > MAX_OBJECTS:
         raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
-    maps = sum(size**n_objects for size in scale_sizes)
-    if maps > MAX_MAPS:
+    maps = sum(size**n_objects for size, _ in scale_shapes)
+    scans = sum(size**n_objects * width for size, width in scale_shapes)
+    if scans > MAX_COLUMN_SCANS:
         raise ValueError(
-            f"scaling dimension search would try {maps} maps; the cap is {MAX_MAPS}"
+            f"scaling dimension search would try {maps} maps scanning {scans} "
+            f"scale columns; the cap is {MAX_COLUMN_SCANS} column scans"
         )
 
 
@@ -90,7 +97,9 @@ def scaling_dimension(
     Scales may repeat within a tuple. Returns ``None`` when no tuple of
     length up to ``max_d`` works.
     """
-    check_search_size(len(context.objects), [len(s.objects) for s in scales])
+    check_search_size(
+        len(context.objects), [(len(s.objects), len(s.attributes)) for s in scales]
+    )
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:
         raise ValueError(f"max_d must be between 1 and {MAX_TUPLE_LENGTH}")
     if not scales:

@@ -77,8 +77,8 @@ def enumerate_hereditary(
     if family not in _HEREDITARY:
         raise ValueError(f"{family} is not enumerated level-wise; see enumerate_crowns")
     config = config or EnumerationConfig()
-    require_clarified(context)
     n_objects = len(context.objects)
+    require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
     found: dict[tuple[int, ...], Motif] = {}
 
@@ -149,29 +149,21 @@ def enumerate_crowns(
     confirmed by the recognizer before it is reported.
     """
     config = config or EnumerationConfig()
-    require_clarified(context)
     n_objects = len(context.objects)
+    require_clarified(context, range(n_objects))
     lo, hi = config.bounds(ScaleFamily.CROWN, n_objects)
     if hi < 3 or n_objects < 3:
         return []
 
-    universal = context.object_closure(0)  # objects with full rows never qualify
+    closure = context.object_closure
+    universal = closure(0)  # objects with full rows never qualify
     eligible = [g for g in range(n_objects) if not universal >> g & 1]
-    singleton_closure = {g: context.object_closure(1 << g) for g in eligible}
     overlap: dict[int, list[int]] = {g: [] for g in eligible}
     for i, a in enumerate(eligible):
         for b in eligible[i + 1 :]:
             if context.rows[a] & context.rows[b]:
                 overlap[a].append(b)
                 overlap[b].append(a)
-
-    pair_closure: dict[int, int] = {}
-
-    def closure_of_pair(a: int, b: int) -> int:
-        key = (1 << a) | (1 << b)
-        if key not in pair_closure:
-            pair_closure[key] = context.object_closure(key)
-        return pair_closure[key]
 
     found: dict[tuple[int, ...], Motif] = {}
     seen_domains: set[int] = set()
@@ -181,9 +173,10 @@ def enumerate_crowns(
         if 3 <= len(path) <= hi and path[1] < last and start in overlap[last]:
             # Cycle closes. Remaining necessary conditions, then the recognizer.
             if path_mask not in seen_domains:
-                if closure_of_pair(start, last) & path_mask == (1 << start) | (1 << last):
+                end_pair = (1 << start) | (1 << last)
+                if closure(end_pair) & path_mask == end_pair:
                     if all(
-                        closure_of_pair(start, u) & path_mask == path_mask
+                        closure((1 << start) | (1 << u)) & path_mask == path_mask
                         for u in path[2:-1]
                     ):
                         seen_domains.add(path_mask)
@@ -196,23 +189,24 @@ def enumerate_crowns(
             bit = 1 << nxt
             if nxt <= start or path_mask & bit or forbidden & bit:
                 continue
-            if singleton_closure[nxt] & path_mask:
+            if closure(bit) & path_mask:
                 continue
             new_mask = path_mask | bit
             # Consecutive objects share a pairwise-private attribute set ...
-            if closure_of_pair(last, nxt) & new_mask != (1 << last) | bit:
+            step_pair = (1 << last) | bit
+            if closure(step_pair) & new_mask != step_pair:
                 continue
             # ... while non-consecutive ones must both lie in every closed
             # superset of the pair, since only the full domain separates them.
             if any(
-                closure_of_pair(u, nxt) & new_mask != new_mask for u in path[1:-1]
+                closure((1 << u) | bit) & new_mask != new_mask for u in path[1:-1]
             ):
                 continue
-            extend(path + [nxt], new_mask, forbidden | (singleton_closure[nxt] & ~bit))
+            extend(path + [nxt], new_mask, forbidden | (closure(bit) & ~bit))
         return
 
     for start in eligible:
-        extend([start], 1 << start, singleton_closure[start] & ~(1 << start))
+        extend([start], 1 << start, closure(1 << start) & ~(1 << start))
     return _sorted_motifs(found)
 
 

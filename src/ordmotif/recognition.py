@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
-from .context import FormalContext, UnclarifiedObjectsError, subcontext_extents
+from .context import FormalContext, require_clarified, subcontext_extents
 from .scales import FAMILY_MIN_SIZE, ScaleFamily, scale_extents
 
 
@@ -37,19 +37,12 @@ class Motif:
         return mask_of(self.domain)
 
 
-def witness_preimage(domain: Sequence[int], scale_extent: int) -> int:
-    """Objects the witness ``domain`` maps into ``scale_extent``.
+def preimage(class_masks: Sequence[int], scale_extent: int) -> int:
+    """Objects a map sends into ``scale_extent``.
 
-    Bit ``i`` of ``scale_extent`` stands for scale object ``i + 1``, the
-    image of object ``domain[i]``.
+    ``class_masks[s]`` holds the objects mapped to scale object ``s``; a
+    witness ``domain`` has the class masks ``[1 << g for g in domain]``.
     """
-    out = 0
-    for i in bits(scale_extent):
-        out |= 1 << domain[i]
-    return out
-
-
-def _preimage(class_masks: Sequence[int], scale_extent: int) -> int:
     out = 0
     for s in bits(scale_extent):
         out |= class_masks[s]
@@ -75,7 +68,7 @@ def verify_scale_measure(context: FormalContext, sigma: Sequence[int], scale: Fo
         raise ValueError("sigma length does not match the object count")
     class_masks = _class_masks(sigma, len(scale.objects))
     for col in scale.cols:
-        pre = _preimage(class_masks, col)
+        pre = preimage(class_masks, col)
         if context.object_closure(pre) != pre:
             return False
     return True
@@ -86,22 +79,14 @@ def verify_full(context: FormalContext, sigma: Sequence[int], scale: FormalConte
     if len(sigma) != len(context.objects):
         raise ValueError("sigma length does not match the object count")
     class_masks = _class_masks(sigma, len(scale.objects))
-    preimages = {_preimage(class_masks, e) for e in scale.extents()}
+    preimages = {preimage(class_masks, e) for e in scale.extents()}
     return preimages == set(context.extents())
-
-
-def _require_distinct_rows(context: FormalContext, domain: Sequence[int]) -> None:
-    seen: dict[int, int] = {}
-    for g in domain:
-        row = context.rows[g]
-        if row in seen:
-            raise UnclarifiedObjectsError(context.objects[seen[row]], context.objects[g])
-        seen[row] = g
 
 
 def _system_matches(witness: Sequence[int], family: ScaleFamily, sub_extents: set[int]) -> bool:
     # Compare the subcontext extent system against the image of the scale's.
-    expected = {witness_preimage(witness, e) for e in scale_extents(family, len(witness))}
+    class_masks = [1 << g for g in witness]
+    expected = {preimage(class_masks, e) for e in scale_extents(family, len(witness))}
     return expected == sub_extents
 
 
@@ -230,7 +215,7 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
     n = len(idx)
     if n < FAMILY_MIN_SIZE[family]:
         return None
-    _require_distinct_rows(context, idx)
+    require_clarified(context, idx)
     if n == 1:
         witness = _recognize_size_one(context, idx[0], family)
     else:

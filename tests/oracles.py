@@ -38,6 +38,34 @@ def lectic_less(a: int, b: int) -> bool:
     return bool(differ) and b >> differ[0] & 1 == 1
 
 
+def compress(mask: int, positions: list[int]) -> int:
+    """Re-index ``mask`` onto the compact universe given by ``positions``.
+
+    Bit ``positions[j]`` of the input becomes bit ``j`` of the output; bits
+    outside ``positions`` are dropped.
+    """
+    out = 0
+    for j, p in enumerate(positions):
+        if mask >> p & 1:
+            out |= 1 << j
+    return out
+
+
+def induced_subcontext(
+    context: FormalContext, object_set: int, attribute_set: int | None = None
+) -> FormalContext:
+    """Restrict to the given objects (and attributes; all by default)."""
+    if attribute_set is None:
+        attribute_set = (1 << len(context.attributes)) - 1
+    obj_pos = [g for g in range(len(context.objects)) if object_set >> g & 1]
+    att_pos = [m for m in range(len(context.attributes)) if attribute_set >> m & 1]
+    return FormalContext.from_rows(
+        tuple(context.objects[g] for g in obj_pos),
+        tuple(context.attributes[m] for m in att_pos),
+        tuple(compress(context.rows[g] & attribute_set, att_pos) for g in obj_pos),
+    )
+
+
 def to_csv(context: FormalContext) -> str:
     """The CSV layout written from its definition.
 
@@ -60,7 +88,7 @@ def to_csv(context: FormalContext) -> str:
 
 def is_valid_motif(context: FormalContext, motif: Motif) -> bool:
     """Full verification of the encoded witness on the induced subcontext."""
-    sub = context.induced_subcontext(motif.domain_mask)
+    sub = induced_subcontext(context, motif.domain_mask)
     positions = {g: j for j, g in enumerate(sorted(motif.domain))}
     sigma = [0] * motif.size
     for i, g in enumerate(motif.domain):
@@ -133,7 +161,7 @@ def bijection_oracle(context: FormalContext, domain: tuple[int, ...], family: Sc
     sub_mask = 0
     for g in domain:
         sub_mask |= 1 << g
-    sub = context.induced_subcontext(sub_mask)
+    sub = induced_subcontext(context, sub_mask)
     if len(set(sub.rows)) != len(sub.rows):
         return False
     target = frozenset(brute_force_extents(sub))

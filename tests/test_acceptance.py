@@ -38,7 +38,13 @@ from ordmotif.enumeration import enumerate_family, motif_stats
 from ordmotif.explain import TEMPLATES, render_motif
 from ordmotif.scales import expected_extent_count
 
-from oracles import dimension_oracle, is_valid_motif, random_context, subsets_oracle
+from oracles import (
+    dimension_oracle,
+    induced_subcontext,
+    is_valid_motif,
+    random_context,
+    subsets_oracle,
+)
 
 ALL = list(ScaleFamily)
 CORPUS_SEED = 233
@@ -202,8 +208,8 @@ def test_criterion_5_basis_property():
                 family, rng.randint(3 if family is ScaleFamily.CROWN else 1, 4)
             )
             sigma = [rng.randrange(len(scale.objects)) for _ in range(size)]
-            sub_ctx = ctx.induced_subcontext(h_mask)
-            sub_basis = basis.induced_subcontext(h_mask)
+            sub_ctx = induced_subcontext(ctx, h_mask)
+            sub_basis = induced_subcontext(basis, h_mask)
             assert verify_full(sub_ctx, sigma, scale) == verify_full(
                 sub_basis, sigma, scale
             )

@@ -16,7 +16,7 @@ from ordmotif import (
     verify_scale_measure,
 )
 
-from oracles import random_context
+from oracles import induced_subcontext, random_context
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 TRIPLE = Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))
@@ -117,8 +117,8 @@ def test_local_full_measures_agree_between_context_and_basis():
             scale = build_scale(family, scale_size)
             sigma = [rng.randrange(scale_size) for _ in range(size)]
             h_mask = sum(1 << g for g in h)
-            sub_ctx = ctx.induced_subcontext(h_mask)
-            sub_basis = basis.induced_subcontext(h_mask)
+            sub_ctx = induced_subcontext(ctx, h_mask)
+            sub_basis = induced_subcontext(basis, h_mask)
             checked += 1
             assert verify_full(sub_ctx, sigma, scale) == verify_full(
                 sub_basis, sigma, scale

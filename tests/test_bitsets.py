@@ -1,8 +1,8 @@
 from random import Random
 
-from ordmotif.bitsets import bits, compress, mask_of
+from ordmotif.bitsets import bits, mask_of
 
-from oracles import lectic_less
+from oracles import compress, lectic_less
 
 
 def test_mask_of_round_trip():

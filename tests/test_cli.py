@@ -225,6 +225,13 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     two.write_text(",p\ng0,1\ng1,0\n", encoding="utf-8")
     assert main(["scaling-dim", str(two), "--scales", "nominal:100000"]) == 1
     assert "the cap is" in capsys.readouterr().err
+    # One object admits few maps, but each scans all 20000 columns.
+    one = tmp_path / "one.csv"
+    one.write_text(",p\ng0,1\n", encoding="utf-8")
+    start = time.monotonic()
+    assert main(["scaling-dim", str(one), "--scales", "contranominal:20000"]) == 1
+    assert time.monotonic() - start < 5
+    assert "the cap is" in capsys.readouterr().err
     # An invalid size is reported as such, not as a map count.
     assert main(["scaling-dim", str(two), "--scales", "nominal:-5000"]) == 1
     assert "needs size >= 1" in capsys.readouterr().err

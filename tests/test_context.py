@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -9,8 +10,15 @@ from ordmotif import (
 )
 from ordmotif.bitsets import mask_of
 from ordmotif.context import require_clarified, subcontext_extents
+from ordmotif.enumeration import enumerate_motifs
 
-from oracles import brute_force_extents, lectic_less, random_context
+from oracles import (
+    brute_force_extents,
+    induced_subcontext,
+    lectic_less,
+    random_context,
+    random_corpus_item,
+)
 
 K = FormalContext(
     ["a", "b", "c", "d"],
@@ -61,6 +69,35 @@ def test_derivation_galois_properties():
                 assert ca & ~cb == 0
 
 
+def test_object_closure_derives_each_set_once(monkeypatch):
+    derived = Counter()
+    derive = FormalContext.derive_objects
+
+    def counting(self, object_set):
+        derived[id(self), object_set] += 1
+        return derive(self, object_set)
+
+    monkeypatch.setattr(FormalContext, "derive_objects", counting)
+    rng = Random(29)
+    total = 0
+    for _ in range(30):
+        ctx, _ = clarify_objects(random_corpus_item(rng))
+        derived.clear()
+        enumerate_motifs(ctx)
+        assert all(n == 1 for n in derived.values())
+        total += len(derived)
+        # Memo hits and fresh derivations alike match the smallest
+        # brute-force extent containing the set.
+        extents = brute_force_extents(ctx)
+        for s in range(1 << len(ctx.objects)):
+            smallest = ctx.object_mask
+            for e in extents:
+                if e & s == s:
+                    smallest &= e
+            assert ctx.object_closure(s) == smallest
+    assert total > 0
+
+
 def test_extents_match_brute_force():
     rng = Random(13)
     for _ in range(200):
@@ -109,7 +146,7 @@ def test_induced_subcontext_and_restriction_law():
     for _ in range(100):
         ctx = random_context(rng, rng.randint(1, 6), rng.randint(1, 6), 0.5)
         h = rng.getrandbits(len(ctx.objects)) & ctx.object_mask
-        sub = ctx.induced_subcontext(h)
+        sub = induced_subcontext(ctx, h)
         positions = [g for g in range(len(ctx.objects)) if h >> g & 1]
         expanded = {
             mask_of(positions[i] for i in range(len(positions)) if e >> i & 1)
@@ -121,7 +158,7 @@ def test_induced_subcontext_and_restriction_law():
 def test_closure_within_is_subcontext_closure():
     # Closing inside K[H, M] is closing in K and cutting back to H.
     h = 0b0111
-    sub = K.induced_subcontext(h)
+    sub = induced_subcontext(K, h)
     for s in range(8):
         assert K.object_closure(s) & h == sub.object_closure(s)
 
@@ -133,13 +170,13 @@ def test_clarification():
         [[1, 0], [0, 1], [1, 0]],
     )
     with pytest.raises(UnclarifiedObjectsError):
-        require_clarified(dup)
+        require_clarified(dup, range(3))
     clarified, cmap = clarify_objects(dup)
     assert clarified.objects == ("a", "b")
     assert cmap.groups == {0: ("a", "a2"), 1: ("b",)}
     assert cmap.label(0) == "a/a2"
     assert set(clarified.extents()) <= {0b00, 0b01, 0b10, 0b11}
-    require_clarified(clarified)
+    require_clarified(clarified, range(2))
 
 
 def test_clarification_preserves_extent_count():

@@ -71,7 +71,7 @@ def test_bounds_are_enforced():
         scaling_dimension(B3, [O2], max_d=5)
     with pytest.raises(ValueError):
         scaling_dimension(B3, [])
-    # 40**6 maps, far above the 8**8 cap: rejected before any search.
+    # 40**6 maps of 40 columns each, far above the cap: rejected before any search.
     six = FormalContext.from_rows([f"g{i}" for i in range(6)], ["m"], (1,) * 6)
     with pytest.raises(ValueError, match="maps"):
         scaling_dimension(six, [build_scale(ScaleFamily.NOMINAL, 40)])

@@ -10,7 +10,13 @@ from ordmotif import (
 )
 from ordmotif.scales import apposition, expected_extent_count
 
-from oracles import brute_force_extents, oracle_scale, oracle_semiproduct, random_context
+from oracles import (
+    brute_force_extents,
+    induced_subcontext,
+    oracle_scale,
+    oracle_semiproduct,
+    random_context,
+)
 
 ALL = list(ScaleFamily)
 
@@ -195,7 +201,7 @@ def test_semiproduct_diagonal_recovers_interordinal():
     diagonal = 0
     for g in range(n):
         diagonal |= 1 << (g * n + g)
-    sub = semi.induced_subcontext(diagonal)
+    sub = induced_subcontext(semi, diagonal)
     i3 = build_scale(ScaleFamily.INTERORDINAL, n)
     assert set(sub.extents()) == set(i3.extents())
 

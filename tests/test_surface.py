@@ -1,4 +1,4 @@
-"""Every public function and class of the package has a caller in ``src/``.
+"""Every public function, class and method of the package has a caller in ``src/``.
 
 A name that only the tests use belongs in the tests (see ``oracles.py``).
 Exports listed in ``ordmotif.__all__`` and the CLI's ``main`` count as used.
@@ -21,12 +21,20 @@ def test_public_definitions_are_used_in_src():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    definitions = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}:{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (f"{module}:{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                )
     unused = [
-        f"{module}:{node.name}"
-        for module, tree in sorted(trees.items())
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        qualified
+        for qualified, node in definitions
+        if not node.name.startswith("_") and node.name not in used
     ]
     assert unused == []
