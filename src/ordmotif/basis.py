@@ -32,8 +32,9 @@ class IncompleteCoveringError(ValueError):
 
 def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContext:
     """Apposition of the per-motif blocks; requires a complete covering."""
+    ids = context.extent_ids()
     blocks = []
-    covered: set[int] = set()
+    covered = 0
     for number, motif in enumerate(motifs, start=1):
         scale = build_scale(motif.family, motif.size)
         extras = sorted(set(scale_extents(motif.family, motif.size)) - set(scale.cols))
@@ -45,15 +46,15 @@ def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContex
             context.object_closure(preimage(class_masks, e))
             for e in list(scale.cols) + extras
         ]
-        covered.update(columns)
         rows = [0] * len(context.objects)
         for m_idx, column in enumerate(columns):
+            covered |= 1 << ids[column]
             for g in bits(column):
                 rows[g] |= 1 << m_idx
         blocks.append(
             FormalContext.from_rows(context.objects, tuple(labels), tuple(rows))
         )
-    missing = set(context.extents()) - covered
+    missing = len(ids) - covered.bit_count()
     if missing:
-        raise IncompleteCoveringError(len(missing))
+        raise IncompleteCoveringError(missing)
     return apposition(*blocks)

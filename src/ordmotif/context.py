@@ -2,7 +2,8 @@
 
 Objects and attributes are label tuples; incidence is stored as one int
 bitmask per object row (and per attribute column). Object sets and
-attribute sets are plain ints throughout, extents included.
+attribute sets are plain ints throughout, extents included, and a set of
+extents is one int whose bit ``i`` stands for ``extents()[i]``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ClarificationMap:
 class FormalContext:
     """Immutable (G, M, I) triple with bitmask derivation operators."""
 
-    __slots__ = ("objects", "attributes", "rows", "cols", "_extents", "_closures")
+    __slots__ = ("objects", "attributes", "rows", "cols", "_extents", "_extent_ids", "_closures")
 
     def __init__(
         self,
@@ -87,6 +88,7 @@ class FormalContext:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_extents", None)
+        object.__setattr__(self, "_extent_ids", None)
         object.__setattr__(self, "_closures", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -157,6 +159,13 @@ class FormalContext:
             object.__setattr__(self, "_extents", tuple(self._next_closure_run()))
         return self._extents
 
+    def extent_ids(self) -> dict[int, int]:
+        """Each extent's position in :meth:`extents`: its bit in a set of extents."""
+        if self._extent_ids is None:
+            ids = {e: i for i, e in enumerate(self.extents())}
+            object.__setattr__(self, "_extent_ids", ids)
+        return self._extent_ids
+
     def _next_closure_run(self):
         n = len(self.objects)
         a = self.object_closure(0)
@@ -223,13 +232,3 @@ def clarify_objects(context: FormalContext) -> tuple[FormalContext, Clarificatio
     )
     groups = {i: tuple(labels) for i, labels in members.items()}
     return clarified, ClarificationMap(groups)
-
-
-def subcontext_extents(context: FormalContext, object_set: int) -> set[int]:
-    """Extents of ``context[H, M]`` as masks over the original indices.
-
-    Uses the restriction law: they are exactly the sets ``H & E`` for
-    extents ``E`` of the full context.
-    """
-    return {e & object_set for e in context.extents()}
-

@@ -1,9 +1,10 @@
 """Greedy selection of motifs to cover the extent system of a context.
 
-A motif covers the closures of the preimages of its scale's extents. The
-standard heuristic picks the largest marginal gain per step; the normalized
-one divides the gain by the motif's own extent count, favouring small
-motifs that are covered in full. Scores are exact fractions so ties break
+A motif covers the closures of the preimages of its scale's extents, one
+int over the context's extent ids. The standard heuristic picks the largest
+marginal gain per step; the normalized one divides the gain by the motif's
+own extent count, favouring small motifs that are covered in full. Scores
+compare exactly, by integer cross-multiplication, so ties break
 deterministically: smaller family rank first, then the lexicographically
 smallest sorted domain.
 """
@@ -46,13 +47,14 @@ class CoveringStep:
         return tuple(w.family for w in self.witnesses)
 
 
-def covered_extents(context: FormalContext, motif: Motif) -> frozenset[int]:
-    """Closures in ``context`` of the preimages of the motif's scale extents."""
+def covered_extents(context: FormalContext, motif: Motif) -> int:
+    """Closures of the preimages of the motif's scale extents, as extent-id bits."""
+    ids = context.extent_ids()
     class_masks = [1 << g for g in motif.domain]
-    return frozenset(
-        context.object_closure(preimage(class_masks, e))
-        for e in scale_extents(motif.family, motif.size)
-    )
+    out = 0
+    for e in scale_extents(motif.family, motif.size):
+        out |= 1 << ids[context.object_closure(preimage(class_masks, e))]
+    return out
 
 
 def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:
@@ -70,37 +72,35 @@ def greedy_cover(
         raise ValueError("step count must be nonnegative")
     pool = _canonical_order(motifs)
     covers = [covered_extents(context, m) for m in pool]
-    denominators = [expected_extent_count(m.family, m.size) for m in pool]
-    covered: set[int] = set()
+    if heuristic is HeuristicKind.STANDARD:
+        weights = [1] * len(pool)
+    else:
+        weights = [expected_extent_count(m.family, m.size) for m in pool]
+    covered = 0
     steps: list[CoveringStep] = []
     for _ in range(k):
-        best: Fraction | None = None
-        best_at = -1
-        ties = 0
+        # The best score so far is best_gain / best_weight; weights are positive.
+        best_gain, best_weight, best_at, ties = 0, 1, -1, 0
+        uncovered = ~covered
         for i, cov in enumerate(covers):
-            gain = len(cov - covered)
+            gain = (cov & uncovered).bit_count()
             if gain == 0:
                 continue
-            score = (
-                Fraction(gain)
-                if heuristic is HeuristicKind.STANDARD
-                else Fraction(gain, denominators[i])
-            )
-            if best is None or score > best:
-                best, best_at, ties = score, i, 1
-            elif score == best:
+            lhs, rhs = gain * best_weight, best_gain * weights[i]
+            if lhs > rhs:
+                best_gain, best_weight, best_at, ties = gain, weights[i], i, 1
+            elif lhs == rhs:
                 ties += 1
-        if best is None:
+        if best_at < 0:
             break
         chosen = pool[best_at]
-        gain = len(covers[best_at] - covered)
         covered |= covers[best_at]
         steps.append(
             CoveringStep(
                 motif=chosen,
                 witnesses=realizations(context, chosen.domain),
-                new_extents=gain,
-                cumulative=len(covered),
+                new_extents=best_gain,
+                cumulative=covered.bit_count(),
                 tie_count=ties,
             )
         )

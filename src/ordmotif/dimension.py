@@ -43,7 +43,7 @@ def check_search_size(n_objects: int, scale_shapes: Sequence[tuple[int, int]]) -
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
     """Extents that are not intersections of strictly larger extents."""
-    extents = set(context.extents())
+    extents = context.extents()
     top = context.object_mask
     out = []
     for e in extents:
@@ -58,32 +58,29 @@ def meet_irreducible_extents(context: FormalContext) -> list[int]:
     return sorted(out)
 
 
-def _measure_coverages(
-    context: FormalContext, scale: FormalContext, irreducibles: frozenset[int]
-) -> set[frozenset[int]]:
+def _measure_coverages(context: FormalContext, scale: FormalContext, irreducibles: int) -> set[int]:
     """Irreducibles reachable per valid map from the context onto ``scale``.
 
     Enumerates all maps; keeps those whose attribute-extent preimages are
     extents, and records which irreducibles appear among the preimages.
+    Sets of extents are ints over ``context.extent_ids()``.
     """
     n = len(context.objects)
-    extent_set = set(context.extents())
-    out: set[frozenset[int]] = set()
+    ids = context.extent_ids()
+    out: set[int] = set()
     for assignment in product(range(len(scale.objects)), repeat=n):
-        hit = []
-        ok = True
+        hit = 0
         for col in scale.cols:
             pre = 0
             for g in range(n):
                 if col >> assignment[g] & 1:
                     pre |= 1 << g
-            if pre not in extent_set:
-                ok = False
+            i = ids.get(pre)
+            if i is None:
                 break
-            if pre in irreducibles:
-                hit.append(pre)
-        if ok:
-            out.add(frozenset(hit))
+            hit |= 1 << i
+        else:
+            out.add(hit & irreducibles)
     return out
 
 
@@ -105,29 +102,27 @@ def scaling_dimension(
     if not scales:
         raise ValueError("the scale family must not be empty")
 
-    irreducibles = frozenset(meet_irreducible_extents(context))
-    coverages: set[frozenset[int]] = set()
+    ids = context.extent_ids()
+    target = 0
+    for e in meet_irreducible_extents(context):
+        target |= 1 << ids[e]
+    coverages: set[int] = set()
     for scale in scales:
-        coverages |= _measure_coverages(context, scale, irreducibles)
+        coverages |= _measure_coverages(context, scale, target)
     if not coverages:
         return None
     # Dominated coverage sets never help a smallest tuple.
-    maximal = [
-        c for c in coverages if not any(c < other for other in coverages)
-    ]
-    maximal.sort(key=lambda c: (-len(c), sorted(c)))
+    maximal = [c for c in coverages if not any(c != o and c | o == o for o in coverages)]
+    maximal.sort(key=lambda c: (-c.bit_count(), c))
 
-    target = irreducibles
-
-    def search(missing: frozenset[int], budget: int, start: int) -> bool:
+    def search(missing: int, budget: int, start: int) -> bool:
         if not missing:
             return True
         if budget == 0:
             return False
         for i in range(start, len(maximal)):
-            gain = missing & maximal[i]
-            if gain:
-                if search(missing - maximal[i], budget - 1, i + 1):
+            if missing & maximal[i]:
+                if search(missing & ~maximal[i], budget - 1, i + 1):
                     return True
         return False
 

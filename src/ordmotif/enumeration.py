@@ -167,8 +167,11 @@ def enumerate_crowns(
 
     found: dict[tuple[int, ...], Motif] = {}
     seen_domains: set[int] = set()
-
-    def extend(path: list[int], path_mask: int, forbidden: int) -> None:
+    # Depth-first over (path, path_mask, forbidden) with an explicit stack,
+    # so the cap is not bounded by the interpreter's recursion limit.
+    stack = [([g], 1 << g, closure(1 << g) & ~(1 << g)) for g in eligible]
+    while stack:
+        path, path_mask, forbidden = stack.pop()
         start, last = path[0], path[-1]
         if 3 <= len(path) <= hi and path[1] < last and start in overlap[last]:
             # Cycle closes. Remaining necessary conditions, then the recognizer.
@@ -184,7 +187,7 @@ def enumerate_crowns(
                         if motif is not None and motif.size >= lo:
                             found[tuple(sorted(path))] = motif
         if len(path) == hi:
-            return
+            continue
         for nxt in overlap[last]:
             bit = 1 << nxt
             if nxt <= start or path_mask & bit or forbidden & bit:
@@ -202,11 +205,7 @@ def enumerate_crowns(
                 closure((1 << u) | bit) & new_mask != new_mask for u in path[1:-1]
             ):
                 continue
-            extend(path + [nxt], new_mask, forbidden | (closure(bit) & ~bit))
-        return
-
-    for start in eligible:
-        extend([start], 1 << start, closure(1 << start) & ~(1 << start))
+            stack.append((path + [nxt], new_mask, forbidden | (closure(bit) & ~bit)))
     return _sorted_motifs(found)
 
 

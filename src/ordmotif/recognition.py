@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
-from .context import FormalContext, require_clarified, subcontext_extents
+from .context import FormalContext, require_clarified
 from .scales import FAMILY_MIN_SIZE, ScaleFamily, scale_extents
 
 
@@ -83,11 +83,18 @@ def verify_full(context: FormalContext, sigma: Sequence[int], scale: FormalConte
     return preimages == set(context.extents())
 
 
-def _system_matches(witness: Sequence[int], family: ScaleFamily, sub_extents: set[int]) -> bool:
-    # Compare the subcontext extent system against the image of the scale's.
+def _system_matches(
+    context: FormalContext, witness: Sequence[int], family: ScaleFamily, h_mask: int
+) -> bool:
+    # The extents of K[H, M] are H and the intersections of the columns cut
+    # to H; the preimages contain H and are closed under intersection. So
+    # the two systems are equal iff every cut column is a preimage and every
+    # preimage is closed within H.
     class_masks = [1 << g for g in witness]
-    expected = {preimage(class_masks, e) for e in scale_extents(family, len(witness))}
-    return expected == sub_extents
+    preimages = {preimage(class_masks, e) for e in scale_extents(family, len(witness))}
+    return all(col & h_mask in preimages for col in context.cols) and all(
+        _closed_within(context, p, h_mask) for p in preimages
+    )
 
 
 def _closed_within(context: FormalContext, subset: int, h_mask: int) -> bool:
@@ -132,33 +139,25 @@ def _recognize_ordinal(context: FormalContext, idx: list[int], h_mask: int) -> t
 
 
 def _recognize_interordinal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
-    n = len(idx)
-    sub_extents = subcontext_extents(context, h_mask)
-    pairs = [e for e in sub_extents if e.bit_count() == 2]
-    if len(pairs) != n - 1:
-        return None
-    degree = {g: 0 for g in idx}
+    # The two-element extents of K[H, M] must link H into one path.
     neighbours: dict[int, list[int]] = {g: [] for g in idx}
-    for e in pairs:
-        a, b = bits(e)
-        degree[a] += 1
-        degree[b] += 1
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    ends = sorted(g for g, d in degree.items() if d == 1)
-    if len(ends) != 2 or any(d > 2 for d in degree.values()):
+    for i, a in enumerate(idx):
+        for b in idx[i + 1 :]:
+            if _closed_within(context, (1 << a) | (1 << b), h_mask):
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+    ends = [g for g in idx if len(neighbours[g]) == 1]
+    if not ends:
         return None
     walk = [ends[0]]
-    while len(walk) < n:
+    while len(walk) < len(idx):
         options = [h for h in neighbours[walk[-1]] if len(walk) < 2 or h != walk[-2]]
         if len(options) != 1:
             return None  # disconnected or branching
         walk.append(options[0])
-    if walk[-1] != ends[1]:
-        return None
     # Reversal maps intervals to intervals, so the reversed walk matches
     # exactly when this one does.
-    if not _system_matches(walk, ScaleFamily.INTERORDINAL, sub_extents):
+    if not _system_matches(context, walk, ScaleFamily.INTERORDINAL, h_mask):
         return None
     return tuple(walk)
 
@@ -195,7 +194,7 @@ def _recognize_crown(context: FormalContext, idx: list[int], h_mask: int) -> tup
         walk.append(nxt)
     if walk[0] not in neighbours[walk[-1]]:
         return None
-    if not _system_matches(walk, ScaleFamily.CROWN, subcontext_extents(context, h_mask)):
+    if not _system_matches(context, walk, ScaleFamily.CROWN, h_mask):
         return None
     return tuple(walk)
 

@@ -8,10 +8,18 @@ all bijections, and scaling dimension by explicit semi-products.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from random import Random
 
-from ordmotif import FormalContext, Motif, ScaleFamily, build_scale, verify_full
+from ordmotif import (
+    FormalContext,
+    HeuristicKind,
+    Motif,
+    ScaleFamily,
+    build_scale,
+    verify_full,
+)
 
 
 def brute_force_extents(context: FormalContext) -> set[int]:
@@ -29,6 +37,11 @@ def brute_force_extents(context: FormalContext) -> set[int]:
                     nxt.add(f)
         frontier = nxt
     return closed
+
+
+def extent_set(context: FormalContext, ids: int) -> frozenset[int]:
+    """Decode an int over extent ids: bit ``i`` stands for ``extents()[i]``."""
+    return frozenset(e for i, e in enumerate(context.extents()) if ids >> i & 1)
 
 
 def lectic_less(a: int, b: int) -> bool:
@@ -228,3 +241,45 @@ def dimension_oracle(
                 if preimages == target:
                     return d
     return None
+
+
+def greedy_oracle(
+    context: FormalContext, motifs: list[Motif], k: int, heuristic: HeuristicKind
+) -> list[tuple[Motif, int, int, int]]:
+    """Greedy covering from the definitions, one (motif, gain, cumulative, ties) per step.
+
+    A motif covers the smallest extent containing each preimage of a scale
+    extent. The score is the gain, divided under the normalized heuristic
+    by the scale's extent count; ties go to the smaller family rank, then
+    the lexicographically smallest sorted domain.
+    """
+    extents = brute_force_extents(context)
+    rank = list(ScaleFamily)
+    pool = sorted(motifs, key=lambda m: (rank.index(m.family), sorted(m.domain)))
+    candidates = []
+    for m in pool:
+        scale_ext = brute_force_extents(oracle_scale(m.family, m.size))
+        covers = set()
+        for e in scale_ext:
+            pre = sum(1 << m.domain[s] for s in range(m.size) if e >> s & 1)
+            closed = [f for f in extents if f & pre == pre]
+            covers.add(min(closed, key=lambda f: bin(f).count("1")))
+        weight = 1 if heuristic is HeuristicKind.STANDARD else len(scale_ext)
+        candidates.append((m, frozenset(covers), weight))
+    covered: set[int] = set()
+    steps = []
+    for _ in range(k):
+        scored = [
+            (Fraction(len(cov - covered), weight), m, cov)
+            for m, cov, weight in candidates
+            if cov - covered
+        ]
+        if not scored:
+            break
+        best = max(score for score, _, _ in scored)
+        winners = [(m, cov) for score, m, cov in scored if score == best]
+        m, cov = winners[0]
+        gain = len(cov - covered)
+        covered |= cov
+        steps.append((m, gain, len(covered), len(winners)))
+    return steps

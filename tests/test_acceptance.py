@@ -40,6 +40,7 @@ from ordmotif.scales import expected_extent_count
 
 from oracles import (
     dimension_oracle,
+    extent_set,
     induced_subcontext,
     is_valid_motif,
     random_context,
@@ -127,7 +128,7 @@ def test_criterion_3_heredity_and_coverage_counts():
             found = {tuple(sorted(m.domain)) for m in motifs}
             for m in motifs:
                 motifs_checked += 1
-                covered = covered_extents(ctx, m)
+                covered = extent_set(ctx, covered_extents(ctx, m))
                 assert covered <= extents
                 assert len(covered) == expected_extent_count(family, m.size), m
                 d = tuple(sorted(m.domain))

@@ -9,7 +9,7 @@ from ordmotif import (
     clarify_objects,
 )
 from ordmotif.bitsets import mask_of
-from ordmotif.context import require_clarified, subcontext_extents
+from ordmotif.context import require_clarified
 from ordmotif.enumeration import enumerate_motifs
 
 from oracles import (
@@ -114,6 +114,18 @@ def test_extents_are_in_ascending_lectic_order():
             assert lectic_less(e, f)
 
 
+def test_extent_ids_index_the_extents():
+    rng = Random(31)
+    for _ in range(50):
+        ctx = random_corpus_item(rng)
+        ids = ctx.extent_ids()
+        extents = ctx.extents()
+        assert len(ids) == len(extents)
+        for i, e in enumerate(extents):
+            assert ids[e] == i
+        assert ctx.extent_ids() is ids
+
+
 def test_known_extents():
     # Two overlapping chains: every column meet plus top.
     assert set(K.extents()) == {
@@ -152,7 +164,7 @@ def test_induced_subcontext_and_restriction_law():
             mask_of(positions[i] for i in range(len(positions)) if e >> i & 1)
             for e in brute_force_extents(sub)
         }
-        assert expanded == subcontext_extents(ctx, h)
+        assert expanded == {e & h for e in ctx.extents()}
 
 
 def test_closure_within_is_subcontext_closure():

@@ -18,19 +18,19 @@ from ordmotif import (
 from ordmotif.covering import coverage_curve, covered_extents, family_ratios, ratio_curve
 from ordmotif.scales import expected_extent_count
 
-from oracles import random_context
+from oracles import extent_set, greedy_oracle, random_context, random_corpus_item
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 TRIPLE = Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))
 
 
 def test_full_motif_covers_the_whole_boolean_cube():
-    assert covered_extents(B3, TRIPLE) == frozenset(B3.extents())
+    assert extent_set(B3, covered_extents(B3, TRIPLE)) == frozenset(B3.extents())
 
 
 def test_crown_triple_covers_eight():
     c = recognize(B3, (0, 1, 2), ScaleFamily.CROWN)
-    assert len(covered_extents(B3, c)) == 8
+    assert len(extent_set(B3, covered_extents(B3, c))) == 8
 
 
 def test_covered_extent_count_matches_expected_exactly():
@@ -41,7 +41,7 @@ def test_covered_extent_count_matches_expected_exactly():
         inventory = enumerate_motifs(ctx)
         for motifs in inventory.by_family.values():
             for m in motifs:
-                covered = covered_extents(ctx, m)
+                covered = extent_set(ctx, covered_extents(ctx, m))
                 assert len(covered) == expected_extent_count(m.family, m.size)
                 assert covered <= extents
 
@@ -56,7 +56,9 @@ def test_dual_family_motifs_cover_the_same_extents():
             c = recognize(ctx, d, ScaleFamily.CROWN)
             if b is not None and c is not None:
                 seen += 1
-                assert covered_extents(ctx, b) == covered_extents(ctx, c)
+                assert extent_set(ctx, covered_extents(ctx, b)) == extent_set(
+                    ctx, covered_extents(ctx, c)
+                )
     assert seen > 0
 
 
@@ -121,7 +123,7 @@ def test_cumulative_equals_union_of_covered_sets():
         steps = greedy_cover(ctx, pool, 5)
         union: set[int] = set()
         for s in steps:
-            union |= covered_extents(ctx, s.motif)
+            union |= extent_set(ctx, covered_extents(ctx, s.motif))
         if steps:
             assert steps[-1].cumulative == len(union)
             assert steps[-1].cumulative <= len(ctx.extents())
@@ -191,6 +193,21 @@ def test_curves_match_steps():
     for i, (step_no, table) in enumerate(ratios, start=1):
         assert step_no == i
         assert sum(table.values()) == 1
+
+
+def test_greedy_matches_the_reference_greedy_at_every_step():
+    rng = Random(109)
+    compared = 0
+    for _ in range(150):
+        ctx, _ = clarify_objects(random_corpus_item(rng))
+        inventory = enumerate_motifs(ctx)
+        for pool in (inventory.all_motifs(maximal_only=True), inventory.all_motifs()):
+            for heuristic in HeuristicKind:
+                steps = greedy_cover(ctx, pool, len(pool), heuristic)
+                got = [(s.motif, s.new_extents, s.cumulative, s.tie_count) for s in steps]
+                assert got == greedy_oracle(ctx, pool, len(pool), heuristic)
+                compared += 1
+    assert compared == 600
 
 
 def test_greedy_is_deterministic():

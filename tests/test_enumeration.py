@@ -1,3 +1,5 @@
+import inspect
+import sys
 from itertools import combinations
 from random import Random
 
@@ -69,6 +71,18 @@ def test_crown_size_cap_hides_large_crowns():
     capped = EnumerationConfig(families=(ScaleFamily.CROWN,), crown_size_cap=5)
     assert enumerate_family(c6, ScaleFamily.CROWN, capped) == []
     assert domains(enumerate_crowns(c6)) == {tuple(range(6))}
+
+
+def test_crown_search_depth_does_not_follow_the_crown_size():
+    c100 = build_scale(ScaleFamily.CROWN, 100)
+    config = EnumerationConfig(families=(ScaleFamily.CROWN,), crown_size_cap=100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        motifs = enumerate_crowns(c100, config)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [m.size for m in motifs] == [100]
 
 
 def test_enumeration_matches_subset_oracle():
