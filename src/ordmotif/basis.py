@@ -9,7 +9,8 @@ of an intersection of preimages can be strictly smaller than the
 intersection of their closures, so covered extents reachable only
 through the scale's top or bottom would go missing. With one column per
 scale extent the apposition of all blocks has exactly the extents of
-the source context, hence the same local full scale-measures.
+the source context, hence the same local full scale-measures. Columns
+run in scale attribute order, then the other scale extents by mask.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Sequence
 
 from .bitsets import bits
 from .context import FormalContext
-from .recognition import Motif, preimage
-from .scales import build_scale, scale_extents, apposition
+from .recognition import Motif
+from .scales import apposition, build_scale, scale_extents, scale_preimages
 
 
 class IncompleteCoveringError(ValueError):
@@ -37,15 +38,13 @@ def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContex
     covered = 0
     for number, motif in enumerate(motifs, start=1):
         scale = build_scale(motif.family, motif.size)
-        extras = sorted(set(scale_extents(motif.family, motif.size)) - set(scale.cols))
+        witness_side = scale_preimages(motif.family, motif.domain)
+        preimages = dict(zip(scale_extents(motif.family, motif.size), witness_side))
+        extras = sorted(preimages.keys() - set(scale.cols))
         labels = [f"{number}:{label}" for label in scale.attributes]
         labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
         # One column per scale extent, so the columns are the motif's covered extents.
-        class_masks = [1 << g for g in motif.domain]
-        columns = [
-            context.object_closure(preimage(class_masks, e))
-            for e in list(scale.cols) + extras
-        ]
+        columns = [context.object_closure(preimages[e]) for e in (*scale.cols, *extras)]
         rows = [0] * len(context.objects)
         for m_idx, column in enumerate(columns):
             covered |= 1 << ids[column]

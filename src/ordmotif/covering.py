@@ -1,12 +1,13 @@
 """Greedy selection of motifs to cover the extent system of a context.
 
 A motif covers the closures of the preimages of its scale's extents, one
-int over the context's extent ids. The standard heuristic picks the largest
-marginal gain per step; the normalized one divides the gain by the motif's
-own extent count, favouring small motifs that are covered in full. Scores
-compare exactly, by integer cross-multiplication, so ties break
-deterministically: smaller family rank first, then the lexicographically
-smallest sorted domain.
+int over the context's extent ids; ``scale_preimages`` writes those
+preimages in closed form on the motif's witness. The standard heuristic
+picks the largest marginal gain per step; the normalized one divides the
+gain by the motif's own extent count, favouring small motifs that are
+covered in full. Scores compare exactly, by integer cross-multiplication,
+so ties break deterministically: smaller family rank first, then the
+lexicographically smallest sorted domain.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .context import FormalContext
-from .recognition import Motif, preimage, realizations
-from .scales import ScaleFamily, expected_extent_count, scale_extents
+from .recognition import Motif, realizations
+from .scales import ScaleFamily, expected_extent_count, scale_preimages
 
 
 class HeuristicKind(enum.Enum):
@@ -50,10 +51,10 @@ class CoveringStep:
 def covered_extents(context: FormalContext, motif: Motif) -> int:
     """Closures of the preimages of the motif's scale extents, as extent-id bits."""
     ids = context.extent_ids()
-    class_masks = [1 << g for g in motif.domain]
+    closure = context.object_closure
     out = 0
-    for e in scale_extents(motif.family, motif.size):
-        out |= 1 << ids[context.object_closure(preimage(class_masks, e))]
+    for p in scale_preimages(motif.family, motif.domain):
+        out |= 1 << ids[closure(p)]
     return out
 
 

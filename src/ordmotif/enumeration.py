@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bitsets import bits
 from .context import FormalContext, require_clarified
 from .recognition import Motif, recognize
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
@@ -227,20 +226,10 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
     for m in pool:
         if m.family is not family:
             raise ValueError(f"expected only {family} motifs, found {m.family}")
-    by_size: dict[int, set[int]] = {}
-    for m in pool:
-        by_size.setdefault(m.size, set()).add(m.domain_mask)
-    out = []
-    all_objects = 0
-    for masks in by_size.values():
-        for mask in masks:
-            all_objects |= mask
-    for m in pool:
-        bigger = by_size.get(m.size + 1, ())
-        mask = m.domain_mask
-        if not any(mask | (1 << g) in bigger for g in bits(all_objects & ~mask)):
-            out.append(m)
-    return out
+    masks = [m.domain_mask for m in pool]
+    # Mark every domain one object short of a motif; the unmarked are maximal.
+    extended = {mask ^ 1 << g for m, mask in zip(pool, masks) for g in m.domain}
+    return [m for m, mask in zip(pool, masks) if mask not in extended]
 
 
 @dataclass

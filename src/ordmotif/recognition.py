@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
 from .context import FormalContext, require_clarified
-from .scales import FAMILY_MIN_SIZE, ScaleFamily, scale_extents
+from .scales import FAMILY_MIN_SIZE, ScaleFamily, scale_preimages
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class Motif:
 def preimage(class_masks: Sequence[int], scale_extent: int) -> int:
     """Objects a map sends into ``scale_extent``.
 
-    ``class_masks[s]`` holds the objects mapped to scale object ``s``; a
-    witness ``domain`` has the class masks ``[1 << g for g in domain]``.
+    ``class_masks[s]`` holds the objects mapped to scale object ``s``. This
+    serves arbitrary maps; a witness's preimages come from ``scale_preimages``.
     """
     out = 0
     for s in bits(scale_extent):
@@ -90,8 +90,7 @@ def _system_matches(
     # to H; the preimages contain H and are closed under intersection. So
     # the two systems are equal iff every cut column is a preimage and every
     # preimage is closed within H.
-    class_masks = [1 << g for g in witness]
-    preimages = {preimage(class_masks, e) for e in scale_extents(family, len(witness))}
+    preimages = set(scale_preimages(family, witness))
     return all(col & h_mask in preimages for col in context.cols) and all(
         _closed_within(context, p, h_mask) for p in preimages
     )
@@ -199,6 +198,15 @@ def _recognize_crown(context: FormalContext, idx: list[int], h_mask: int) -> tup
     return tuple(walk)
 
 
+_RECOGNIZERS = {
+    ScaleFamily.NOMINAL: _recognize_nominal,
+    ScaleFamily.ORDINAL: _recognize_ordinal,
+    ScaleFamily.INTERORDINAL: _recognize_interordinal,
+    ScaleFamily.CONTRANOMINAL: _recognize_contranominal,
+    ScaleFamily.CROWN: _recognize_crown,
+}
+
+
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:
     """Find a witnessing bijection from ``domain`` onto the family's scale.
 
@@ -218,15 +226,7 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
     if n == 1:
         witness = _recognize_size_one(context, idx[0], family)
     else:
-        h_mask = mask_of(idx)
-        dispatch = {
-            ScaleFamily.NOMINAL: _recognize_nominal,
-            ScaleFamily.ORDINAL: _recognize_ordinal,
-            ScaleFamily.INTERORDINAL: _recognize_interordinal,
-            ScaleFamily.CONTRANOMINAL: _recognize_contranominal,
-            ScaleFamily.CROWN: _recognize_crown,
-        }
-        witness = dispatch[family](context, idx, h_mask)
+        witness = _RECOGNIZERS[family](context, idx, mask_of(idx))
     if witness is None:
         return None
     return Motif(family, witness)

@@ -12,7 +12,11 @@ The five families live on the ground set [n] = {1, ..., n}:
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
+from operator import or_
+from typing import Sequence
 
+from .bitsets import mask_of
 from .context import FormalContext
 
 
@@ -84,34 +88,40 @@ def build_scale(family: ScaleFamily, n: int) -> FormalContext:
     return FormalContext.from_rows(labels, labels, rows)
 
 
-def scale_extents(family: ScaleFamily, n: int) -> list[int]:
-    """Extent system of ``build_scale(family, n)`` in closed form.
+def scale_preimages(family: ScaleFamily, witness: Sequence[int]) -> list[int]:
+    """Preimages of the extents of ``build_scale(family, len(witness))``.
 
-    Bit i of each mask stands for scale object i + 1. Order is deterministic
-    but otherwise arbitrary; callers compare as sets.
+    The map sends object ``witness[i]`` to scale object ``i + 1``; each
+    preimage is written directly on the witness's object bits: prefixes
+    (ordinal), intervals (interordinal), every subset by doubling
+    (contranominal), or the empty set, singletons, cycle pairs and the whole
+    domain (nominal, crown).
     """
-    check_scale_size(family, n)
-    full = (1 << n) - 1
-    if family is ScaleFamily.NOMINAL:
-        if n == 1:
-            return [full]
-        return [0] + [1 << g for g in range(n)] + [full]
+    check_scale_size(family, len(witness))
+    singles = [1 << g for g in witness]
     if family is ScaleFamily.ORDINAL:
-        return [(1 << k) - 1 for k in range(1, n + 1)]
+        return list(accumulate(singles, or_))
     if family is ScaleFamily.INTERORDINAL:
-        if n == 1:
-            return [full]
-        out = [0]
-        for a in range(n):
-            for b in range(a, n):
-                out.append(((1 << (b + 1)) - 1) & ~((1 << a) - 1))
-        return out
+        intervals = [p for i in range(len(singles)) for p in accumulate(singles[i:], or_)]
+        return intervals if len(singles) == 1 else [0, *intervals]
     if family is ScaleFamily.CONTRANOMINAL:
-        return list(range(1 << n))
-    out = [0, full]
-    out.extend(1 << g for g in range(n))
-    out.extend((1 << g) | (1 << ((g + 1) % n)) for g in range(n))
-    return out
+        subsets = [0]
+        for s in singles:
+            subsets += [x | s for x in subsets]
+        return subsets
+    full = mask_of(witness)
+    if family is ScaleFamily.NOMINAL:
+        return [full] if len(singles) == 1 else [0, *singles, full]
+    return [0, full, *singles, *map(or_, singles, singles[1:] + singles[:1])]
+
+
+def scale_extents(family: ScaleFamily, n: int) -> list[int]:
+    """Extent system of ``build_scale(family, n)``: the preimages under the identity.
+
+    Bit i of each mask stands for scale object i + 1, in the order of
+    :func:`scale_preimages`; for contranominal scales mask k is at index k.
+    """
+    return scale_preimages(family, range(n))
 
 
 def expected_extent_count(family: ScaleFamily, n: int) -> int:

@@ -20,6 +20,7 @@ from ordmotif import (
     build_scale,
     verify_full,
 )
+from ordmotif.recognition import preimage
 
 
 def brute_force_extents(context: FormalContext) -> set[int]:
@@ -283,3 +284,33 @@ def greedy_oracle(
         covered |= cov
         steps.append((m, gain, len(covered), len(winners)))
     return steps
+
+
+def basis_oracle(
+    context: FormalContext, motifs: list[Motif]
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Basis attribute labels and object rows from the definition.
+
+    Motif number j contributes the attribute columns of its standard scale
+    in ``build_scale`` order, then the scale's other extents by ascending
+    mask, labelled ``j:*1``, ``j:*2``, ... Each column holds the smallest
+    extent containing the preimage of its scale extent under the witness.
+    """
+    extents = brute_force_extents(context)
+    labels: list[str] = []
+    columns: list[int] = []
+    for number, m in enumerate(motifs, start=1):
+        scale = build_scale(m.family, m.size)
+        extras = sorted(brute_force_extents(scale) - set(scale.cols))
+        labels.extend(f"{number}:{label}" for label in scale.attributes)
+        labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
+        class_masks = [1 << g for g in m.domain]
+        for e in list(scale.cols) + extras:
+            pre = preimage(class_masks, e)
+            closed = [f for f in extents if f & pre == pre]
+            columns.append(min(closed, key=lambda f: bin(f).count("1")))
+    rows = tuple(
+        sum(1 << j for j, col in enumerate(columns) if col >> g & 1)
+        for g in range(len(context.objects))
+    )
+    return tuple(labels), rows

@@ -16,7 +16,7 @@ from ordmotif import (
     verify_scale_measure,
 )
 
-from oracles import induced_subcontext, random_context
+from oracles import basis_oracle, induced_subcontext, random_context, random_corpus_item
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 TRIPLE = Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))
@@ -79,6 +79,22 @@ def test_basis_attribute_labels_are_numbered_per_motif():
         "2:≥2",
         "2:*1",
     )
+
+
+def test_basis_columns_match_the_oracle_order():
+    rng = Random(127)
+    config = EnumerationConfig(min_size=1)
+    built = 0
+    for _ in range(120):
+        ctx, _ = clarify_objects(random_corpus_item(rng))
+        motifs = enumerate_motifs(ctx, config).all_motifs()
+        try:
+            basis = build_basis(ctx, motifs)
+        except IncompleteCoveringError:
+            continue
+        built += 1
+        assert (basis.attributes, basis.rows) == basis_oracle(ctx, motifs)
+    assert built >= 50
 
 
 def test_basis_preserves_extents_on_random_contexts():
