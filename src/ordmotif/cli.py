@@ -257,8 +257,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _parse_scale_spec(spec: str) -> tuple[ScaleFamily, int]:
-    name, sep, size = spec.partition(":")
-    if not sep:
+    name, _, size = spec.partition(":")
+    if not size.removeprefix("-").isdecimal():
         raise ValueError(f"scale spec {spec!r} must look like 'ordinal:4'")
     family, n = ScaleFamily.from_name(name), int(size)
     check_scale_size(family, n)

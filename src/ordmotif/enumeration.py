@@ -4,8 +4,9 @@ Nominal, interordinal and contranominal domains are closed under taking
 subsets of size two and up, which justifies Apriori-style level-wise
 candidate generation. Ordinal domains are closed only under subsets that
 keep the bottom of the chain, so their levels grow by single-object
-extension instead. Crowns are not hereditary at all and are found by a
-pruned depth-first cycle search, capped by size.
+extension instead. Crowns are not hereditary at all: H is a crown iff
+the objects sharing an attribute outside H's intent link H into one
+cycle, which a depth-first path search, capped by size, checks on rows.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class EnumerationConfig:
     crown_size_cap: int = DEFAULT_CROWN_SIZE_CAP
 
     def __post_init__(self):
+        if not self.families:
+            raise ValueError("no scale family selected")
         if (
             self.min_size is not None
             and self.max_size is not None
@@ -142,10 +145,10 @@ def enumerate_crowns(
 ) -> list[Motif]:
     """All crown motifs up to the size cap.
 
-    Candidate domains come from a depth-first simple-cycle search over the
-    object overlap graph. Pruning only uses conditions every crown domain
-    must satisfy, so nothing below the cap is missed; every candidate is
-    confirmed by the recognizer before it is reported.
+    Simple paths grow from their least object while pairs not consecutive
+    on the cycle meet exactly in the domain's intent. A path that closes
+    with every consecutive pair sharing more is a crown, and with
+    ``path[1] < path[-1]`` it is the recognizer's canonical walk.
     """
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
@@ -154,57 +157,42 @@ def enumerate_crowns(
     if hi < 3 or n_objects < 3:
         return []
 
-    closure = context.object_closure
-    universal = closure(0)  # objects with full rows never qualify
-    eligible = [g for g in range(n_objects) if not universal >> g & 1]
-    overlap: dict[int, list[int]] = {g: [] for g in eligible}
-    for i, a in enumerate(eligible):
-        for b in eligible[i + 1 :]:
-            if context.rows[a] & context.rows[b]:
-                overlap[a].append(b)
-                overlap[b].append(a)
+    rows = context.rows
+    overlap = [
+        [b for b in range(n_objects) if b != a and rows[a] & rows[b]] for a in range(n_objects)
+    ]
 
     found: dict[tuple[int, ...], Motif] = {}
-    seen_domains: set[int] = set()
-    # Depth-first over (path, path_mask, forbidden) with an explicit stack,
-    # so the cap is not bounded by the interpreter's recursion limit.
-    stack = [([g], 1 << g, closure(1 << g) & ~(1 << g)) for g in eligible]
+    # An explicit stack of (path, path_mask, intent, inner, apart), so the cap
+    # is not bounded by the recursion limit: ``intent`` ANDs the path's rows,
+    # ``inner`` ORs its interior rows and ``apart`` ORs what its
+    # non-consecutive pairs, the end pair aside, share.
+    stack = [([g], 1 << g, rows[g], 0, 0) for g in range(n_objects)]
     while stack:
-        path, path_mask, forbidden = stack.pop()
+        path, path_mask, intent, inner, apart = stack.pop()
         start, last = path[0], path[-1]
-        if 3 <= len(path) <= hi and path[1] < last and start in overlap[last]:
-            # Cycle closes. Remaining necessary conditions, then the recognizer.
-            if path_mask not in seen_domains:
-                end_pair = (1 << start) | (1 << last)
-                if closure(end_pair) & path_mask == end_pair:
-                    if all(
-                        closure((1 << start) | (1 << u)) & path_mask == path_mask
-                        for u in path[2:-1]
-                    ):
-                        seen_domains.add(path_mask)
-                        motif = recognize(context, path, ScaleFamily.CROWN)
-                        if motif is not None and motif.size >= lo:
-                            found[tuple(sorted(path))] = motif
+        if (
+            lo <= len(path)
+            and path[1] < last
+            and rows[start] & rows[last] & ~intent
+            and all(rows[a] & rows[b] & ~intent for a, b in zip(path, path[1:]))
+        ):
+            found[tuple(sorted(path))] = Motif(ScaleFamily.CROWN, tuple(path))
         if len(path) == hi:
             continue
+        if len(path) > 2:
+            apart |= rows[start] & rows[last]  # ``last`` turns interior
+        next_inner = inner | rows[last] if len(path) > 1 else 0
         for nxt in overlap[last]:
-            bit = 1 << nxt
-            if nxt <= start or path_mask & bit or forbidden & bit:
+            if nxt <= start or path_mask >> nxt & 1:
                 continue
-            if closure(bit) & path_mask:
+            next_intent = intent & rows[nxt]
+            next_apart = apart | rows[nxt] & inner
+            if next_apart & ~next_intent:
                 continue
-            new_mask = path_mask | bit
-            # Consecutive objects share a pairwise-private attribute set ...
-            step_pair = (1 << last) | bit
-            if closure(step_pair) & new_mask != step_pair:
-                continue
-            # ... while non-consecutive ones must both lie in every closed
-            # superset of the pair, since only the full domain separates them.
-            if any(
-                closure((1 << u) | bit) & new_mask != new_mask for u in path[1:-1]
-            ):
-                continue
-            stack.append((path + [nxt], new_mask, forbidden | (closure(bit) & ~bit)))
+            stack.append(
+                (path + [nxt], path_mask | 1 << nxt, next_intent, next_inner, next_apart)
+            )
     return _sorted_motifs(found)
 
 

@@ -191,10 +191,10 @@ def _recognize_crown(context: FormalContext, idx: list[int], h_mask: int) -> tup
         if nxt in walk:
             return None  # closed early: more than one cycle component
         walk.append(nxt)
-    if walk[0] not in neighbours[walk[-1]]:
-        return None
-    if not _system_matches(context, walk, ScaleFamily.CROWN, h_mask):
-        return None
+    # One cycle through H needs no system check: a column cut to H is H or a
+    # clique of the cycle (an edge at most when |H| >= 4), every edge is a
+    # cut column, and edges meet in singletons and the empty set. The walk
+    # also closes, since every degree is 2.
     return tuple(walk)
 
 

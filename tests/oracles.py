@@ -120,6 +120,30 @@ def random_context(rng: Random, n_objects: int, n_attributes: int, density: floa
     return FormalContext(objects, attributes, rows)
 
 
+def crown_heavy_context(rng: Random, n_objects: int) -> FormalContext:
+    """A crown of 4..n_objects objects planted among random rows, then noised.
+
+    Up to three extra columns, sparse or nearly full, and a chance of bit
+    flips make near-crowns as well as crowns, so both answers are common.
+    """
+    k = rng.randint(4, n_objects)
+    extra = rng.randint(0, 3)
+    noise = rng.choice([0.0, 0.04, 0.1])
+    density = rng.choice([0.2, 0.9])
+    rows = []
+    for g in range(n_objects):
+        if g < k:
+            row = [int(m in (g, (g + 1) % k)) for m in range(k)]
+        else:
+            row = [int(rng.random() < 0.3) for _ in range(k)]
+        row += [int(rng.random() < density) for _ in range(extra)]
+        rows.append([b ^ (rng.random() < noise) for b in row])
+    rng.shuffle(rows)
+    objects = [f"g{i + 1}" for i in range(n_objects)]
+    attributes = [f"m{j + 1}" for j in range(k + extra)]
+    return FormalContext(objects, attributes, rows)
+
+
 def random_corpus_item(rng: Random) -> FormalContext:
     """One context drawn as in the oracle-equivalence corpus."""
     n_objects = rng.randint(1, 6)

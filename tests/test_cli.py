@@ -269,6 +269,21 @@ def test_bad_scale_spec_fails_cleanly(capsys, b3_path):
     assert "scale spec" in capsys.readouterr().err
 
 
+def test_scale_spec_with_a_bad_size_names_the_spec(capsys, b3_path):
+    assert main(["scaling-dim", str(b3_path), "--scales", "ordinal:x"]) == 1
+    err = capsys.readouterr().err
+    assert "scale spec 'ordinal:x' must look like 'ordinal:4'" in err
+    assert "invalid literal" not in err
+
+
+def test_empty_family_list_fails_cleanly(capsys, b3_path):
+    for command in ("motifs", "cover", "explain", "basis"):
+        assert main([command, str(b3_path), "--families", ",,"]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no scale family selected" in captured.err
+
+
 def test_json_output_is_deterministic(capsys, b3_path):
     assert main(["cover", str(b3_path), "--json"]) == 0
     first = capsys.readouterr().out

@@ -24,7 +24,7 @@ from ordmotif.enumeration import (
     stats_table,
 )
 
-from oracles import is_valid_motif, random_context, subsets_oracle
+from oracles import crown_heavy_context, is_valid_motif, random_context, subsets_oracle
 
 ALL = list(ScaleFamily)
 
@@ -83,6 +83,41 @@ def test_crown_search_depth_does_not_follow_the_crown_size():
     finally:
         sys.setrecursionlimit(limit)
     assert [m.size for m in motifs] == [100]
+
+
+def test_crown_search_equals_recognition_over_all_subsets():
+    # The search emits its closed paths as witnesses without recognizing
+    # them; they must be exactly what recognition accepts, in the same order.
+    rng = Random(79)
+    sizes = set()
+    for i in range(40):
+        n = 7 + i % 4
+        raw = crown_heavy_context(rng, n) if i % 2 else random_context(rng, n, 7, 0.35)
+        ctx, _ = clarify_objects(raw)
+        n = len(ctx.objects)
+        want = [
+            motif
+            for size in range(3, n + 1)
+            for domain in combinations(range(n), size)
+            if (motif := recognize(ctx, domain, ScaleFamily.CROWN)) is not None
+        ]
+        assert enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=max(n, 3))) == want
+        sizes.update(m.size for m in want)
+    assert {3, 4, 5, 6} <= sizes
+
+
+def test_crown_search_runs_on_rows_alone(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the crown search must not call this")
+
+    rng = Random(83)
+    contexts = [clarify_objects(crown_heavy_context(rng, 8))[0] for _ in range(10)]
+    contexts.append(build_scale(ScaleFamily.CROWN, 7))
+    expected = [enumerate_crowns(ctx) for ctx in contexts]
+    assert any(expected)
+    monkeypatch.setattr(FormalContext, "object_closure", forbidden)
+    monkeypatch.setattr("ordmotif.enumeration.recognize", forbidden)
+    assert [enumerate_crowns(ctx) for ctx in contexts] == expected
 
 
 def test_enumeration_matches_subset_oracle():
@@ -201,6 +236,8 @@ def test_config_validation():
     assert EnumerationConfig().bounds(ScaleFamily.ORDINAL, 5) == (2, 5)
     with pytest.raises(ValueError):
         EnumerationConfig(crown_size_cap=2)
+    with pytest.raises(ValueError, match="no scale family"):
+        EnumerationConfig(families=())
     with pytest.raises(ValueError):
         enumerate_hereditary(
             build_scale(ScaleFamily.NOMINAL, 2), ScaleFamily.CROWN

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -16,7 +17,13 @@ from ordmotif import (
 )
 from ordmotif.recognition import realizations
 
-from oracles import bijection_oracle, brute_force_extents, is_valid_motif, random_context
+from oracles import (
+    bijection_oracle,
+    brute_force_extents,
+    crown_heavy_context,
+    is_valid_motif,
+    random_context,
+)
 
 ALL = list(ScaleFamily)
 
@@ -135,6 +142,28 @@ def test_recognizer_agrees_with_bijection_oracle():
                     assert (got is not None) == want, (ctx.rows, domain, f)
                     if got is not None:
                         assert is_valid_motif(ctx, got)
+
+
+def test_crown_rule_agrees_with_bijection_oracle_on_six_objects():
+    # Crowns of four and more objects are rare below six objects, so this
+    # plants them: the recognizer's cycle rule must match the oracle there.
+    rng = Random(71)
+    found = Counter()
+    checked = 0
+    while checked < 80:
+        ctx, _ = clarify_objects(crown_heavy_context(rng, 6))
+        if len(ctx.objects) < 6:
+            continue
+        checked += 1
+        for size in range(3, 7):
+            for domain in combinations(range(6), size):
+                got = recognize(ctx, domain, ScaleFamily.CROWN)
+                want = bijection_oracle(ctx, domain, ScaleFamily.CROWN)
+                assert (got is not None) == want, (ctx.rows, domain)
+                if got is not None:
+                    assert is_valid_motif(ctx, got)
+                    found[size] += 1
+    assert all(found[size] >= 5 for size in (4, 5, 6)), found
 
 
 def test_interordinal_witness_reversal_also_witnesses():
