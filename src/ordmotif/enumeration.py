@@ -1,12 +1,12 @@
 """Exhaustive motif enumeration over a clarified context.
 
-Nominal, interordinal and contranominal domains are closed under taking
-subsets of size two and up, which justifies Apriori-style level-wise
-candidate generation. Ordinal domains are closed only under subsets that
-keep the bottom of the chain, so their levels grow by single-object
-extension instead. Crowns are not hereditary at all: H is a crown iff
-the objects sharing an attribute outside H's intent link H into one
-cycle, which a depth-first path search, capped by size, checks on rows.
+Nominal, ordinal, interordinal and contranominal motifs are hereditary
+along their witnesses: every prefix of a witness of two or more objects
+is a witness too. So their domains grow depth-first, one object at a
+time, under the family's step rule on rows. Crowns are not hereditary:
+H is a crown iff the objects sharing an attribute outside H's intent
+link H into one cycle, which a depth-first path search, capped by size,
+checks on rows.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .context import FormalContext, require_clarified
-from .recognition import Motif, recognize
+from .recognition import HEREDITARY_RULES, Motif, recognize
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 DEFAULT_MIN_SIZE = 2
 DEFAULT_CROWN_SIZE_CAP = 8
-
-_HEREDITARY = (
-    ScaleFamily.NOMINAL,
-    ScaleFamily.ORDINAL,
-    ScaleFamily.INTERORDINAL,
-    ScaleFamily.CONTRANOMINAL,
-)
 
 
 @dataclass(frozen=True)
@@ -46,6 +39,8 @@ class EnumerationConfig:
     def __post_init__(self):
         if not self.families:
             raise ValueError("no scale family selected")
+        # A family named twice is enumerated once, at its first mention.
+        object.__setattr__(self, "families", tuple(dict.fromkeys(self.families)))
         if (
             self.min_size is not None
             and self.max_size is not None
@@ -73,11 +68,16 @@ def enumerate_hereditary(
 ) -> list[Motif]:
     """All motif domains of a hereditary family within the size bounds.
 
-    Levels always start at size two internally; singletons obey a different
-    rule than larger domains and are handled on their own when requested.
+    Paths grow under ``recognition.HEREDITARY_RULES`` and are their own
+    witnesses: nominal and contranominal sets in ascending object order,
+    ordinal chains down from the full row, interordinal walks from every
+    object, kept when ``path[0] < path[-1]``. A child tries only the objects
+    that extended its parent: dropping any object but the first from a
+    witness leaves a witness.
+    Singletons obey another rule and go through :func:`recognize`.
     """
-    if family not in _HEREDITARY:
-        raise ValueError(f"{family} is not enumerated level-wise; see enumerate_crowns")
+    if family not in HEREDITARY_RULES:
+        raise ValueError(f"{family} is not hereditary; see enumerate_crowns")
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
     require_clarified(context, range(n_objects))
@@ -90,54 +90,28 @@ def enumerate_hereditary(
             if motif is not None:
                 found[(g,)] = motif
 
-    level: dict[tuple[int, ...], Motif] = {}
-    if hi >= 2:
-        for a in range(n_objects):
-            for b in range(a + 1, n_objects):
-                motif = recognize(context, (a, b), family)
-                if motif is not None:
-                    level[(a, b)] = motif
-    size = 2
-    while level:
-        if lo <= size <= hi:
-            found.update(level)
-        if size >= hi:
-            break
-        if family is ScaleFamily.ORDINAL:
-            candidates = {
-                tuple(sorted(domain + (g,)))
-                for domain in level
-                for g in range(n_objects)
-                if g not in domain
-            }
-        else:
-            candidates = _apriori_candidates(level, size + 1)
-        level = {}
-        for domain in sorted(candidates):
-            motif = recognize(context, domain, family)
-            if motif is not None:
-                level[domain] = motif
-        size += 1
+    rows = context.rows
+    seed, step = HEREDITARY_RULES[family]
+    walks = family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
+    stack = []
+    for g in range(n_objects):
+        state = seed(rows[g], context.attribute_mask)
+        if state is not None:
+            stack.append(([g], state, range(0 if walks else g + 1, n_objects)))
+    while stack:
+        path, state, options = stack.pop()
+        if len(path) >= max(lo, 2) and (
+            family is not ScaleFamily.INTERORDINAL or path[0] < path[-1]
+        ):
+            found[tuple(sorted(path))] = Motif(family, tuple(path))
+        if len(path) >= hi:
+            continue
+        # A walk's options hold no member but its last, which the rule rejects.
+        grown = [(x, s) for x in options if (s := step(rows, path, state, rows[x])) is not None]
+        after = [x for x, _ in grown]
+        for i, (x, s) in enumerate(grown):
+            stack.append((path + [x], s, after if walks else after[i + 1 :]))
     return _sorted_motifs(found)
-
-
-def _apriori_candidates(level: dict[tuple[int, ...], Motif], k: int) -> set[tuple[int, ...]]:
-    """Join (k-1)-domains sharing a prefix; keep those with all subsets present."""
-    by_prefix: dict[tuple[int, ...], list[int]] = {}
-    for domain in level:
-        by_prefix.setdefault(domain[:-1], []).append(domain[-1])
-    out: set[tuple[int, ...]] = set()
-    for prefix, lasts in by_prefix.items():
-        lasts.sort()
-        for i, a in enumerate(lasts):
-            for b in lasts[i + 1 :]:
-                candidate = prefix + (a, b)
-                if all(
-                    candidate[:j] + candidate[j + 1 :] in level
-                    for j in range(len(candidate) - 2)
-                ):
-                    out.add(candidate)
-    return out
 
 
 def enumerate_crowns(

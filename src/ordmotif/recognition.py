@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
 from .context import FormalContext, require_clarified
-from .scales import FAMILY_MIN_SIZE, ScaleFamily, scale_preimages
+from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,6 @@ def verify_full(context: FormalContext, sigma: Sequence[int], scale: FormalConte
     return preimages == set(context.extents())
 
 
-def _system_matches(
-    context: FormalContext, witness: Sequence[int], family: ScaleFamily, h_mask: int
-) -> bool:
-    # The extents of K[H, M] are H and the intersections of the columns cut
-    # to H; the preimages contain H and are closed under intersection. So
-    # the two systems are equal iff every cut column is a preimage and every
-    # preimage is closed within H.
-    preimages = set(scale_preimages(family, witness))
-    return all(col & h_mask in preimages for col in context.cols) and all(
-        _closed_within(context, p, h_mask) for p in preimages
-    )
-
-
-def _closed_within(context: FormalContext, subset: int, h_mask: int) -> bool:
-    return context.object_closure(subset) & h_mask == subset
-
-
 def _recognize_size_one(context: FormalContext, g: int, family: ScaleFamily) -> tuple[int, ...] | None:
     # All size-1 scales collapse to a 1x1 context: full for nominal, ordinal
     # and interordinal (one extent), empty for contranominal (two extents).
@@ -109,40 +92,87 @@ def _recognize_size_one(context: FormalContext, g: int, family: ScaleFamily) -> 
     return (g,) if full_row else None
 
 
-def _recognize_nominal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
-    if context.object_closure(0) & h_mask:
-        return None  # the empty set must be an extent of K[H, M]
-    for g in idx:
-        if not _closed_within(context, 1 << g, h_mask):
+def _nominal_step(rows, path, state, r):
+    # Every pair meets exactly in I, and no row equals I: a pair has
+    # incomparable rows, and a later row meets U in I without being I.
+    intent, union = state
+    if len(path) == 1:
+        intent &= r
+        if intent == r or intent == union:
             return None
-    for i, a in enumerate(idx):
-        for b in idx[i + 1 :]:
-            if context.object_closure((1 << a) | (1 << b)) & h_mask != h_mask:
-                return None
-    return tuple(idx)
+    elif r & union != intent or r == intent:
+        return None
+    return intent, union | r
 
 
-def _recognize_ordinal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
-    if not context.object_closure(0) & h_mask:
-        return None  # chains have no empty extent
-    extents = sorted(
-        ((context.object_closure(1 << g) & h_mask, g) for g in idx),
-        key=lambda pair: pair[0].bit_count(),
-    )
-    previous = 0
-    for k, (e, _) in enumerate(extents, start=1):
-        if e.bit_count() != k or e & previous != previous:
+def _ordinal_step(rows, path, state, r):
+    # The rows fall along a strict chain; the state is the last row.
+    return r if r & ~state == 0 and r != state else None
+
+
+def _interordinal_step(rows, path, state, r):
+    # Along the walk, each attribute's holders stay contiguous (``gap`` holds
+    # what some member has and a later one lacks), the old path stays a
+    # prefix column, and every suffix keeps a column of its own: ``tails[i]``
+    # is what member i + 1 has, member i lacks and every later member has.
+    # The extents of K[H, M] are H and the intersections of the cut columns,
+    # so with interval columns and every proper prefix and suffix among them
+    # they are exactly the empty set and the intervals.
+    union, gap, tails = state
+    if r & gap or not rows[path[0]] & rows[path[-1]] & ~r:
+        return None
+    tails = [t & r for t in tails] + [r & ~rows[path[-1]]]
+    return (union | r, gap | union & ~r, tails) if all(tails) else None
+
+
+def _contranominal_step(rows, path, state, r):
+    # Every member lacks an attribute that all other members share; ``lacks``
+    # holds those attributes per member, in path order.
+    intent, lacks = state
+    lacks = [l & r for l in lacks] + [intent & ~r]
+    return (intent & r, lacks) if all(lacks) else None
+
+
+# Each hereditary family decides a domain H (|H| >= 2) on rows, one object
+# at a time: ``seed(r, M)`` is the state of the one-object domain with row
+# ``r`` (M is the attribute mask), and ``step(rows, path, state, r)`` the
+# state once an object with row ``r`` joins ``path``; either is None when no
+# motif can follow. H is a motif iff the rule folds along its witness order,
+# and enumeration grows domains with it. I is the AND of the rows, U the OR.
+HEREDITARY_RULES = {
+    ScaleFamily.NOMINAL: (lambda r, full: (r, r), _nominal_step),
+    # An ordinal scale has no empty extent, so its chain starts at the full row.
+    ScaleFamily.ORDINAL: (lambda r, full: r if r == full else None, _ordinal_step),
+    ScaleFamily.INTERORDINAL: (lambda r, full: (r, 0, []), _interordinal_step),
+    ScaleFamily.CONTRANOMINAL: (
+        lambda r, full: (r, [full & ~r]) if full & ~r else None,
+        _contranominal_step,
+    ),
+}
+
+
+def _fold(context: FormalContext, family: ScaleFamily, walk: list[int] | None) -> tuple[int, ...] | None:
+    if walk is None:
+        return None
+    seed, step = HEREDITARY_RULES[family]
+    rows = context.rows
+    state = seed(rows[walk[0]], context.attribute_mask)
+    for k in range(1, len(walk)):
+        if state is None:
             return None
-        previous = e
-    return tuple(g for _, g in extents)
+        state = step(rows, walk[:k], state, rows[walk[k]])
+    return None if state is None else tuple(walk)
 
 
-def _recognize_interordinal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
-    # The two-element extents of K[H, M] must link H into one path.
+def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int] | None:
+    # Neighbours on the walk are the pairs whose shared attributes no third
+    # member holds all of: the two-element extents of K[H, M].
+    rows = context.rows
     neighbours: dict[int, list[int]] = {g: [] for g in idx}
     for i, a in enumerate(idx):
         for b in idx[i + 1 :]:
-            if _closed_within(context, (1 << a) | (1 << b), h_mask):
+            shared = rows[a] & rows[b]
+            if all(shared & ~rows[h] for h in idx if h != a and h != b):
                 neighbours[a].append(b)
                 neighbours[b].append(a)
     ends = [g for g in idx if len(neighbours[g]) == 1]
@@ -156,19 +186,20 @@ def _recognize_interordinal(context: FormalContext, idx: list[int], h_mask: int)
         walk.append(options[0])
     # Reversal maps intervals to intervals, so the reversed walk matches
     # exactly when this one does.
-    if not _system_matches(context, walk, ScaleFamily.INTERORDINAL, h_mask):
-        return None
-    return tuple(walk)
+    return walk
 
 
-def _recognize_contranominal(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
-    for g in idx:
-        if not _closed_within(context, h_mask & ~(1 << g), h_mask):
-            return None
-    return tuple(idx)
+#: The witness order each hereditary family folds its rule along, or None.
+_WITNESS_ORDERS = {
+    ScaleFamily.NOMINAL: lambda context, idx: idx,
+    # Down the chain: by decreasing row size.
+    ScaleFamily.ORDINAL: lambda context, idx: sorted(idx, key=lambda g: -context.rows[g].bit_count()),
+    ScaleFamily.INTERORDINAL: _interordinal_walk,
+    ScaleFamily.CONTRANOMINAL: lambda context, idx: idx,
+}
 
 
-def _recognize_crown(context: FormalContext, idx: list[int], h_mask: int) -> tuple[int, ...] | None:
+def _recognize_crown(context: FormalContext, idx: list[int]) -> tuple[int, ...] | None:
     n = len(idx)
     common = context.attribute_mask
     for g in idx:
@@ -198,15 +229,6 @@ def _recognize_crown(context: FormalContext, idx: list[int], h_mask: int) -> tup
     return tuple(walk)
 
 
-_RECOGNIZERS = {
-    ScaleFamily.NOMINAL: _recognize_nominal,
-    ScaleFamily.ORDINAL: _recognize_ordinal,
-    ScaleFamily.INTERORDINAL: _recognize_interordinal,
-    ScaleFamily.CONTRANOMINAL: _recognize_contranominal,
-    ScaleFamily.CROWN: _recognize_crown,
-}
-
-
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:
     """Find a witnessing bijection from ``domain`` onto the family's scale.
 
@@ -225,8 +247,10 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
     require_clarified(context, idx)
     if n == 1:
         witness = _recognize_size_one(context, idx[0], family)
+    elif family is ScaleFamily.CROWN:
+        witness = _recognize_crown(context, idx)
     else:
-        witness = _RECOGNIZERS[family](context, idx, mask_of(idx))
+        witness = _fold(context, family, _WITNESS_ORDERS[family](context, idx))
     if witness is None:
         return None
     return Motif(family, witness)

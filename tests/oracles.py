@@ -144,6 +144,19 @@ def crown_heavy_context(rng: Random, n_objects: int) -> FormalContext:
     return FormalContext(objects, attributes, rows)
 
 
+def full_row_context(rng: Random, n_objects: int) -> FormalContext:
+    """Random rows with one full row planted at a random place.
+
+    Ordinal motifs above size one need the full row, which random rows
+    rarely hold.
+    """
+    raw = random_context(rng, n_objects - 1, rng.randint(5, 8), rng.uniform(0.3, 0.7))
+    rows = list(raw.rows)
+    rows.insert(rng.randint(0, n_objects - 1), raw.attribute_mask)
+    objects = [f"g{g + 1}" for g in range(n_objects)]
+    return FormalContext.from_rows(objects, raw.attributes, rows)
+
+
 def random_corpus_item(rng: Random) -> FormalContext:
     """One context drawn as in the oracle-equivalence corpus."""
     n_objects = rng.randint(1, 6)
@@ -204,6 +217,8 @@ def bijection_oracle(context: FormalContext, domain: tuple[int, ...], family: Sc
         return False
     target = frozenset(brute_force_extents(sub))
     scale_ext = brute_force_extents(oracle_scale(family, k))
+    if sorted(map(int.bit_count, target)) != sorted(map(int.bit_count, scale_ext)):
+        return False  # a bijection keeps the number and the sizes of the extents
     for perm in permutations(range(k)):
         preimages = frozenset(
             sum(1 << i for i in range(k) if e >> perm[i] & 1) for e in scale_ext

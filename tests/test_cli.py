@@ -284,6 +284,27 @@ def test_empty_family_list_fails_cleanly(capsys, b3_path):
         assert "no scale family selected" in captured.err
 
 
+def test_repeated_family_is_enumerated_once(capsys, monkeypatch, b3_path):
+    from ordmotif import enumeration
+
+    assert main(["motifs", str(b3_path), "--families", "nominal"]) == 0
+    once = capsys.readouterr().out
+    calls = []
+    original = enumeration.enumerate_family
+
+    def counting(context, family, config=None):
+        calls.append(family)
+        return original(context, family, config)
+
+    monkeypatch.setattr(enumeration, "enumerate_family", counting)
+    assert main(["motifs", str(b3_path), "--families", "nominal,nominal"]) == 0
+    assert calls == [ScaleFamily.NOMINAL]
+    assert capsys.readouterr().out == once
+    calls.clear()
+    assert main(["motifs", str(b3_path), "--families", "crown,nominal,crown"]) == 0
+    assert calls == [ScaleFamily.CROWN, ScaleFamily.NOMINAL]
+
+
 def test_json_output_is_deterministic(capsys, b3_path):
     assert main(["cover", str(b3_path), "--json"]) == 0
     first = capsys.readouterr().out

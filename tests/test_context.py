@@ -10,6 +10,7 @@ from ordmotif import (
 )
 from ordmotif.bitsets import mask_of
 from ordmotif.context import require_clarified
+from ordmotif.covering import greedy_cover
 from ordmotif.enumeration import enumerate_motifs
 
 from oracles import (
@@ -83,7 +84,9 @@ def test_object_closure_derives_each_set_once(monkeypatch):
     for _ in range(30):
         ctx, _ = clarify_objects(random_corpus_item(rng))
         derived.clear()
-        enumerate_motifs(ctx)
+        # Enumeration runs on rows; covering asks the closures.
+        pool = enumerate_motifs(ctx).all_motifs()
+        greedy_cover(ctx, pool, len(pool))
         assert all(n == 1 for n in derived.values())
         total += len(derived)
         # Memo hits and fresh derivations alike match the smallest

@@ -24,9 +24,16 @@ from ordmotif.enumeration import (
     stats_table,
 )
 
-from oracles import crown_heavy_context, is_valid_motif, random_context, subsets_oracle
+from oracles import (
+    crown_heavy_context,
+    full_row_context,
+    is_valid_motif,
+    random_context,
+    subsets_oracle,
+)
 
 ALL = list(ScaleFamily)
+HEREDITARY = [f for f in ALL if f is not ScaleFamily.CROWN]
 
 
 def domains(motifs):
@@ -107,17 +114,44 @@ def test_crown_search_equals_recognition_over_all_subsets():
 
 
 def test_crown_search_runs_on_rows_alone(monkeypatch):
+    # Every family's default enumeration, crowns and the four step rules
+    # alike, decides on rows: no closure and no recognition of a candidate.
     def forbidden(*args):
-        raise AssertionError("the crown search must not call this")
+        raise AssertionError("enumeration must not call this")
 
     rng = Random(83)
     contexts = [clarify_objects(crown_heavy_context(rng, 8))[0] for _ in range(10)]
-    contexts.append(build_scale(ScaleFamily.CROWN, 7))
-    expected = [enumerate_crowns(ctx) for ctx in contexts]
-    assert any(expected)
+    contexts += [clarify_objects(full_row_context(rng, 8))[0] for _ in range(5)]
+    contexts += [build_scale(f, 7) for f in ALL]
+    expected = [enumerate_motifs(ctx) for ctx in contexts]
+    for f in ALL:
+        assert any(inv.by_family[f] for inv in expected), f
     monkeypatch.setattr(FormalContext, "object_closure", forbidden)
     monkeypatch.setattr("ordmotif.enumeration.recognize", forbidden)
-    assert [enumerate_crowns(ctx) for ctx in contexts] == expected
+    assert [enumerate_motifs(ctx) for ctx in contexts] == expected
+
+
+def test_full_row_contexts_match_the_subset_oracle():
+    # The oracle corpus stops at 6 objects and rarely holds a full row, which
+    # ordinal motifs above size one need.
+    rng = Random(89)
+    config = EnumerationConfig(min_size=1)
+    ordinal_sizes = set()
+    for i in range(16):
+        ctx, _ = clarify_objects(full_row_context(rng, 7 + i % 4))
+        n = len(ctx.objects)
+        for f in HEREDITARY:
+            got = domains(enumerate_family(ctx, f, config))
+            assert got == subsets_oracle(ctx, f, 1, n), (ctx.rows, f)
+        want = [
+            motif
+            for size in range(1, n + 1)
+            for domain in combinations(range(n), size)
+            if (motif := recognize(ctx, domain, ScaleFamily.ORDINAL)) is not None
+        ]
+        assert enumerate_family(ctx, ScaleFamily.ORDINAL, config) == want
+        ordinal_sizes.update(m.size for m in want)
+    assert max(ordinal_sizes) >= 4
 
 
 def test_enumeration_matches_subset_oracle():
@@ -263,3 +297,29 @@ def test_size_bounds_are_respected():
     motifs = enumerate_family(b4, ScaleFamily.CONTRANOMINAL, config)
     assert {m.size for m in motifs} == {3}
     assert len(motifs) == 4
+
+
+@pytest.mark.parametrize("max_size", [-1, 0, 1])
+def test_max_size_below_two_grows_nothing(max_size):
+    rng = Random(101)
+    contexts = [build_scale(f, 5) for f in ALL]
+    contexts += [clarify_objects(full_row_context(rng, 7))[0] for _ in range(5)]
+    config = EnumerationConfig(max_size=max_size)
+    for ctx in contexts:
+        for f in ALL:
+            assert all(m.size < 2 for m in enumerate_family(ctx, f, config)), (ctx.rows, f)
+
+
+def test_min_and_max_size_one_yield_singletons_only():
+    rng = Random(103)
+    contexts = [build_scale(f, 5) for f in ALL]
+    contexts += [clarify_objects(full_row_context(rng, 7))[0] for _ in range(5)]
+    config = EnumerationConfig(min_size=1, max_size=1)
+    seen = set()
+    for ctx in contexts:
+        for f in ALL:
+            motifs = enumerate_family(ctx, f, config)
+            assert all(m.size == 1 for m in motifs), (ctx.rows, f)
+            assert domains(motifs) == subsets_oracle(ctx, f, 1, 1)
+            seen.update(m.family for m in motifs)
+    assert seen == set(HEREDITARY)
