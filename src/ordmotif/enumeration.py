@@ -156,6 +156,11 @@ def enumerate_crowns(
             continue
         if len(path) > 2:
             apart |= rows[start] & rows[last]  # ``last`` turns interior
+        # ``apart`` only grows and every longer path keeps it inside its
+        # intent, so a consecutive pair sharing nothing outside ``apart``
+        # never closes into a crown.
+        if apart and not all(rows[a] & rows[b] & ~apart for a, b in zip(path, path[1:])):
+            continue
         next_inner = inner | rows[last] if len(path) > 1 else 0
         for nxt in overlap[last]:
             if nxt <= start or path_mask >> nxt & 1:

@@ -105,6 +105,10 @@ def parse_burmeister(text: str) -> FormalContext:
 
 
 def to_burmeister(context: FormalContext) -> str:
+    """Burmeister text; raises ``ValueError`` on a label the line layout would split."""
+    for label in (*context.objects, *context.attributes):
+        if "".join(label.splitlines()) != label:
+            raise ValueError(f"label {label!r} holds a line break; Burmeister cannot store it")
     out = ["B", ""]
     out.append(str(len(context.objects)))
     out.append(str(len(context.attributes)))

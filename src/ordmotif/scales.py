@@ -1,4 +1,4 @@
-"""Standard scale contexts and the operations that combine them.
+"""Standard scale contexts.
 
 The five families live on the ground set [n] = {1, ..., n}:
 
@@ -136,36 +136,4 @@ def expected_extent_count(family: ScaleFamily, n: int) -> int:
     if family is ScaleFamily.CONTRANOMINAL:
         return 2**n
     return 8 if n == 3 else 2 * n + 2
-
-
-def _merge_attribute_labels(per_context: list[tuple[str, ...]]) -> list[str]:
-    # keep labels as-is, suffixing later duplicates with #2, #3, ...
-    seen: dict[str, int] = {}
-    merged: list[str] = []
-    for labels in per_context:
-        for lab in labels:
-            count = seen.get(lab, 0) + 1
-            seen[lab] = count
-            merged.append(lab if count == 1 else f"{lab}#{count}")
-    return merged
-
-
-def apposition(*contexts: FormalContext) -> FormalContext:
-    """Glue contexts over a common object list by concatenating attributes."""
-    if not contexts:
-        raise ValueError("apposition needs at least one context")
-    first = contexts[0]
-    for other in contexts[1:]:
-        if other.objects != first.objects:
-            raise ValueError("apposition requires identical object lists")
-    attributes = _merge_attribute_labels([k.attributes for k in contexts])
-    rows = []
-    for g in range(len(first.objects)):
-        row = 0
-        shift = 0
-        for k in contexts:
-            row |= k.rows[g] << shift
-            shift += len(k.attributes)
-        rows.append(row)
-    return FormalContext.from_rows(first.objects, tuple(attributes), tuple(rows))
 

@@ -157,6 +157,15 @@ def full_row_context(rng: Random, n_objects: int) -> FormalContext:
     return FormalContext.from_rows(objects, raw.attributes, rows)
 
 
+def with_shared_column(context: FormalContext) -> FormalContext:
+    """The context with one more column that every object holds.
+
+    The column links every pair of objects without making a crown.
+    """
+    rows = [r | 1 << len(context.attributes) for r in context.rows]
+    return FormalContext.from_rows(context.objects, (*context.attributes, "shared"), rows)
+
+
 def random_corpus_item(rng: Random) -> FormalContext:
     """One context drawn as in the oracle-equivalence corpus."""
     n_objects = rng.randint(1, 6)

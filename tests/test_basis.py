@@ -15,6 +15,7 @@ from ordmotif import (
     verify_full,
     verify_scale_measure,
 )
+from ordmotif.io import parse_burmeister, to_burmeister
 
 from oracles import basis_oracle, induced_subcontext, random_context, random_corpus_item
 
@@ -94,6 +95,21 @@ def test_basis_columns_match_the_oracle_order():
             continue
         built += 1
         assert (basis.attributes, basis.rows) == basis_oracle(ctx, motifs)
+    assert built >= 50
+
+
+def test_basis_round_trips_through_burmeister():
+    rng = Random(127)
+    config = EnumerationConfig(min_size=1)
+    built = 0
+    for _ in range(120):
+        ctx, _ = clarify_objects(random_corpus_item(rng))
+        try:
+            basis = build_basis(ctx, enumerate_motifs(ctx, config).all_motifs())
+        except IncompleteCoveringError:
+            continue
+        built += 1
+        assert parse_burmeister(to_burmeister(basis)) == basis
     assert built >= 50
 
 

@@ -154,6 +154,13 @@ def test_scaling_dim_value_and_unknown(capsys, b3_path):
     )
 
 
+def test_scaling_dim_unknown_when_no_map_is_a_measure(capsys, tmp_path):
+    path = tmp_path / "full.csv"
+    path.write_text(",m,n\ng,1,1\n", encoding="utf-8")
+    assert main(["scaling-dim", str(path), "--scales", "nominal:2"]) == 0
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+
+
 def test_scaling_dim_json(capsys, b3_path):
     payload = run_json(
         capsys,
@@ -255,6 +262,19 @@ def test_incomplete_covering_fails_cleanly(capsys, n3_path):
     # pairs cannot reach the three singleton extents of this context
     assert main(["basis", str(n3_path), "--families", "ordinal"]) == 1
     assert "covering misses" in capsys.readouterr().err
+
+
+def test_basis_refuses_labels_burmeister_cannot_hold(capsys, tmp_path):
+    path = tmp_path / "broken_label.csv"
+    path.write_text(',m,n\n"a\nb",1,0\nc,0,1\n', encoding="utf-8")
+    out_path = tmp_path / "basis.cxt"
+    assert main(["basis", str(path), "--output", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line break" in captured.err
+    assert not out_path.exists()
+    assert main(["basis", str(path)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_malformed_context_fails_cleanly(capsys, tmp_path):

@@ -16,6 +16,7 @@ B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
 I3 = build_scale(ScaleFamily.INTERORDINAL, 3)
 O2 = build_scale(ScaleFamily.ORDINAL, 2)
+N2 = build_scale(ScaleFamily.NOMINAL, 2)
 O3 = build_scale(ScaleFamily.ORDINAL, 3)
 
 
@@ -88,3 +89,11 @@ def test_agrees_with_explicit_semiproduct_search():
         assert scaling_dimension(ctx, scales, max_d=2) == dimension_oracle(
             ctx, scales, 2
         )
+
+
+def test_no_map_is_a_measure_when_the_empty_set_is_no_extent():
+    # The one object holds every attribute, so the empty set is no extent:
+    # every map onto nominal:2 leaves one scale column's preimage empty.
+    full = FormalContext.from_rows(["g"], ["m", "n"], (0b11,))
+    assert scaling_dimension(full, [N2]) is None
+    assert scaling_dimension(full, [O2]) == 1

@@ -1,5 +1,6 @@
 import inspect
 import sys
+import time
 from itertools import combinations
 from random import Random
 
@@ -30,6 +31,7 @@ from oracles import (
     is_valid_motif,
     random_context,
     subsets_oracle,
+    with_shared_column,
 )
 
 ALL = list(ScaleFamily)
@@ -96,10 +98,13 @@ def test_crown_search_equals_recognition_over_all_subsets():
     # The search emits its closed paths as witnesses without recognizing
     # them; they must be exactly what recognition accepts, in the same order.
     rng = Random(79)
+    raws = [
+        crown_heavy_context(rng, 7 + i % 4) if i % 2 else random_context(rng, 7 + i % 4, 7, 0.35)
+        for i in range(40)
+    ]
+    raws += [with_shared_column(random_context(rng, 7 + i % 4, 5, 0.35)) for i in range(6)]
     sizes = set()
-    for i in range(40):
-        n = 7 + i % 4
-        raw = crown_heavy_context(rng, n) if i % 2 else random_context(rng, n, 7, 0.35)
+    for raw in raws:
         ctx, _ = clarify_objects(raw)
         n = len(ctx.objects)
         want = [
@@ -111,6 +116,14 @@ def test_crown_search_equals_recognition_over_all_subsets():
         assert enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=max(n, 3))) == want
         sizes.update(m.size for m in want)
     assert {3, 4, 5, 6} <= sizes
+
+
+def test_crown_search_stops_at_pairs_sharing_only_a_common_column():
+    # Every pair of objects overlaps, but only in the column all of them hold.
+    ctx = with_shared_column(build_scale(ScaleFamily.NOMINAL, 14))
+    started = time.perf_counter()
+    assert enumerate_crowns(ctx) == []
+    assert time.perf_counter() - started < 2
 
 
 def test_crown_search_runs_on_rows_alone(monkeypatch):

@@ -119,3 +119,35 @@ def test_file_round_trip(tmp_path):
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
         assert load_context(p) == SAMPLE
+
+
+def test_burmeister_without_a_name_line(tmp_path):
+    # The counts may follow 'B' directly, when the next line after them is blank.
+    bare, named = tmp_path / "bare.cxt", tmp_path / "named.cxt"
+    bare.write_text("B\n2\n1\n\na\nb\nm\nX\n.\n", encoding="utf-8")
+    named.write_text("B\n\n2\n1\n\na\nb\nm\nX\n.\n", encoding="utf-8")
+    assert load_context(bare) == load_context(named)
+    assert load_context(bare).rows == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("negative.cxt", "B\n\n-1\n1\n\nm\n"),
+        ("no_blank.cxt", "B\n\n2\n1\nx\na\nb\nm\nX\n.\n"),
+        ("duplicate.cxt", "B\n\n2\n1\n\na\na\nm\nX\n.\n"),
+        ("duplicate.csv", ",m,m\na,1,0\n"),
+    ],
+)
+def test_malformed_files_raise_parse_errors(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_context(path)
+
+
+def test_burmeister_writer_refuses_line_breaks():
+    for objects, attributes in (["a\nb"], ["m"]), (["a"], ["m\r"]), (["a"], ["m\u2028n"]):
+        ctx = FormalContext(objects, attributes, [[1]])
+        with pytest.raises(ValueError, match="line break"):
+            to_burmeister(ctx)

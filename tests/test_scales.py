@@ -9,14 +9,13 @@ from ordmotif import (
     scale_extents,
 )
 from ordmotif.recognition import preimage
-from ordmotif.scales import apposition, expected_extent_count, scale_preimages
+from ordmotif.scales import expected_extent_count, scale_preimages
 
 from oracles import (
     brute_force_extents,
     induced_subcontext,
     oracle_scale,
     oracle_semiproduct,
-    random_context,
 )
 
 ALL = list(ScaleFamily)
@@ -149,37 +148,11 @@ def chain_ge(n):
 
 def test_apposition_of_opposed_chains_is_interordinal():
     left, right = chain_le(3), chain_ge(3)
-    glued = apposition(left, right)
+    rows = [le | ge << 3 for le, ge in zip(left.rows, right.rows)]
+    glued = FormalContext.from_rows(left.objects, left.attributes + right.attributes, rows)
     i3 = build_scale(ScaleFamily.INTERORDINAL, 3)
     assert glued.rows == i3.rows
     assert glued.attributes == i3.attributes
-
-
-def test_apposition_with_itself_keeps_extents():
-    rng = Random(31)
-    for _ in range(20):
-        ctx = random_context(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
-        doubled = apposition(ctx, ctx)
-        assert set(doubled.extents()) == set(ctx.extents())
-        assert len(doubled.attributes) == 2 * len(ctx.attributes)
-
-
-def test_apposition_extents_are_joint_column_closure():
-    rng = Random(37)
-    for _ in range(50):
-        a = random_context(rng, 5, 5, rng.uniform(0.3, 0.7))
-        b = FormalContext(
-            a.objects,
-            [f"n{j}" for j in range(5)],
-            [[rng.random() < 0.5 for _ in range(5)] for _ in range(5)],
-        )
-        glued = apposition(a, b)
-        assert set(glued.extents()) == brute_force_extents(glued)
-
-
-def test_apposition_requires_same_objects():
-    with pytest.raises(ValueError):
-        apposition(build_scale(ScaleFamily.NOMINAL, 2), build_scale(ScaleFamily.NOMINAL, 3))
 
 
 # The semi-product tests check the oracle that the scaling dimension
@@ -219,9 +192,3 @@ def test_semiproduct_diagonal_recovers_interordinal():
     sub = induced_subcontext(semi, diagonal)
     i3 = build_scale(ScaleFamily.INTERORDINAL, n)
     assert set(sub.extents()) == set(i3.extents())
-
-
-def test_duplicate_attribute_labels_are_disambiguated():
-    n2 = build_scale(ScaleFamily.NOMINAL, 2)
-    glued = apposition(n2, n2, n2)
-    assert glued.attributes == ("1", "2", "1#2", "2#2", "1#3", "2#3")

@@ -1,7 +1,8 @@
 """Every public function, class and method of the package has a caller in ``src/``.
 
-A name that only the tests use belongs in the tests (see ``oracles.py``).
-Exports listed in ``ordmotif.__all__`` and the CLI's ``main`` count as used.
+So does every private module-level function or class. A name that only
+the tests use belongs in the tests (see ``oracles.py``). Exports listed
+in ``ordmotif.__all__`` and the CLI's ``main`` count as used.
 """
 
 import ast
@@ -25,16 +26,12 @@ def test_public_definitions_are_used_in_src():
     for module, tree in sorted(trees.items()):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((f"{module}:{node.name}", node))
+                definitions.append((f"{module}:{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
                 definitions.extend(
-                    (f"{module}:{node.name}.{member.name}", member)
+                    (f"{module}:{node.name}.{member.name}", member.name)
                     for member in node.body
-                    if isinstance(member, ast.FunctionDef)
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
                 )
-    unused = [
-        qualified
-        for qualified, node in definitions
-        if not node.name.startswith("_") and node.name not in used
-    ]
+    unused = [qualified for qualified, name in definitions if name not in used]
     assert unused == []
