@@ -9,10 +9,12 @@ the intersection of their closures, so covered extents reachable only
 through the scale's top or bottom would go missing. With one column per
 scale extent the columns are exactly the covered extents. They are
 extents of the source context, so every intersection of them is one too,
-and a complete covering makes every source extent a column: the basis
-has exactly the extents of the source context, hence the same local
-full scale-measures. Columns run in scale attribute order, then the
-other scale extents by mask.
+and a complete covering makes every source extent a column. The top
+needs none, being the empty intersection of columns, so a covering that
+misses only the top is complete here as well. Then the basis has
+exactly the extents of the source context, hence the same local full
+scale-measures. Columns run in scale attribute order, then the other
+scale extents by mask.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContex
         labels.extend(f"{number}:{label}" for label in scale.attributes)
         labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
         columns.extend(context.object_closure(preimages[e]) for e in (*scale.cols, *extras))
-    missing = len(context.extents()) - len(set(columns))
+    missing = len(context.extents()) - len(set(columns) | {context.object_mask})
     if missing:
         raise IncompleteCoveringError(missing)
     return FormalContext.from_rows(labels, context.objects, columns).transpose()

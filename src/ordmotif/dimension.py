@@ -4,22 +4,24 @@ A full scale-measure into a semi-product decomposes into one map per
 component, each a scale-measure on its own, whose attribute-extent
 preimages jointly meet-generate the extent system. Every extent is an
 intersection of meet-irreducible ones, so the search reduces to covering
-the irreducibles with per-map preimage families. The problem is hard in
-general, hence the hard caps on object count, tuple length and the
-number of scale columns the maps scan.
+the irreducibles with per-map preimage families. Each scale's maps are
+grown one object at a time, and a partial map is dropped as soon as
+some column's partial preimage can no longer grow into an extent. The
+problem is hard in general, and a context in which every set is an
+extent drops no partial map, hence the hard caps on object count, tuple
+length and the number of scale columns the maps scan.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 from .context import FormalContext
 
 MAX_OBJECTS = 8
 MAX_TUPLE_LENGTH = 4
-# Every map scans the scale's columns, so the work is the number of maps
-# times the column count. The cap admits an 8-object context against
+# Unpruned, every map scans the scale's columns, so the work is the number
+# of maps times the column count. The cap admits an 8-object context against
 # interordinal:8 (8**8 maps of 16 columns); larger searches would run
 # for hours.
 MAX_COLUMN_SCANS = 8**8 * 16
@@ -61,26 +63,40 @@ def meet_irreducible_extents(context: FormalContext) -> list[int]:
 def _measure_coverages(context: FormalContext, scale: FormalContext, irreducibles: int) -> set[int]:
     """Irreducibles reachable per valid map from the context onto ``scale``.
 
-    Enumerates all maps; keeps those whose attribute-extent preimages are
-    extents, and records which irreducibles appear among the preimages.
-    Sets of extents are ints over ``context.extent_ids()``.
+    Grows each map one object at a time, in object order, trying the
+    scale's objects in their order, and carries the partial preimage of
+    every scale column. A branch ends as soon as some partial preimage
+    ``P`` has an assigned object outside ``P`` in its closure: every
+    completion's preimage contains ``P`` and is an extent, so it would
+    hold that object too, which the assignment already ruled out. Once
+    every object is assigned the test says that each preimage is an
+    extent, so exactly the measures survive. Records which irreducibles
+    appear among their preimages; sets of extents are ints over
+    ``context.extent_ids()``.
     """
     n = len(context.objects)
     ids = context.extent_ids()
+    closure = context.object_closure
     out: set[int] = set()
-    for assignment in product(range(len(scale.objects)), repeat=n):
-        hit = 0
-        for col in scale.cols:
-            pre = 0
-            for g in range(n):
-                if col >> assignment[g] & 1:
-                    pre |= 1 << g
-            i = ids.get(pre)
-            if i is None:
-                break
-            hit |= 1 << i
-        else:
+
+    def grow(g: int, preimages: list[int]) -> None:
+        if g == n:
+            hit = 0
+            for pre in preimages:
+                hit |= 1 << ids[pre]
             out.add(hit & irreducibles)
+            return
+        bit = 1 << g
+        assigned = (bit << 1) - 1
+        for row in scale.rows:
+            grown = [pre | bit if row >> c & 1 else pre for c, pre in enumerate(preimages)]
+            for pre in grown:
+                if closure(pre) & assigned != pre:
+                    break
+            else:
+                grow(g + 1, grown)
+
+    grow(0, [0] * len(scale.attributes))
     return out
 
 

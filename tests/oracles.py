@@ -292,6 +292,32 @@ def dimension_oracle(
     return None
 
 
+def coverages_oracle(context: FormalContext, scale: FormalContext, irreducibles: int) -> set[int]:
+    """Irreducibles reachable per valid map from the context onto ``scale``.
+
+    Enumerates all maps; keeps those whose attribute-extent preimages are
+    extents, and records which irreducibles appear among the preimages.
+    Sets of extents are ints over ``context.extent_ids()``.
+    """
+    n = len(context.objects)
+    ids = context.extent_ids()
+    out: set[int] = set()
+    for assignment in product(range(len(scale.objects)), repeat=n):
+        hit = 0
+        for col in scale.cols:
+            pre = 0
+            for g in range(n):
+                if col >> assignment[g] & 1:
+                    pre |= 1 << g
+            i = ids.get(pre)
+            if i is None:
+                break
+            hit |= 1 << i
+        else:
+            out.add(hit & irreducibles)
+    return out
+
+
 def greedy_oracle(
     context: FormalContext, motifs: list[Motif], k: int, heuristic: HeuristicKind
 ) -> list[tuple[Motif, int, int, int]]:

@@ -47,18 +47,24 @@ def test_identity_is_full_into_the_basis():
 
 
 def test_empty_covering_rejected():
+    # every extent but the top, the empty intersection of columns
     with pytest.raises(IncompleteCoveringError) as err:
         build_basis(B3, [])
-    assert err.value.uncovered == 8
+    assert err.value.uncovered == 7
 
 
 def test_incomplete_covering_reports_missing_count():
-    # nominal pairs cover the empty set, the singletons and the pair
-    # closures, 7 of 8; only the top is missed
-    pairs = [Motif(ScaleFamily.NOMINAL, d) for d in combinations(range(3), 2)]
+    # one nominal pair covers the empty set, its singletons and itself;
+    # {2}, {0, 2} and {1, 2} are missed, the top needs no column
     with pytest.raises(IncompleteCoveringError) as err:
-        build_basis(B3, pairs)
-    assert err.value.uncovered == 1
+        build_basis(B3, [Motif(ScaleFamily.NOMINAL, (0, 1))])
+    assert err.value.uncovered == 3
+
+
+def test_covering_that_misses_only_the_top_is_complete():
+    # nominal pairs cover every extent but the top, which every basis has
+    pairs = [Motif(ScaleFamily.NOMINAL, d) for d in combinations(range(3), 2)]
+    assert set(build_basis(B3, pairs).extents()) == set(B3.extents())
 
 
 def test_basis_attribute_labels_are_numbered_per_motif():

@@ -6,7 +6,7 @@ import pytest
 
 from ordmotif import ScaleFamily, build_scale
 from ordmotif.cli import main
-from ordmotif.io import parse_burmeister, to_burmeister
+from ordmotif.io import load_context, parse_burmeister, to_burmeister
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
@@ -256,6 +256,20 @@ def test_missing_file_fails_cleanly(capsys, tmp_path):
 def test_bad_family_name_fails_cleanly(capsys, b3_path):
     assert main(["motifs", str(b3_path), "--families", "diagonal"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("one.csv", ",m\ng,1\n"), ("empty.cxt", "B\n\n0\n0\n\n")],
+)
+def test_basis_folds_a_context_whose_only_extent_is_the_top(capsys, tmp_path, name, text):
+    # No motif of size 2 or more exists, but the top extent needs no column.
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "basis.cxt"
+    assert main(["basis", str(path), "--output", str(out_path)]) == 0
+    rebuilt = load_context(out_path)
+    assert len(rebuilt.extents()) == 1
 
 
 def test_incomplete_covering_fails_cleanly(capsys, n3_path):

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -8,9 +9,12 @@ from ordmotif import (
     build_scale,
     scaling_dimension,
 )
+from ordmotif import dimension
+from ordmotif.context import clarify_objects
 from ordmotif.dimension import meet_irreducible_extents
+from ordmotif.scales import FAMILY_MIN_SIZE
 
-from oracles import dimension_oracle, random_context
+from oracles import coverages_oracle, dimension_oracle, full_row_context, random_context
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
@@ -97,3 +101,69 @@ def test_no_map_is_a_measure_when_the_empty_set_is_no_extent():
     full = FormalContext.from_rows(["g"], ["m", "n"], (0b11,))
     assert scaling_dimension(full, [N2]) is None
     assert scaling_dimension(full, [O2]) == 1
+
+
+def _family_scales(sizes):
+    return [
+        build_scale(family, n)
+        for family in ScaleFamily
+        for n in sizes
+        if n >= FAMILY_MIN_SIZE[family]
+    ]
+
+
+SMALL_SCALES = _family_scales(range(1, 4))
+RANDOM_SCALES = _family_scales(range(1, 5))
+
+
+def _assert_same_coverages(context, scale):
+    # Every extent counts, so the sets compare the whole preimage families.
+    everything = (1 << len(context.extents())) - 1
+    assert dimension._measure_coverages(context, scale, everything) == coverages_oracle(
+        context, scale, everything
+    ), (context, scale)
+
+
+def test_pruned_map_search_matches_the_exhaustive_one_on_scales():
+    for context in _family_scales(range(1, 6)):
+        for scale in (*SMALL_SCALES, context):
+            _assert_same_coverages(context, scale)
+
+
+def test_pruned_map_search_matches_the_exhaustive_one_on_random_contexts():
+    rng = Random(4099)
+    for _ in range(320):
+        raw = random_context(rng, rng.randint(0, 6), rng.randint(1, 6), rng.uniform(0.2, 0.8))
+        context, _ = clarify_objects(raw)
+        _assert_same_coverages(context, rng.choice(RANDOM_SCALES))
+
+
+def test_pruned_map_search_matches_the_exhaustive_one_without_an_empty_extent():
+    rng = Random(8191)
+    for _ in range(60):
+        context = full_row_context(rng, rng.randint(1, 6))
+        assert context.object_closure(0) != 0
+        _assert_same_coverages(context, rng.choice(SMALL_SCALES))
+
+
+def test_largest_admitted_scales_measure_themselves_with_pruning(monkeypatch):
+    # 8**8 maps per scale: the exhaustive search took 19-47 s per scale. A
+    # search that tested preimages only on complete maps would ask at least
+    # one closure per map; the pruned one asks about 0.1-1M per scale.
+    calls = 0
+    original = FormalContext.object_closure
+
+    def counting(self, object_set):
+        nonlocal calls
+        calls += 1
+        return original(self, object_set)
+
+    monkeypatch.setattr(FormalContext, "object_closure", counting)
+    start = time.perf_counter()
+    for family in (ScaleFamily.ORDINAL, ScaleFamily.CROWN, ScaleFamily.INTERORDINAL):
+        scale = build_scale(family, 8)
+        calls = 0
+        assert scaling_dimension(scale, [scale]) == 1, family
+        assert calls < 8**8 // 8, (family, calls)
+    # Only a runaway search comes near this; the pruned one takes about 0.5 s.
+    assert time.perf_counter() - start < 60
