@@ -24,7 +24,7 @@ from .covering import (
     greedy_cover,
     ratio_curve,
 )
-from .dimension import check_search_size, scaling_dimension
+from .dimension import MAX_COLUMN_SCANS, check_object_count, scaling_dimension
 from .enumeration import (
     DEFAULT_CROWN_SIZE_CAP,
     EnumerationConfig,
@@ -268,13 +268,14 @@ def _parse_scale_spec(spec: str) -> tuple[ScaleFamily, int]:
 def cmd_scaling_dim(args: argparse.Namespace) -> int:
     context, _ = _load(args)
     specs = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
-    # A scale of size n holds n rows of n bits: check the caps before building.
-    # An interordinal scale has 2n attributes, the other families n.
-    shapes = [
-        (size, 2 * size if family is ScaleFamily.INTERORDINAL else size)
-        for family, size in specs
-    ]
-    check_search_size(len(context.objects), shapes)
+    check_object_count(len(context.objects))
+    # A scale of size n has n or more columns: the first object scans n * n.
+    first = sum(n * n for _, n in specs)
+    if first > MAX_COLUMN_SCANS:
+        raise ValueError(
+            f"the scales would scan {first} or more columns for one object; "
+            f"the cap is {MAX_COLUMN_SCANS} column scans"
+        )
     scales = [build_scale(family, size) for family, size in specs]
     d = scaling_dimension(context, scales, max_d=args.max_d)
     if args.json:

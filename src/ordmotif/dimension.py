@@ -8,8 +8,8 @@ the irreducibles with per-map preimage families. Each scale's maps are
 grown one object at a time, and a partial map is dropped as soon as
 some column's partial preimage can no longer grow into an extent. The
 problem is hard in general, and a context in which every set is an
-extent drops no partial map, hence the hard caps on object count, tuple
-length and the number of scale columns the maps scan.
+extent drops no partial map, hence the caps on object count, tuple
+length and the scale column scans the search counts as it goes.
 """
 
 from __future__ import annotations
@@ -20,27 +20,13 @@ from .context import FormalContext
 
 MAX_OBJECTS = 8
 MAX_TUPLE_LENGTH = 4
-# Unpruned, every map scans the scale's columns, so the work is the number
-# of maps times the column count. The cap admits an 8-object context against
-# interordinal:8 (8**8 maps of 16 columns); larger searches would run
-# for hours.
-MAX_COLUMN_SCANS = 8**8 * 16
+MAX_COLUMN_SCANS = 2**23
 
 
-def check_search_size(n_objects: int, scale_shapes: Sequence[tuple[int, int]]) -> None:
-    """Reject a search over too many objects or column scans before any scale is built.
-
-    ``scale_shapes`` holds the (object count, attribute count) of each scale.
-    """
+def check_object_count(n_objects: int) -> None:
+    """Reject a context with more objects than the search admits."""
     if n_objects > MAX_OBJECTS:
         raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
-    maps = sum(size**n_objects for size, _ in scale_shapes)
-    scans = sum(size**n_objects * width for size, width in scale_shapes)
-    if scans > MAX_COLUMN_SCANS:
-        raise ValueError(
-            f"scaling dimension search would try {maps} maps scanning {scans} "
-            f"scale columns; the cap is {MAX_COLUMN_SCANS} column scans"
-        )
 
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
@@ -60,7 +46,9 @@ def meet_irreducible_extents(context: FormalContext) -> list[int]:
     return sorted(out)
 
 
-def _measure_coverages(context: FormalContext, scale: FormalContext, irreducibles: int) -> set[int]:
+def _measure_coverages(
+    context: FormalContext, scale: FormalContext, irreducibles: int, spent: list[int]
+) -> set[int]:
     """Irreducibles reachable per valid map from the context onto ``scale``.
 
     Grows each map one object at a time, in object order, trying the
@@ -73,8 +61,12 @@ def _measure_coverages(context: FormalContext, scale: FormalContext, irreducible
     extent, so exactly the measures survive. Records which irreducibles
     appear among their preimages; sets of extents are ints over
     ``context.extent_ids()``.
+
+    Each grown partial map adds its ``|S| * |M_S|`` column scans to the
+    shared ``spent[0]``; past ``MAX_COLUMN_SCANS`` the search fails.
     """
     n = len(context.objects)
+    cost = len(scale.rows) * len(scale.attributes)
     ids = context.extent_ids()
     closure = context.object_closure
     out: set[int] = set()
@@ -86,6 +78,12 @@ def _measure_coverages(context: FormalContext, scale: FormalContext, irreducible
                 hit |= 1 << ids[pre]
             out.add(hit & irreducibles)
             return
+        spent[0] += cost
+        if spent[0] > MAX_COLUMN_SCANS:
+            raise ValueError(
+                f"scaling dimension search stopped after {spent[0]} scale column "
+                f"scans; the cap is {MAX_COLUMN_SCANS} column scans"
+            )
         bit = 1 << g
         assigned = (bit << 1) - 1
         for row in scale.rows:
@@ -110,9 +108,7 @@ def scaling_dimension(
     Scales may repeat within a tuple. Returns ``None`` when no tuple of
     length up to ``max_d`` works.
     """
-    check_search_size(
-        len(context.objects), [(len(s.objects), len(s.attributes)) for s in scales]
-    )
+    check_object_count(len(context.objects))
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:
         raise ValueError(f"max_d must be between 1 and {MAX_TUPLE_LENGTH}")
     if not scales:
@@ -123,8 +119,9 @@ def scaling_dimension(
     for e in meet_irreducible_extents(context):
         target |= 1 << ids[e]
     coverages: set[int] = set()
+    spent = [0]
     for scale in scales:
-        coverages |= _measure_coverages(context, scale, target)
+        coverages |= _measure_coverages(context, scale, target, spent)
     if not coverages:
         return None
     # Dominated coverage sets never help a smallest tuple.

@@ -6,6 +6,7 @@ import pytest
 
 from ordmotif import ScaleFamily, build_scale
 from ordmotif.cli import main
+from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.io import load_context, parse_burmeister, to_burmeister
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
@@ -211,16 +212,41 @@ def test_max_size_below_the_crown_minimum(capsys, b3_path):
     assert "below min size" in capsys.readouterr().err
 
 
-def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path):
+def _contranominal_path(tmp_path, n):
+    path = tmp_path / f"b{n}.cxt"
+    path.write_text(to_burmeister(build_scale(ScaleFamily.CONTRANOMINAL, n)), encoding="utf-8")
+    return path
+
+
+def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
+    # 40**6 maps if none were dropped, but the search drops them early.
     path = tmp_path / "six.csv"
     path.write_text(
         ",p,q\n" + "".join(f"g{i},{i % 2},{i // 3}\n" for i in range(6)),
         encoding="utf-8",
     )
     start = time.monotonic()
-    assert main(["scaling-dim", str(path), "--scales", "nominal:40"]) == 1
+    assert main(["scaling-dim", str(path), "--scales", "nominal:40"]) == 0
     assert time.monotonic() - start < 5
-    assert "maps" in capsys.readouterr().err
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+    # Every set is an extent of contranominal 7, so the search drops no map.
+    monkeypatch.setattr("ordmotif.dimension.MAX_COLUMN_SCANS", 10_000)
+    b7 = _contranominal_path(tmp_path, 7)
+    start = time.monotonic()
+    assert main(["scaling-dim", str(b7), "--scales", "interordinal:7"]) == 1
+    assert time.monotonic() - start < 5
+    assert "the cap is 10000 column scans" in capsys.readouterr().err
+
+
+def test_scaling_dim_stops_runaway_searches_at_the_real_cap(capsys, tmp_path):
+    # Unbounded, these took about 130 s and 70 s.
+    b8 = _contranominal_path(tmp_path, 8)
+    start = time.monotonic()
+    for scale in ("interordinal:8", "contranominal:8"):
+        assert main(["scaling-dim", str(b8), "--scales", scale]) == 1
+        assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
+    # Only a runaway search comes near this; the two refusals take about 9 s.
+    assert time.monotonic() - start < 60
 
 
 def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):
@@ -232,7 +258,7 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     two.write_text(",p\ng0,1\ng1,0\n", encoding="utf-8")
     assert main(["scaling-dim", str(two), "--scales", "nominal:100000"]) == 1
     assert "the cap is" in capsys.readouterr().err
-    # One object admits few maps, but each scans all 20000 columns.
+    # One object alone would scan all 20000 columns of each of 20000 scale objects.
     one = tmp_path / "one.csv"
     one.write_text(",p\ng0,1\n", encoding="utf-8")
     start = time.monotonic()
@@ -246,6 +272,15 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     nine.write_text(",p\n" + "".join(f"g{i},{i % 2}\n" for i in range(9)), encoding="utf-8")
     assert main(["scaling-dim", str(nine), "--scales", "ordinal:2"]) == 1
     assert "capped at 8 objects" in capsys.readouterr().err
+    # Each scale alone is below the cap, but the count is shared.
+    many = ",".join(["ordinal:2000"] * 50)
+    assert main(["scaling-dim", str(one), "--scales", many]) == 1
+    assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
+    # A context without objects scans nothing, but its scales are not built either.
+    empty = tmp_path / "empty.cxt"
+    empty.write_text("B\n\n0\n0\n\n", encoding="utf-8")
+    assert main(["scaling-dim", str(empty), "--scales", "nominal:100000"]) == 1
+    assert "the cap is" in capsys.readouterr().err
 
 
 def test_missing_file_fails_cleanly(capsys, tmp_path):

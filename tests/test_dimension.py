@@ -66,7 +66,7 @@ def test_trivial_scale_reaches_nothing():
     assert scaling_dimension(B3, [one]) is None
 
 
-def test_bounds_are_enforced():
+def test_bounds_are_enforced(monkeypatch):
     big = FormalContext.from_rows([f"g{i}" for i in range(9)], ["m"], (1,) * 9)
     with pytest.raises(ValueError):
         scaling_dimension(big, [O2])
@@ -76,10 +76,32 @@ def test_bounds_are_enforced():
         scaling_dimension(B3, [O2], max_d=5)
     with pytest.raises(ValueError):
         scaling_dimension(B3, [])
-    # 40**6 maps of 40 columns each, far above the cap: rejected before any search.
+    # 40**6 maps if none were dropped, but the empty set is no extent, so
+    # every map leaves some scale column's preimage empty and dies early.
     six = FormalContext.from_rows([f"g{i}" for i in range(6)], ["m"], (1,) * 6)
-    with pytest.raises(ValueError, match="maps"):
-        scaling_dimension(six, [build_scale(ScaleFamily.NOMINAL, 40)])
+    assert scaling_dimension(six, [build_scale(ScaleFamily.NOMINAL, 40)]) is None
+    # Every set is an extent of contranominal 7, so nothing is dropped.
+    monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", 10_000)
+    b7 = build_scale(ScaleFamily.CONTRANOMINAL, 7)
+    with pytest.raises(ValueError, match="the cap is 10000 column scans"):
+        scaling_dimension(b7, [build_scale(ScaleFamily.INTERORDINAL, 7)])
+
+
+def _column_scans(context, scale):
+    spent = [0]
+    dimension._measure_coverages(context, scale, 0, spent)
+    return spent[0]
+
+
+def test_one_column_scan_count_spans_every_scale(monkeypatch):
+    first, second = _column_scans(B3, O3), _column_scans(B3, N3)
+    assert first > 0 and second > 0
+    monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", first + second)
+    assert scaling_dimension(B3, [O3, N3]) == 3
+    monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", first + second - 1)
+    assert scaling_dimension(B3, [O3], max_d=4) == 3
+    with pytest.raises(ValueError, match="column scans"):
+        scaling_dimension(B3, [O3, N3])
 
 
 def test_agrees_with_explicit_semiproduct_search():
@@ -119,7 +141,7 @@ RANDOM_SCALES = _family_scales(range(1, 5))
 def _assert_same_coverages(context, scale):
     # Every extent counts, so the sets compare the whole preimage families.
     everything = (1 << len(context.extents())) - 1
-    assert dimension._measure_coverages(context, scale, everything) == coverages_oracle(
+    assert dimension._measure_coverages(context, scale, everything, [0]) == coverages_oracle(
         context, scale, everything
     ), (context, scale)
 
@@ -167,3 +189,10 @@ def test_largest_admitted_scales_measure_themselves_with_pruning(monkeypatch):
         assert calls < 8**8 // 8, (family, calls)
     # Only a runaway search comes near this; the pruned one takes about 0.5 s.
     assert time.perf_counter() - start < 60
+
+
+def test_nominal_8_measures_itself_below_the_column_scan_cap():
+    # The largest self-measure among the size-8 scales: about 4.4M of the
+    # 2**23 column scans. Contranominal 8 drops nothing and is refused.
+    n8 = build_scale(ScaleFamily.NOMINAL, 8)
+    assert scaling_dimension(n8, [n8]) == 1
