@@ -35,7 +35,7 @@ from .enumeration import (
 from .explain import explain_covering
 from .io import ParseError, load_context, to_burmeister
 from .recognition import Motif
-from .scales import ScaleFamily, build_scale, check_scale_size
+from .scales import ScaleFamily, build_scale, check_scale_size, column_count
 
 SCHEMA_VERSION = 1
 
@@ -269,11 +269,11 @@ def cmd_scaling_dim(args: argparse.Namespace) -> int:
     context, _ = _load(args)
     specs = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
     check_object_count(len(context.objects))
-    # A scale of size n has n or more columns: the first object scans n * n.
-    first = sum(n * n for _, n in specs)
+    # The search's first grown map of each scale scans its n * |M_S| columns.
+    first = sum(n * column_count(family, n) for family, n in specs)
     if first > MAX_COLUMN_SCANS:
         raise ValueError(
-            f"the scales would scan {first} or more columns for one object; "
+            f"the scales would scan {first} columns for one object; "
             f"the cap is {MAX_COLUMN_SCANS} column scans"
         )
     scales = [build_scale(family, size) for family, size in specs]

@@ -2,7 +2,8 @@
 
 A motif covers the closures of the preimages of its scale's extents, one
 int over the context's extent ids; ``scale_preimages`` writes those
-preimages in closed form on the motif's witness. The standard heuristic
+preimages in closed form on the motif's witness, and the greedy pass
+reads a crown's from singleton and pair tables. The standard heuristic
 picks the largest marginal gain per step; the normalized one divides the
 gain by the motif's own extent count, favouring small motifs that are
 covered in full. Scores compare exactly, by integer cross-multiplication,
@@ -58,6 +59,40 @@ def covered_extents(context: FormalContext, motif: Motif) -> int:
     return out
 
 
+def _pool_covers(context: FormalContext, pool: Sequence[Motif]) -> list[int]:
+    """:func:`covered_extents` of every motif in the pool.
+
+    A crown's scale extents are the empty set, the whole domain, the
+    singletons and the cycle pairs, so its cover ORs bits read from one
+    table of singletons and one memo of pairs that the whole pool shares.
+    """
+    ids = context.extent_ids()
+    closure = context.object_closure
+
+    def bit(objects: int) -> int:
+        return 1 << ids[closure(objects)]
+
+    empty = bit(0)
+    singles = [bit(1 << g) for g in range(len(context.objects))]
+    pairs: dict[int, int] = {}
+    covers = []
+    for m in pool:
+        if m.family is not ScaleFamily.CROWN:
+            covers.append(covered_extents(context, m))
+            continue
+        cover = empty | bit(m.domain_mask)
+        prev = m.domain[-1]
+        for g in m.domain:
+            pair = 1 << prev | 1 << g
+            pair_bit = pairs.get(pair)
+            if pair_bit is None:
+                pair_bit = pairs[pair] = bit(pair)
+            cover |= singles[g] | pair_bit
+            prev = g
+        covers.append(cover)
+    return covers
+
+
 def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:
     return sorted(motifs, key=lambda m: (m.family, tuple(sorted(m.domain))))
 
@@ -72,7 +107,7 @@ def greedy_cover(
     if k < 0:
         raise ValueError("step count must be nonnegative")
     pool = _canonical_order(motifs)
-    covers = [covered_extents(context, m) for m in pool]
+    covers = _pool_covers(context, pool)
     if heuristic is HeuristicKind.STANDARD:
         weights = [1] * len(pool)
     else:

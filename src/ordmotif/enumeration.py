@@ -5,14 +5,15 @@ along their witnesses: every prefix of a witness of two or more objects
 is a witness too. So their domains grow depth-first, one object at a
 time, under the family's step rule on rows. Crowns are not hereditary:
 H is a crown iff the objects sharing an attribute outside H's intent
-link H into one cycle, which a depth-first path search, capped by size,
-checks on rows.
+link H into one cycle. A depth-first path search, capped by size, finds
+each cycle once on rows, from a seed triplet of its least object and
+that object's two cycle neighbours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext, require_clarified
 from .recognition import HEREDITARY_RULES, Motif, recognize
@@ -119,10 +120,11 @@ def enumerate_crowns(
 ) -> list[Motif]:
     """All crown motifs up to the size cap.
 
-    Simple paths grow from their least object while pairs not consecutive
-    on the cycle meet exactly in the domain's intent. A path that closes
-    with every consecutive pair sharing more is a crown, and with
-    ``path[1] < path[-1]`` it is the recognizer's canonical walk.
+    Each cycle is found once, from its seed triplet: its least object
+    ``x`` and x's two cycle neighbours ``a < b``, both above ``x`` among
+    the objects x overlaps. The walk ``[x, a, ..., b]`` that
+    :func:`_crown_walks` grows from the triplet is the recognizer's
+    canonical walk.
     """
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
@@ -135,44 +137,64 @@ def enumerate_crowns(
     overlap = [
         [b for b in range(n_objects) if b != a and rows[a] & rows[b]] for a in range(n_objects)
     ]
-
     found: dict[tuple[int, ...], Motif] = {}
-    # An explicit stack of (path, path_mask, intent, inner, apart), so the cap
-    # is not bounded by the recursion limit: ``intent`` ANDs the path's rows,
-    # ``inner`` ORs its interior rows and ``apart`` ORs what its
-    # non-consecutive pairs, the end pair aside, share.
-    stack = [([g], 1 << g, rows[g], 0, 0) for g in range(n_objects)]
-    while stack:
-        path, path_mask, intent, inner, apart = stack.pop()
-        start, last = path[0], path[-1]
-        if (
-            lo <= len(path)
-            and path[1] < last
-            and rows[start] & rows[last] & ~intent
-            and all(rows[a] & rows[b] & ~intent for a, b in zip(path, path[1:]))
-        ):
-            found[tuple(sorted(path))] = Motif(ScaleFamily.CROWN, tuple(path))
-        if len(path) == hi:
-            continue
-        if len(path) > 2:
-            apart |= rows[start] & rows[last]  # ``last`` turns interior
-        # ``apart`` only grows and every longer path keeps it inside its
-        # intent, so a consecutive pair sharing nothing outside ``apart``
-        # never closes into a crown.
-        if apart and not all(rows[a] & rows[b] & ~apart for a, b in zip(path, path[1:])):
-            continue
-        next_inner = inner | rows[last] if len(path) > 1 else 0
-        for nxt in overlap[last]:
-            if nxt <= start or path_mask >> nxt & 1:
-                continue
-            next_intent = intent & rows[nxt]
-            next_apart = apart | rows[nxt] & inner
-            if next_apart & ~next_intent:
-                continue
-            stack.append(
-                (path + [nxt], path_mask | 1 << nxt, next_intent, next_inner, next_apart)
-            )
+    for x in range(n_objects):
+        ups = [g for g in overlap[x] if g > x]
+        for i, a in enumerate(ups):
+            for b in ups[i + 1 :]:
+                for walk in _crown_walks(rows, overlap, x, a, b, lo, hi):
+                    found[tuple(sorted(walk))] = Motif(ScaleFamily.CROWN, walk)
     return _sorted_motifs(found)
+
+
+def _crown_walks(
+    rows: Sequence[int], overlap: list[list[int]], x: int, a: int, b: int, lo: int, hi: int
+) -> Iterator[tuple[int, ...]]:
+    """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects seeded by x, a, b.
+
+    A crown's consecutive pairs share an attribute outside its intent and
+    no other pair does. On a triangle the intent is what all three share.
+    On a longer cycle a and b are not consecutive, so the intent is
+    exactly what a and b share: every member holds it, and two members
+    are consecutive iff they share more. A path then grows from
+    ``[x, a]`` by objects consecutive with its last object only, and
+    closes, without growing further, at an object consecutive with b.
+    """
+    ab = rows[a] & rows[b]
+    if ab & ~rows[x]:
+        # a and b share more than x holds, so they are consecutive.
+        intent = rows[x] & ab
+        if lo <= 3 and rows[x] & rows[a] & ~intent and rows[x] & rows[b] & ~intent:
+            yield x, a, b
+        return
+    rest = ~ab
+    if hi < 4 or not rows[x] & rows[a] & rest or not rows[x] & rows[b] & rest:
+        return
+    # An explicit stack of (path, path_mask, inner), so the cap is not
+    # bounded by the recursion limit; ``inner`` ORs the rows strictly
+    # between x and the path's last object.
+    stack = [([x, a], 1 << a | 1 << b, 0)]
+    while stack:
+        path, path_mask, inner = stack.pop()
+        last = path[-1]
+        if rows[last] & rows[b] & rest:
+            if lo <= len(path) + 1:
+                yield (*path, b)
+            continue
+        if len(path) + 1 >= hi:
+            continue
+        link = rows[last] & rest
+        apart = (rows[x] | inner) & rest
+        next_inner = inner | rows[last]
+        for nxt in overlap[last]:
+            if (
+                nxt > x
+                and rows[nxt] & link
+                and not path_mask >> nxt & 1
+                and not rows[nxt] & apart
+                and rows[nxt] & ab == ab
+            ):
+                stack.append((path + [nxt], path_mask | 1 << nxt, next_inner))
 
 
 def enumerate_family(

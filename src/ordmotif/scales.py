@@ -88,6 +88,11 @@ def build_scale(family: ScaleFamily, n: int) -> FormalContext:
     return FormalContext.from_rows(labels, labels, rows)
 
 
+def column_count(family: ScaleFamily, n: int) -> int:
+    """Number of attributes of ``build_scale(family, n)``."""
+    return 2 * n if family is ScaleFamily.INTERORDINAL else n
+
+
 def scale_preimages(family: ScaleFamily, witness: Sequence[int]) -> list[int]:
     """Preimages of the extents of ``build_scale(family, len(witness))``.
 

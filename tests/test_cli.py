@@ -272,6 +272,11 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     nine.write_text(",p\n" + "".join(f"g{i},{i % 2}\n" for i in range(9)), encoding="utf-8")
     assert main(["scaling-dim", str(nine), "--scales", "ordinal:2"]) == 1
     assert "capped at 8 objects" in capsys.readouterr().err
+    # An interordinal scale has 2n columns: one object scans 2896 * 5792.
+    start = time.monotonic()
+    assert main(["scaling-dim", str(one), "--scales", "interordinal:2896"]) == 1
+    assert time.monotonic() - start < 1
+    assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
     # Each scale alone is below the cap, but the count is shared.
     many = ",".join(["ordinal:2000"] * 50)
     assert main(["scaling-dim", str(one), "--scales", many]) == 1

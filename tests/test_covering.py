@@ -15,10 +15,22 @@ from ordmotif import (
     greedy_cover,
     recognize,
 )
-from ordmotif.covering import coverage_curve, covered_extents, family_ratios, ratio_curve
+from ordmotif.covering import (
+    _pool_covers,
+    coverage_curve,
+    covered_extents,
+    family_ratios,
+    ratio_curve,
+)
 from ordmotif.scales import expected_extent_count
 
-from oracles import extent_set, greedy_oracle, random_context, random_corpus_item
+from oracles import (
+    crown_heavy_context,
+    extent_set,
+    greedy_oracle,
+    random_context,
+    random_corpus_item,
+)
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 TRIPLE = Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))
@@ -44,6 +56,24 @@ def test_covered_extent_count_matches_expected_exactly():
                 covered = extent_set(ctx, covered_extents(ctx, m))
                 assert len(covered) == expected_extent_count(m.family, m.size)
                 assert covered <= extents
+
+
+def test_pool_covers_read_from_tables_equal_covered_extents():
+    # Crowns take their covers from shared singleton and pair tables.
+    rng = Random(101)
+    crowns = 0
+    for i in range(60):
+        if i % 3 == 0:
+            raw = random_corpus_item(rng)
+        elif i % 3 == 1:
+            raw = random_context(rng, 9, 7, rng.uniform(0.2, 0.5))
+        else:
+            raw = crown_heavy_context(rng, 6 + i % 7)
+        ctx, _ = clarify_objects(raw)
+        pool = enumerate_motifs(ctx).all_motifs()
+        assert _pool_covers(ctx, pool) == [covered_extents(ctx, m) for m in pool]
+        crowns += sum(m.family is ScaleFamily.CROWN for m in pool)
+    assert crowns > 100
 
 
 def test_dual_family_motifs_cover_the_same_extents():

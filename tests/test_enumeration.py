@@ -16,6 +16,7 @@ from ordmotif import (
     enumerate_motifs,
     recognize,
 )
+from ordmotif import enumeration
 from ordmotif.enumeration import (
     enumerate_crowns,
     enumerate_family,
@@ -115,7 +116,38 @@ def test_crown_search_equals_recognition_over_all_subsets():
         ]
         assert enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=max(n, 3))) == want
         sizes.update(m.size for m in want)
+        # Any size bounds cut the same list.
+        for _ in range(13):
+            min_size = rng.choice([None, *range(1, n + 2)])
+            max_size = rng.choice([None, *range(min_size or 1, n + 2)])
+            cap = rng.randint(3, n + 2)
+            config = EnumerationConfig(min_size=min_size, max_size=max_size, crown_size_cap=cap)
+            low = max(3, min_size or 0)
+            high = min(cap, n if max_size is None else max_size)
+            assert enumerate_crowns(ctx, config) == [m for m in want if low <= m.size <= high]
     assert {3, 4, 5, 6} <= sizes
+
+
+def test_each_crown_is_built_once(monkeypatch):
+    # One seed triplet reaches each crown, and only once.
+    built = []
+    real_motif = enumeration.Motif
+
+    def counting_motif(family, domain):
+        if family is ScaleFamily.CROWN:
+            built.append(domain)
+        return real_motif(family, domain)
+
+    monkeypatch.setattr(enumeration, "Motif", counting_motif)
+    rng = Random(97)
+    total = 0
+    for i in range(30):
+        ctx, _ = clarify_objects(crown_heavy_context(rng, 8 + i % 5))
+        built.clear()
+        crowns = enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=12))
+        assert len(built) == len(crowns)
+        total += len(crowns)
+    assert total > 100
 
 
 def test_crown_search_stops_at_pairs_sharing_only_a_common_column():

@@ -4,8 +4,10 @@ Each table is ``random_context(Random(seed), 14, 12, 0.3)`` clarified and
 written as Burmeister. The digests were taken from the CLI before the
 closed-form witness extents replaced the preimage loops, so any change to
 the printed motifs, witnesses, tie counts, coverings or basis columns
-shows here. To regenerate after a deliberate output change, print
-``_digest(...)`` for every case below and paste the results.
+shows here. The crown tables are ``crown_heavy_context(Random(seed), 12)``
+clarified, pinned before crown search started from seed triplets. To
+regenerate after a deliberate output change, print ``_digest(...)`` for
+every case below and paste the results.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from ordmotif import clarify_objects
 from ordmotif.cli import main
 from ordmotif.io import to_burmeister
 
-from oracles import random_context
+from oracles import crown_heavy_context, random_context
 
 COMMANDS = {
     "explain": ["explain", "--k", "10"],
@@ -25,6 +27,7 @@ COMMANDS = {
     "cover-json": ["cover", "--json", "--all-motifs", "--heuristic", "normalized"],
     "basis": ["basis"],
     "motifs": ["motifs", "--json", "--maximal-only"],
+    "crowns": ["motifs", "--json", "--families", "crown", "--crown-cap", "12"],
 }
 
 GOLDEN = {
@@ -72,3 +75,18 @@ def _digest(capsys, command, path):
 @pytest.mark.parametrize("seed,command", sorted(GOLDEN))
 def test_cli_stdout_is_pinned(capsys, table_paths, seed, command):
     assert _digest(capsys, command, table_paths[seed]) == GOLDEN[seed, command]
+
+
+# 49 crowns of 3-5 objects and 24 of 3-7 objects.
+CROWN_GOLDEN = {
+    8: "72c004cb30496c6fbcd6bf793009e4339b0e5c44fe2eb48e540a8d623bca4eb5",
+    11: "e7fc0a13c0e156b56004a89eda5d20153f756b07ff5013b8429fb0eb088e84d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CROWN_GOLDEN))
+def test_crown_motifs_are_pinned(capsys, tmp_path, seed):
+    context, _ = clarify_objects(crown_heavy_context(Random(seed), 12))
+    path = tmp_path / "crowns.cxt"
+    path.write_text(to_burmeister(context), encoding="utf-8")
+    assert _digest(capsys, "crowns", path) == CROWN_GOLDEN[seed]

@@ -9,7 +9,7 @@ from ordmotif import (
     scale_extents,
 )
 from ordmotif.recognition import preimage
-from ordmotif.scales import expected_extent_count, scale_preimages
+from ordmotif.scales import column_count, expected_extent_count, scale_preimages
 
 from oracles import (
     brute_force_extents,
@@ -106,6 +106,12 @@ def test_expected_extent_count_matches_built_scale():
     for f in ALL:
         for n in sizes(f):
             assert len(build_scale(f, n).extents()) == expected_extent_count(f, n)
+
+
+def test_column_count_matches_built_scale():
+    for f in ALL:
+        for n in sizes(f):
+            assert len(build_scale(f, n).attributes) == column_count(f, n)
 
 
 def test_frozen_extent_counts():
