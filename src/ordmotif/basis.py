@@ -1,7 +1,8 @@
 """Rebuilding a context from a complete motif covering.
 
 Each motif contributes one column over the original objects per extent
-of its scale: the closure of the preimage of that scale extent. Columns
+of its scale: the closure of the preimage of that scale extent, read off
+the preimage's intent in ``FormalContext.intent_ids()``. Columns
 for attribute extents keep the attribute's label; the remaining scale
 extents get starred labels. Attribute columns alone would not suffice:
 the closure of an intersection of preimages can be strictly smaller than
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .context import FormalContext
 from .recognition import Motif
-from .scales import build_scale, scale_extents, scale_preimages
+from .scales import build_scale, preimage_intents, scale_extents
 
 
 class IncompleteCoveringError(ValueError):
@@ -36,17 +37,23 @@ class IncompleteCoveringError(ValueError):
 
 def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContext:
     """One closed column per scale extent of each motif; requires a complete covering."""
+    extents = context.extents()
+    ids = context.intent_ids()
     labels: list[str] = []
     columns: list[int] = []
     for number, motif in enumerate(motifs, start=1):
         scale = build_scale(motif.family, motif.size)
-        witness_side = scale_preimages(motif.family, motif.domain)
-        preimages = dict(zip(scale_extents(motif.family, motif.size), witness_side))
-        extras = sorted(preimages.keys() - set(scale.cols))
+        intents = dict(
+            zip(
+                scale_extents(motif.family, motif.size),
+                preimage_intents(context, motif.family, motif.domain),
+            )
+        )
+        extras = sorted(intents.keys() - set(scale.cols))
         labels.extend(f"{number}:{label}" for label in scale.attributes)
         labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
-        columns.extend(context.object_closure(preimages[e]) for e in (*scale.cols, *extras))
-    missing = len(context.extents()) - len(set(columns) | {context.object_mask})
+        columns.extend(extents[ids[intents[e]]] for e in (*scale.cols, *extras))
+    missing = len(extents) - len(set(columns) | {context.object_mask})
     if missing:
         raise IncompleteCoveringError(missing)
     return FormalContext.from_rows(labels, context.objects, columns).transpose()

@@ -41,7 +41,17 @@ class ClarificationMap:
 class FormalContext:
     """Immutable (G, M, I) triple with bitmask derivation operators."""
 
-    __slots__ = ("objects", "attributes", "rows", "cols", "_extents", "_extent_ids", "_closures")
+    __slots__ = (
+        "objects",
+        "attributes",
+        "rows",
+        "cols",
+        "_extents",
+        "_extent_ids",
+        "_intent_ids",
+        "_closures",
+        "_intents",
+    )
 
     def __init__(
         self,
@@ -66,7 +76,20 @@ class FormalContext:
         self._init(tuple(objects), tuple(attributes), tuple(rows))
         return self
 
-    def _init(self, objects, attributes, rows):
+    @classmethod
+    def _from_rows_and_cols(
+        cls,
+        objects: Sequence[str],
+        attributes: Sequence[str],
+        rows: Sequence[int],
+        cols: Sequence[int],
+    ) -> "FormalContext":
+        """:meth:`from_rows` for callers that already hold the columns, the rows transposed."""
+        self = object.__new__(cls)
+        self._init(tuple(objects), tuple(attributes), tuple(rows), tuple(cols))
+        return self
+
+    def _init(self, objects, attributes, rows, cols=None):
         for kind, labels in (("object", objects), ("attribute", attributes)):
             seen: set[str] = set()
             for lab in labels:
@@ -79,17 +102,20 @@ class FormalContext:
         for r in rows:
             if not 0 <= r < limit:
                 raise ValueError("row mask exceeds attribute count")
-        cols = [0] * len(attributes)
-        for g, r in enumerate(rows):
-            for m in bits(r):
-                cols[m] |= 1 << g
+        if cols is None:
+            cols = [0] * len(attributes)
+            for g, r in enumerate(rows):
+                for m in bits(r):
+                    cols[m] |= 1 << g
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_extents", None)
         object.__setattr__(self, "_extent_ids", None)
+        object.__setattr__(self, "_intent_ids", None)
         object.__setattr__(self, "_closures", {})
+        object.__setattr__(self, "_intents", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FormalContext is immutable")
@@ -139,12 +165,15 @@ class FormalContext:
         """The smallest extent containing ``object_set``.
 
         Memoized per context: the context is immutable, so an entry never
-        goes stale, and every stage of the pipeline asks the same sets.
+        goes stale, and every stage of the pipeline asks the same sets. The
+        intent derived on the way is kept per extent for :meth:`intent_ids`.
         """
         closed = self._closures.get(object_set)
         if closed is None:
-            closed = self.derive_attributes(self.derive_objects(object_set))
+            intent = self.derive_objects(object_set)
+            closed = self.derive_attributes(intent)
             self._closures[object_set] = closed
+            self._intents[closed] = intent
         return closed
 
     # -- global structure ----------------------------------------------
@@ -165,6 +194,19 @@ class FormalContext:
             ids = {e: i for i, e in enumerate(self.extents())}
             object.__setattr__(self, "_extent_ids", ids)
         return self._extent_ids
+
+    def intent_ids(self) -> dict[int, int]:
+        """Each extent's position in :meth:`extents`, keyed by the extent's intent.
+
+        An extent is the set of objects holding its intent, so this answers
+        the closure of any object set whose intent is known: the closure
+        has the same intent. NextClosure derived every intent already.
+        """
+        if self._intent_ids is None:
+            intents = self._intents
+            ids = {intents[e]: i for i, e in enumerate(self.extents())}
+            object.__setattr__(self, "_intent_ids", ids)
+        return self._intent_ids
 
     def _next_closure_run(self):
         n = len(self.objects)
@@ -188,7 +230,9 @@ class FormalContext:
 
     def transpose(self) -> "FormalContext":
         """Swap objects with attributes; incidence rows become columns."""
-        return FormalContext.from_rows(self.attributes, self.objects, self.cols)
+        return FormalContext._from_rows_and_cols(
+            self.attributes, self.objects, self.cols, self.rows
+        )
 
 
 def object_labels(context: FormalContext, clarification: ClarificationMap | None) -> list[str]:

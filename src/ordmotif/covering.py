@@ -1,13 +1,17 @@
 """Greedy selection of motifs to cover the extent system of a context.
 
 A motif covers the closures of the preimages of its scale's extents, one
-int over the context's extent ids; ``scale_preimages`` writes those
-preimages in closed form on the motif's witness, and the greedy pass
-reads a crown's from singleton and pair tables. The standard heuristic
-picks the largest marginal gain per step; the normalized one divides the
-gain by the motif's own extent count, favouring small motifs that are
-covered in full. Scores compare exactly, by integer cross-multiplication,
-so ties break deterministically: smaller family rank first, then the
+int over the context's extent ids. No closure is computed: the intent of
+a preimage is the AND of its objects' rows (every attribute for the empty
+set), ``scales.preimage_intents`` writes those ANDs in closed form on the
+motif's witness, and the context's ``intent_ids()`` table names the
+extent with that intent: the preimage's closure.
+
+The standard heuristic picks the largest marginal gain per step; the
+normalized one divides the gain by the motif's own extent count,
+favouring small motifs that are covered in full. Scores compare
+exactly, by integer cross-multiplication, so ties break
+deterministically: smaller family rank first, then the
 lexicographically smallest sorted domain.
 """
 
@@ -20,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .context import FormalContext
 from .recognition import Motif, realizations
-from .scales import ScaleFamily, expected_extent_count, scale_preimages
+from .scales import ScaleFamily, expected_extent_count, preimage_intents
 
 
 class HeuristicKind(enum.Enum):
@@ -50,47 +54,16 @@ class CoveringStep:
 
 
 def covered_extents(context: FormalContext, motif: Motif) -> int:
-    """Closures of the preimages of the motif's scale extents, as extent-id bits."""
-    ids = context.extent_ids()
-    closure = context.object_closure
-    out = 0
-    for p in scale_preimages(motif.family, motif.domain):
-        out |= 1 << ids[closure(p)]
-    return out
+    """Closures of the preimages of the motif's scale extents, as extent-id bits.
 
-
-def _pool_covers(context: FormalContext, pool: Sequence[Motif]) -> list[int]:
-    """:func:`covered_extents` of every motif in the pool.
-
-    A crown's scale extents are the empty set, the whole domain, the
-    singletons and the cycle pairs, so its cover ORs bits read from one
-    table of singletons and one memo of pairs that the whole pool shares.
+    Each closure is the extent with the preimage's intent, read off
+    ``intent_ids()``.
     """
-    ids = context.extent_ids()
-    closure = context.object_closure
-
-    def bit(objects: int) -> int:
-        return 1 << ids[closure(objects)]
-
-    empty = bit(0)
-    singles = [bit(1 << g) for g in range(len(context.objects))]
-    pairs: dict[int, int] = {}
-    covers = []
-    for m in pool:
-        if m.family is not ScaleFamily.CROWN:
-            covers.append(covered_extents(context, m))
-            continue
-        cover = empty | bit(m.domain_mask)
-        prev = m.domain[-1]
-        for g in m.domain:
-            pair = 1 << prev | 1 << g
-            pair_bit = pairs.get(pair)
-            if pair_bit is None:
-                pair_bit = pairs[pair] = bit(pair)
-            cover |= singles[g] | pair_bit
-            prev = g
-        covers.append(cover)
-    return covers
+    ids = context.intent_ids()
+    out = 0
+    for intent in preimage_intents(context, motif.family, motif.domain):
+        out |= 1 << ids[intent]
+    return out
 
 
 def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:
@@ -107,30 +80,36 @@ def greedy_cover(
     if k < 0:
         raise ValueError("step count must be nonnegative")
     pool = _canonical_order(motifs)
-    covers = _pool_covers(context, pool)
     if heuristic is HeuristicKind.STANDARD:
         weights = [1] * len(pool)
     else:
         weights = [expected_extent_count(m.family, m.size) for m in pool]
+    # Gains only fall as coverage grows, so a candidate that gains nothing
+    # leaves the scan for good; the rest keep their canonical order.
+    live = [(m, covered_extents(context, m), w) for m, w in zip(pool, weights)]
     covered = 0
     steps: list[CoveringStep] = []
     for _ in range(k):
         # The best score so far is best_gain / best_weight; weights are positive.
-        best_gain, best_weight, best_at, ties = 0, 1, -1, 0
+        best_gain, best_weight, best, ties = 0, 1, None, 0
         uncovered = ~covered
-        for i, cov in enumerate(covers):
-            gain = (cov & uncovered).bit_count()
-            if gain == 0:
-                continue
-            lhs, rhs = gain * best_weight, best_gain * weights[i]
-            if lhs > rhs:
-                best_gain, best_weight, best_at, ties = gain, weights[i], i, 1
-            elif lhs == rhs:
-                ties += 1
-        if best_at < 0:
+        kept: list[tuple[Motif, int, int]] = []
+        keep = kept.append
+        for entry in live:
+            gain = (entry[1] & uncovered).bit_count()
+            if gain:
+                keep(entry)
+                weight = entry[2]
+                lhs, rhs = gain * best_weight, best_gain * weight
+                if lhs > rhs:
+                    best_gain, best_weight, best, ties = gain, weight, entry, 1
+                elif lhs == rhs:
+                    ties += 1
+        if best is None:
             break
-        chosen = pool[best_at]
-        covered |= covers[best_at]
+        live = kept
+        chosen, cov, _ = best
+        covered |= cov
         steps.append(
             CoveringStep(
                 motif=chosen,

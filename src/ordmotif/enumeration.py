@@ -12,7 +12,7 @@ that object's two cycle neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext, require_clarified
@@ -223,16 +223,28 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
 
 @dataclass
 class MotifInventory:
-    """Per-family enumeration results with their maximal sub-lists."""
+    """Per-family enumeration results.
+
+    A family's maximal sub-list is filtered the first time it is asked
+    for and kept; inventories compare by their enumeration results alone.
+    """
 
     by_family: dict[ScaleFamily, list[Motif]]
-    maximal_by_family: dict[ScaleFamily, list[Motif]]
+    _maximal: dict[ScaleFamily, list[Motif]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def maximal(self, family: ScaleFamily) -> list[Motif]:
+        """The family's motifs with no proper superset domain among them."""
+        if family not in self._maximal:
+            self._maximal[family] = maximal_filter(self.by_family[family], family)
+        return self._maximal[family]
 
     def all_motifs(self, maximal_only: bool = False) -> list[Motif]:
-        source = self.maximal_by_family if maximal_only else self.by_family
         out: list[Motif] = []
         for family in ScaleFamily:
-            out.extend(source.get(family, ()))
+            if family in self.by_family:
+                out.extend(self.maximal(family) if maximal_only else self.by_family[family])
         return out
 
 
@@ -241,13 +253,9 @@ def enumerate_motifs(
 ) -> MotifInventory:
     """Run the full enumeration for every family selected by ``config``."""
     config = config or EnumerationConfig()
-    by_family: dict[ScaleFamily, list[Motif]] = {}
-    maximal: dict[ScaleFamily, list[Motif]] = {}
-    for family in config.families:
-        motifs = enumerate_family(context, family, config)
-        by_family[family] = motifs
-        maximal[family] = maximal_filter(motifs, family)
-    return MotifInventory(by_family, maximal)
+    return MotifInventory(
+        {family: enumerate_family(context, family, config) for family in config.families}
+    )
 
 
 def motif_stats(inventory: MotifInventory) -> dict[ScaleFamily, tuple[int, int, int]]:
@@ -255,7 +263,7 @@ def motif_stats(inventory: MotifInventory) -> dict[ScaleFamily, tuple[int, int, 
     out = {}
     for family, motifs in inventory.by_family.items():
         largest = max((m.size for m in motifs), default=0)
-        out[family] = (len(motifs), len(inventory.maximal_by_family[family]), largest)
+        out[family] = (len(motifs), len(inventory.maximal(family)), largest)
     return out
 
 

@@ -127,6 +127,10 @@ def test_extent_ids_index_the_extents():
         for i, e in enumerate(extents):
             assert ids[e] == i
         assert ctx.extent_ids() is ids
+        # The same ids keyed by intent: the attributes every member holds.
+        by_intent = ctx.intent_ids()
+        assert by_intent == {ctx.derive_objects(e): i for i, e in enumerate(extents)}
+        assert ctx.intent_ids() is by_intent
 
 
 def test_known_extents():

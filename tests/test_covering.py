@@ -6,9 +6,12 @@ import pytest
 
 from ordmotif import (
     CoveringStep,
+    EnumerationConfig,
+    FormalContext,
     HeuristicKind,
     Motif,
     ScaleFamily,
+    build_basis,
     build_scale,
     clarify_objects,
     enumerate_motifs,
@@ -16,17 +19,18 @@ from ordmotif import (
     recognize,
 )
 from ordmotif.covering import (
-    _pool_covers,
     coverage_curve,
     covered_extents,
     family_ratios,
     ratio_curve,
 )
-from ordmotif.scales import expected_extent_count
+from ordmotif.scales import expected_extent_count, scale_preimages
 
 from oracles import (
+    brute_force_extents,
     crown_heavy_context,
     extent_set,
+    full_row_context,
     greedy_oracle,
     random_context,
     random_corpus_item,
@@ -58,22 +62,49 @@ def test_covered_extent_count_matches_expected_exactly():
                 assert covered <= extents
 
 
-def test_pool_covers_read_from_tables_equal_covered_extents():
-    # Crowns take their covers from shared singleton and pair tables.
+def test_covered_extents_are_the_closures_of_the_preimages():
+    # The definition: each scale preimage covers the smallest extent that
+    # contains it. Covering reads it off the preimage's intent instead.
     rng = Random(101)
-    crowns = 0
+    config = EnumerationConfig(min_size=1)
+    seen = {(f, size_one) for f in ScaleFamily for size_one in (True, False)}
+    seen.discard((ScaleFamily.CROWN, True))
     for i in range(60):
         if i % 3 == 0:
-            raw = random_corpus_item(rng)
+            raw = random_context(rng, 8, 6, rng.uniform(0.2, 0.6))
         elif i % 3 == 1:
-            raw = random_context(rng, 9, 7, rng.uniform(0.2, 0.5))
+            raw = crown_heavy_context(rng, 6 + i % 5)
         else:
-            raw = crown_heavy_context(rng, 6 + i % 7)
+            raw = full_row_context(rng, 6 + i % 3)
         ctx, _ = clarify_objects(raw)
-        pool = enumerate_motifs(ctx).all_motifs()
-        assert _pool_covers(ctx, pool) == [covered_extents(ctx, m) for m in pool]
-        crowns += sum(m.family is ScaleFamily.CROWN for m in pool)
-    assert crowns > 100
+        extents = brute_force_extents(ctx)
+        for m in enumerate_motifs(ctx, config).all_motifs():
+            expected = set()
+            for p in scale_preimages(m.family, m.domain):
+                expected.add(min((e for e in extents if e & p == p), key=int.bit_count))
+            assert extent_set(ctx, covered_extents(ctx, m)) == expected, (ctx.rows, m)
+            seen.discard((m.family, m.size == 1))
+    assert not seen
+
+
+def test_greedy_cover_and_basis_ask_no_closure(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("covering and the basis must not ask a closure")
+
+    rng = Random(113)
+    folded = 0
+    for i in range(30):
+        raw = random_corpus_item(rng) if i % 2 else crown_heavy_context(rng, 7)
+        ctx, _ = clarify_objects(raw)
+        pool = enumerate_motifs(ctx, EnumerationConfig(min_size=1)).all_motifs()
+        ctx.extents()
+        with monkeypatch.context() as patch:
+            patch.setattr(FormalContext, "object_closure", forbidden)
+            steps = greedy_cover(ctx, pool, len(pool), HeuristicKind.NORMALIZED)
+            if steps and steps[-1].cumulative >= len(ctx.extents()) - 1:
+                build_basis(ctx, [s.motif for s in steps])
+                folded += 1
+    assert folded > 10
 
 
 def test_dual_family_motifs_cover_the_same_extents():
@@ -238,6 +269,24 @@ def test_greedy_matches_the_reference_greedy_at_every_step():
                 assert got == greedy_oracle(ctx, pool, len(pool), heuristic)
                 compared += 1
     assert compared == 600
+
+
+def test_greedy_matches_the_reference_greedy_past_full_coverage():
+    # Repeated motifs tie with their copies, and k runs past the last
+    # gaining step, so candidates drop out of the scan before it stops.
+    rng = Random(127)
+    compared = 0
+    for i in range(60):
+        raw = random_corpus_item(rng) if i % 2 else crown_heavy_context(rng, 6)
+        ctx, _ = clarify_objects(raw)
+        inventory = enumerate_motifs(ctx)
+        pool = inventory.all_motifs() + inventory.all_motifs(maximal_only=True)
+        for heuristic in HeuristicKind:
+            steps = greedy_cover(ctx, pool, 2 * len(pool) + 3, heuristic)
+            got = [(s.motif, s.new_extents, s.cumulative, s.tie_count) for s in steps]
+            assert got == greedy_oracle(ctx, pool, 2 * len(pool) + 3, heuristic)
+            compared += any(s.tie_count > 1 for s in steps[1:])
+    assert compared > 20
 
 
 def test_greedy_is_deterministic():

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -9,7 +10,13 @@ from ordmotif import (
     scale_extents,
 )
 from ordmotif.recognition import preimage
-from ordmotif.scales import column_count, expected_extent_count, scale_preimages
+from ordmotif.dimension import MAX_COLUMN_SCANS
+from ordmotif.scales import (
+    FAMILY_MIN_SIZE,
+    column_count,
+    expected_extent_count,
+    scale_preimages,
+)
 
 from oracles import (
     brute_force_extents,
@@ -47,6 +54,28 @@ def test_build_scale_matches_incidence_formulas():
     for f in ALL:
         for n in sizes(f):
             assert build_scale(f, n).rows == oracle_scale(f, n).rows
+
+
+def test_build_scale_columns_are_the_rows_transposed():
+    for f in ALL:
+        for n in range(FAMILY_MIN_SIZE[f], 13):
+            scale = build_scale(f, n)
+            transposed = tuple(
+                sum(1 << g for g, row in enumerate(scale.rows) if row >> m & 1)
+                for m in range(len(scale.attributes))
+            )
+            assert scale.cols == transposed, (f, n)
+
+
+def test_largest_admitted_scales_build_within_a_second():
+    # The largest size whose first object stays within the column-scan cap
+    # of `scaling-dim` (n * n scans); built bit by bit, these took seconds each.
+    n = 2896
+    assert n * n <= MAX_COLUMN_SCANS < (n + 1) ** 2
+    start = time.monotonic()
+    for f in ALL:
+        build_scale(f, n)
+    assert time.monotonic() - start < 1
 
 
 def test_build_scale_labels():
