@@ -3,11 +3,12 @@
 Nominal, ordinal, interordinal and contranominal motifs are hereditary
 along their witnesses: every prefix of a witness of two or more objects
 is a witness too. So their domains grow depth-first, one object at a
-time, under the family's step rule on rows. Crowns are not hereditary:
-H is a crown iff the objects sharing an attribute outside H's intent
-link H into one cycle. A depth-first path search, capped by size, finds
-each cycle once on rows, from a seed triplet of its least object and
-that object's two cycle neighbours.
+time, under the family's step rule on rows. Each node keeps the objects
+it may still try as one int and narrows it with ``&`` before the rule
+runs. Crowns are not hereditary: H is a crown iff the objects sharing an
+attribute outside H's intent link H into one cycle. A depth-first path
+search, capped by size, finds each cycle once on rows, from a seed
+triplet of its least object and that object's two cycle neighbours.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext, require_clarified
-from .recognition import HEREDITARY_RULES, Motif, recognize
+from .recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES, Motif, recognize
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 DEFAULT_MIN_SIZE = 2
@@ -60,8 +61,10 @@ class EnumerationConfig:
         return lo, hi
 
 
-def _sorted_motifs(found: dict[tuple[int, ...], Motif]) -> list[Motif]:
-    return [found[key] for key in sorted(found, key=lambda d: (len(d), d))]
+def _sorted_motifs(motifs: list[Motif]) -> list[Motif]:
+    # Every domain is found once, so one sort by size, then domain, orders them.
+    motifs.sort(key=lambda m: (len(m.domain), sorted(m.domain)))
+    return motifs
 
 
 def enumerate_hereditary(
@@ -72,9 +75,12 @@ def enumerate_hereditary(
     Paths grow under ``recognition.HEREDITARY_RULES`` and are their own
     witnesses: nominal and contranominal sets in ascending object order,
     ordinal chains down from the full row, interordinal walks from every
-    object, kept when ``path[0] < path[-1]``. A child tries only the objects
-    that extended its parent: dropping any object but the first from a
-    witness leaves a witness.
+    object, kept when ``path[0] < path[-1]``; so each domain is reached
+    once. A node's options are one int of objects: the siblings the step
+    rule accepted (for sets only those above the new object), since
+    dropping any object but the first from a witness leaves a witness.
+    ``recognition.HEREDITARY_CANDIDATES`` narrows that mask with column
+    ORs and ANDs, and the step rule decides every object left.
     Singletons obey another rule and go through :func:`recognize`.
     """
     if family not in HEREDITARY_RULES:
@@ -83,36 +89,48 @@ def enumerate_hereditary(
     n_objects = len(context.objects)
     require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
-    found: dict[tuple[int, ...], Motif] = {}
+    motifs: list[Motif] = []
 
     if lo <= 1 <= hi:
         for g in range(n_objects):
             motif = recognize(context, (g,), family)
             if motif is not None:
-                found[(g,)] = motif
+                motifs.append(motif)
 
-    rows = context.rows
+    rows, cols = context.rows, context.cols
     seed, step = HEREDITARY_RULES[family]
+    candidates = HEREDITARY_CANDIDATES.get(family)
     walks = family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
+    everyone = (1 << n_objects) - 1
     stack = []
     for g in range(n_objects):
         state = seed(rows[g], context.attribute_mask)
         if state is not None:
-            stack.append(([g], state, range(0 if walks else g + 1, n_objects)))
+            stack.append(([g], state, everyone ^ 1 << g if walks else everyone & -(2 << g)))
+    least = max(lo, 2)
     while stack:
         path, state, options = stack.pop()
-        if len(path) >= max(lo, 2) and (
+        if len(path) >= least and (
             family is not ScaleFamily.INTERORDINAL or path[0] < path[-1]
         ):
-            found[tuple(sorted(path))] = Motif(family, tuple(path))
+            motifs.append(Motif(family, tuple(path)))
         if len(path) >= hi:
             continue
-        # A walk's options hold no member but its last, which the rule rejects.
-        grown = [(x, s) for x in options if (s := step(rows, path, state, rows[x])) is not None]
-        after = [x for x, _ in grown]
-        for i, (x, s) in enumerate(grown):
-            stack.append((path + [x], s, after if walks else after[i + 1 :]))
-    return _sorted_motifs(found)
+        if candidates is not None:
+            options &= candidates(rows, cols, path, state)
+        grown = []
+        after = 0
+        while options:
+            low = options & -options
+            options ^= low
+            x = low.bit_length() - 1
+            s = step(rows, path, state, rows[x])
+            if s is not None:
+                grown.append((x, s))
+                after |= low
+        for x, s in grown:
+            stack.append((path + [x], s, after ^ 1 << x if walks else after & -(2 << x)))
+    return _sorted_motifs(motifs)
 
 
 def enumerate_crowns(
@@ -137,14 +155,14 @@ def enumerate_crowns(
     overlap = [
         [b for b in range(n_objects) if b != a and rows[a] & rows[b]] for a in range(n_objects)
     ]
-    found: dict[tuple[int, ...], Motif] = {}
+    crowns: list[Motif] = []
     for x in range(n_objects):
         ups = [g for g in overlap[x] if g > x]
         for i, a in enumerate(ups):
             for b in ups[i + 1 :]:
                 for walk in _crown_walks(rows, overlap, x, a, b, lo, hi):
-                    found[tuple(sorted(walk))] = Motif(ScaleFamily.CROWN, walk)
-    return _sorted_motifs(found)
+                    crowns.append(Motif(ScaleFamily.CROWN, walk))
+    return _sorted_motifs(crowns)
 
 
 def _crown_walks(

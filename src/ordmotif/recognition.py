@@ -125,12 +125,40 @@ def _interordinal_step(rows, path, state, r):
     return (union | r, gap | union & ~r, tails) if all(tails) else None
 
 
+def _interordinal_candidates(rows, cols, path, state):
+    # The step needs rows[path[0]] & rows[path[-1]] & ~r and tails[-1] & r
+    # nonzero: no row passes once the ends share nothing, and a row that
+    # passes holds an attribute of the newest tail (none yet at one object).
+    if not rows[path[0]] & rows[path[-1]]:
+        return 0
+    tails = state[2]
+    return _holders(cols, tails[-1]) if tails else -1
+
+
 def _contranominal_step(rows, path, state, r):
     # Every member lacks an attribute that all other members share; ``lacks``
     # holds those attributes per member, in path order.
     intent, lacks = state
     lacks = [l & r for l in lacks] + [intent & ~r]
     return (intent & r, lacks) if all(lacks) else None
+
+
+def _contranominal_candidates(rows, cols, path, state):
+    # The step needs lacks[-1] & r and intent & ~r nonzero: an object that
+    # passes holds something of the newest lack and not the whole intent.
+    intent, lacks = state
+    whole = -1
+    for m in bits(intent):
+        whole &= cols[m]
+    return _holders(cols, lacks[-1]) & ~whole
+
+
+def _holders(cols, attributes):
+    # The objects holding at least one of ``attributes``.
+    out = 0
+    for m in bits(attributes):
+        out |= cols[m]
+    return out
 
 
 # Each hereditary family decides a domain H (|H| >= 2) on rows, one object
@@ -148,6 +176,16 @@ HEREDITARY_RULES = {
         lambda r, full: (r, [full & ~r]) if full & ~r else None,
         _contranominal_step,
     ),
+}
+
+# Necessary conditions of a step as one object mask: ``candidates(rows,
+# cols, path, state)`` holds every object whose row the step could accept
+# (-1 admits all). Enumeration narrows a node's options with it before
+# stepping; the step still decides each object left. Nominal and ordinal
+# have none: a nominal narrowing cost more than the steps it saved.
+HEREDITARY_CANDIDATES = {
+    ScaleFamily.INTERORDINAL: _interordinal_candidates,
+    ScaleFamily.CONTRANOMINAL: _contranominal_candidates,
 }
 
 

@@ -4,10 +4,13 @@ Each table is ``random_context(Random(seed), 14, 12, 0.3)`` clarified and
 written as Burmeister. The digests were taken from the CLI before the
 closed-form witness extents replaced the preimage loops, so any change to
 the printed motifs, witnesses, tie counts, coverings or basis columns
-shows here. The crown tables are ``crown_heavy_context(Random(seed), 12)``
-clarified, pinned before crown search started from seed triplets. To
-regenerate after a deliberate output change, print ``_digest(...)`` for
-every case below and paste the results.
+shows here. ``motifs-all`` lists every motif of every family, so it pins
+the full enumeration order and each witness; it was taken before the
+hereditary search kept its options as object masks. The crown tables are
+``crown_heavy_context(Random(seed), 12)`` clarified, pinned before crown
+search started from seed triplets. To regenerate after a deliberate
+output change, print ``_digest(...)`` for every case below and paste the
+results.
 """
 
 import hashlib
@@ -27,6 +30,7 @@ COMMANDS = {
     "cover-json": ["cover", "--json", "--all-motifs", "--heuristic", "normalized"],
     "basis": ["basis"],
     "motifs": ["motifs", "--json", "--maximal-only"],
+    "motifs-all": ["motifs", "--json"],
     "crowns": ["motifs", "--json", "--families", "crown", "--crown-cap", "12"],
 }
 
@@ -36,21 +40,25 @@ GOLDEN = {
     (1, "cover-json"): "ddf60e8c732238fa930e07d68cf2af5343a4c3104256bbe7b5c5992358c26985",
     (1, "basis"): "11c42a49391ce03e4eabfaf98ea33b4bff2a9f534d6cbc2f9ca48aa7d8e3dd73",
     (1, "motifs"): "6687d7884abfae6223a9f9ec299635c312ac97b350f8aebe25451137d8b842dd",
+    (1, "motifs-all"): "71e33dbdd0bc460a8634a33e403b1a8ea87f874d924f12db59a1c1f80756e6d0",
     (2, "explain"): "c87ea72beb6920f846fc72ca34539c71899868d846bbe606da9073e100e2c315",
     (2, "cover"): "f5d83e3cc1b0f67b84d33890eace3e3d418609e4f575e52e6c73f622d5eff8b3",
     (2, "cover-json"): "63d53091fd4a745782b393f33e5be4f98af9b00c58440ca2e8e4abcccf637692",
     (2, "basis"): "cca362f2f473be08f17f5e52f25d623b90d3831c5f2f0ab6f692e5ae53fcdbc1",
     (2, "motifs"): "2c96cbca907b4800c0377dfc3546397ba6dc484bc73362d1575f7aa2d3e95946",
+    (2, "motifs-all"): "f01626200495dc7e88580f09878913188c0ef4a651dfb36cfed8aa256e25b445",
     (3, "explain"): "030cd6987dc37d84a08d6185a59f1605df9fcd4eae10f79d1b5c9ca38a7444b6",
     (3, "cover"): "eb7351f000a67dcf8211941253bb2cfc602be5a199af2c5c1c4a3e431a0ec1e5",
     (3, "cover-json"): "bdbfbd08a09891bac542167541ac7849fbe23a84d5c49ba9a77834316fc4fdfa",
     (3, "basis"): "8e72001849e2888693073cb9e364eead7707f78f110063960c0207b362563647",
     (3, "motifs"): "72641cd67c60a6674a8b3505e65ec90f4d2580ff34a64be6795ddcfb7b0871f8",
+    (3, "motifs-all"): "33edd984e56e344ac27dd335ba948be9248b7a593cbb32ef601461b31228dcc2",
     (4, "explain"): "29892766e705d0a181e6d0d1b2cbeff7c955f6665682afb41ff16c13acdbdf77",
     (4, "cover"): "a90dd7083628dbc6b65f58aa18bc6c2011d16ea3f603f32e29fb583ba6315822",
     (4, "cover-json"): "21874588c25b488b20fbba7a7e07ab0a4ad72e0a834e0a5195c5ffa6577c6bef",
     (4, "basis"): "cb8b1d6cf4fae944c08440c88da41a7a263d6b0bcd6639f0cbac105b74b74916",
     (4, "motifs"): "da612104165f542cc53dc8b818ba70c7d7bae7470735ea7f151771f34001521b",
+    (4, "motifs-all"): "724ee8c8e32e0c5e169c7eb160f54f484a3fa9793add346e34bcdbf6abf48437",
 }
 
 
