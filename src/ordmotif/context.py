@@ -3,7 +3,9 @@
 Objects and attributes are label tuples; incidence is stored as one int
 bitmask per object row (and per attribute column). Object sets and
 attribute sets are plain ints throughout, extents included, and a set of
-extents is one int whose bit ``i`` stands for ``extents()[i]``.
+extents is one int whose bit ``i`` stands for ``extents()[i]``. The
+extents are the intersections of the columns, and ``intent_ids()`` names
+each by its intent, so any closure is one intent and one lookup.
 """
 
 from __future__ import annotations
@@ -47,10 +49,7 @@ class FormalContext:
         "rows",
         "cols",
         "_extents",
-        "_extent_ids",
         "_intent_ids",
-        "_closures",
-        "_intents",
     )
 
     def __init__(
@@ -112,10 +111,7 @@ class FormalContext:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_extents", None)
-        object.__setattr__(self, "_extent_ids", None)
         object.__setattr__(self, "_intent_ids", None)
-        object.__setattr__(self, "_closures", {})
-        object.__setattr__(self, "_intents", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FormalContext is immutable")
@@ -162,69 +158,41 @@ class FormalContext:
         return out
 
     def object_closure(self, object_set: int) -> int:
-        """The smallest extent containing ``object_set``.
-
-        Memoized per context: the context is immutable, so an entry never
-        goes stale, and every stage of the pipeline asks the same sets. The
-        intent derived on the way is kept per extent for :meth:`intent_ids`.
-        """
-        closed = self._closures.get(object_set)
-        if closed is None:
-            intent = self.derive_objects(object_set)
-            closed = self.derive_attributes(intent)
-            self._closures[object_set] = closed
-            self._intents[closed] = intent
-        return closed
+        """The smallest extent containing ``object_set``."""
+        return self.derive_attributes(self.derive_objects(object_set))
 
     # -- global structure ----------------------------------------------
 
     def extents(self) -> tuple[int, ...]:
-        """All extents, enumerated once each in ascending lectic order.
+        """All extents, each once, in ascending lectic order.
 
-        Ganter's NextClosure over the object closure operator; the result is
-        cached since the context is immutable.
+        Every extent is the full object set cut by some attribute columns,
+        so the extents are the intersection closure of the columns. In
+        lectic order object 0 is the most significant, so the sort key is
+        the mask with its bits reversed. Cached: the context is immutable.
         """
         if self._extents is None:
-            object.__setattr__(self, "_extents", tuple(self._next_closure_run()))
+            closed = {self.object_mask}
+            for col in self.cols:
+                closed |= {e & col for e in closed}
+            width = f"0{len(self.objects)}b"
+            lectic = sorted(closed, key=lambda e: format(e, width)[::-1])
+            object.__setattr__(self, "_extents", tuple(lectic))
         return self._extents
-
-    def extent_ids(self) -> dict[int, int]:
-        """Each extent's position in :meth:`extents`: its bit in a set of extents."""
-        if self._extent_ids is None:
-            ids = {e: i for i, e in enumerate(self.extents())}
-            object.__setattr__(self, "_extent_ids", ids)
-        return self._extent_ids
 
     def intent_ids(self) -> dict[int, int]:
         """Each extent's position in :meth:`extents`, keyed by the extent's intent.
 
-        An extent is the set of objects holding its intent, so this answers
-        the closure of any object set whose intent is known: the closure
-        has the same intent. NextClosure derived every intent already.
+        The position is the extent's bit in a set of extents. An extent is
+        the set of objects holding its intent, so this answers the closure
+        of any object set whose intent is known: the closure has the same
+        intent.
         """
         if self._intent_ids is None:
-            intents = self._intents
-            ids = {intents[e]: i for i, e in enumerate(self.extents())}
+            derive = self.derive_objects
+            ids = {derive(e): i for i, e in enumerate(self.extents())}
             object.__setattr__(self, "_intent_ids", ids)
         return self._intent_ids
-
-    def _next_closure_run(self):
-        n = len(self.objects)
-        a = self.object_closure(0)
-        while a is not None:
-            yield a
-            a = self._next_closure(a, n)
-
-    def _next_closure(self, a: int, n: int) -> int | None:
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if a & bit:
-                a &= ~bit
-            else:
-                b = self.object_closure(a | bit)
-                if not (b & ~a) & (bit - 1):
-                    return b
-        return None
 
     # -- derived contexts ------------------------------------------------
 

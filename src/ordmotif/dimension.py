@@ -6,10 +6,12 @@ preimages jointly meet-generate the extent system. Every extent is an
 intersection of meet-irreducible ones, so the search reduces to covering
 the irreducibles with per-map preimage families. Each scale's maps are
 grown one object at a time, and a partial map is dropped as soon as
-some column's partial preimage can no longer grow into an extent. The
-problem is hard in general, and a context in which every set is an
-extent drops no partial map, hence the caps on object count, tuple
-length and the scale column scans the search counts as it goes.
+some column's partial preimage can no longer grow into an extent. Each
+column carries its preimage's intent, so that test reads the closure
+off the context's intent table and computes none. The problem is hard
+in general, and a context in which every set is an extent drops no
+partial map, hence the caps on object count, tuple length and the
+scale column scans the search counts as it goes.
 """
 
 from __future__ import annotations
@@ -52,30 +54,33 @@ def _measure_coverages(
     """Irreducibles reachable per valid map from the context onto ``scale``.
 
     Grows each map one object at a time, in object order, trying the
-    scale's objects in their order, and carries the partial preimage of
-    every scale column. A branch ends as soon as some partial preimage
+    scale's objects in their order, and carries the partial preimage ``P``
+    of every scale column next to its intent. A branch ends as soon as some
     ``P`` has an assigned object outside ``P`` in its closure: every
-    completion's preimage contains ``P`` and is an extent, so it would
-    hold that object too, which the assignment already ruled out. Once
-    every object is assigned the test says that each preimage is an
-    extent, so exactly the measures survive. Records which irreducibles
-    appear among their preimages; sets of extents are ints over
-    ``context.extent_ids()``.
+    completion's preimage contains ``P`` and is an extent, so it would hold
+    that object too, which the assignment already ruled out. An object
+    joining ``P`` narrows the intent to its row, and the closure is read off
+    ``context.intent_ids()``; an object kept out of ``P`` is outside the
+    closure iff it lacks some attribute of the intent. Once every object is
+    assigned the test says that each preimage is an extent, so exactly the
+    measures survive. Records which irreducibles appear among their
+    preimages; sets of extents are ints over ``intent_ids()``.
 
     Each grown partial map adds its ``|S| * |M_S|`` column scans to the
     shared ``spent[0]``; past ``MAX_COLUMN_SCANS`` the search fails.
     """
     n = len(context.objects)
     cost = len(scale.rows) * len(scale.attributes)
-    ids = context.extent_ids()
-    closure = context.object_closure
+    rows = context.rows
+    extents = context.extents()
+    ids = context.intent_ids()
     out: set[int] = set()
 
-    def grow(g: int, preimages: list[int]) -> None:
+    def grow(g: int, columns: list[tuple[int, int]]) -> None:
         if g == n:
             hit = 0
-            for pre in preimages:
-                hit |= 1 << ids[pre]
+            for _, intent in columns:
+                hit |= 1 << ids[intent]
             out.add(hit & irreducibles)
             return
         spent[0] += cost
@@ -86,15 +91,22 @@ def _measure_coverages(
             )
         bit = 1 << g
         assigned = (bit << 1) - 1
+        row_g = rows[g]
         for row in scale.rows:
-            grown = [pre | bit if row >> c & 1 else pre for c, pre in enumerate(preimages)]
-            for pre in grown:
-                if closure(pre) & assigned != pre:
+            grown = []
+            for c, (pre, intent) in enumerate(columns):
+                if row >> c & 1:
+                    pre |= bit
+                    intent &= row_g
+                    if extents[ids[intent]] & assigned != pre:
+                        break
+                elif not intent & ~row_g:
                     break
+                grown.append((pre, intent))
             else:
                 grow(g + 1, grown)
 
-    grow(0, [0] * len(scale.attributes))
+    grow(0, [(0, context.attribute_mask)] * len(scale.attributes))
     return out
 
 
@@ -114,10 +126,10 @@ def scaling_dimension(
     if not scales:
         raise ValueError("the scale family must not be empty")
 
-    ids = context.extent_ids()
+    ids = context.intent_ids()
     target = 0
     for e in meet_irreducible_extents(context):
-        target |= 1 << ids[e]
+        target |= 1 << ids[context.derive_objects(e)]
     coverages: set[int] = set()
     spent = [0]
     for scale in scales:

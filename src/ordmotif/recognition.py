@@ -189,9 +189,7 @@ HEREDITARY_CANDIDATES = {
 }
 
 
-def _fold(context: FormalContext, family: ScaleFamily, walk: list[int] | None) -> tuple[int, ...] | None:
-    if walk is None:
-        return None
+def _fold(context: FormalContext, family: ScaleFamily, walk: list[int]) -> tuple[int, ...] | None:
     seed, step = HEREDITARY_RULES[family]
     rows = context.rows
     state = seed(rows[walk[0]], context.attribute_mask)
@@ -202,32 +200,25 @@ def _fold(context: FormalContext, family: ScaleFamily, walk: list[int] | None) -
     return None if state is None else tuple(walk)
 
 
-def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int] | None:
-    # Neighbours on the walk are the pairs whose shared attributes no third
-    # member holds all of: the two-element extents of K[H, M].
+def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int]:
+    # On an interordinal walk, two members share the intent of the interval
+    # between them, which shrinks strictly as the interval grows. So the
+    # member sharing fewest attributes with any member is an end, the one
+    # sharing fewest with that end is the other end, and the walk is the
+    # domain by decreasing overlap with an end. Any other domain gets some
+    # order, and the fold rejects it. Reversal maps intervals to intervals,
+    # so starting from the lower end loses nothing.
     rows = context.rows
-    neighbours: dict[int, list[int]] = {g: [] for g in idx}
-    for i, a in enumerate(idx):
-        for b in idx[i + 1 :]:
-            shared = rows[a] & rows[b]
-            if all(shared & ~rows[h] for h in idx if h != a and h != b):
-                neighbours[a].append(b)
-                neighbours[b].append(a)
-    ends = [g for g in idx if len(neighbours[g]) == 1]
-    if not ends:
-        return None
-    walk = [ends[0]]
-    while len(walk) < len(idx):
-        options = [h for h in neighbours[walk[-1]] if len(walk) < 2 or h != walk[-2]]
-        if len(options) != 1:
-            return None  # disconnected or branching
-        walk.append(options[0])
-    # Reversal maps intervals to intervals, so the reversed walk matches
-    # exactly when this one does.
-    return walk
+
+    def farthest(a: int) -> int:
+        return min(idx, key=lambda g: (rows[g] & rows[a]).bit_count())
+
+    b = farthest(idx[0])
+    end = rows[min(b, farthest(b))]
+    return sorted(idx, key=lambda g: -(rows[g] & end).bit_count())
 
 
-#: The witness order each hereditary family folds its rule along, or None.
+#: The witness order each hereditary family folds its rule along.
 _WITNESS_ORDERS = {
     ScaleFamily.NOMINAL: lambda context, idx: idx,
     # Down the chain: by decreasing row size.

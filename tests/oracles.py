@@ -297,10 +297,10 @@ def coverages_oracle(context: FormalContext, scale: FormalContext, irreducibles:
 
     Enumerates all maps; keeps those whose attribute-extent preimages are
     extents, and records which irreducibles appear among the preimages.
-    Sets of extents are ints over ``context.extent_ids()``.
+    Sets of extents are ints whose bit ``i`` stands for ``context.extents()[i]``.
     """
     n = len(context.objects)
-    ids = context.extent_ids()
+    ids = {e: i for i, e in enumerate(context.extents())}
     out: set[int] = set()
     for assignment in product(range(len(scale.objects)), repeat=n):
         hit = 0

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cmp_to_key
 from random import Random
 
 import pytest
@@ -84,12 +85,13 @@ def test_object_closure_derives_each_set_once(monkeypatch):
     for _ in range(30):
         ctx, _ = clarify_objects(random_corpus_item(rng))
         derived.clear()
-        # Enumeration runs on rows; covering asks the closures.
+        # Enumeration runs on rows; covering looks its closures up in the
+        # intent table, which derives each extent's intent once.
         pool = enumerate_motifs(ctx).all_motifs()
         greedy_cover(ctx, pool, len(pool))
         assert all(n == 1 for n in derived.values())
         total += len(derived)
-        # Memo hits and fresh derivations alike match the smallest
+        # Every closure, derived afresh on each call, is the smallest
         # brute-force extent containing the set.
         extents = brute_force_extents(ctx)
         for s in range(1 << len(ctx.objects)):
@@ -117,20 +119,42 @@ def test_extents_are_in_ascending_lectic_order():
             assert lectic_less(e, f)
 
 
-def test_extent_ids_index_the_extents():
+def test_intent_ids_index_the_extents():
     rng = Random(31)
     for _ in range(50):
         ctx = random_corpus_item(rng)
-        ids = ctx.extent_ids()
         extents = ctx.extents()
-        assert len(ids) == len(extents)
-        for i, e in enumerate(extents):
-            assert ids[e] == i
-        assert ctx.extent_ids() is ids
-        # The same ids keyed by intent: the attributes every member holds.
+        # Each extent's position, keyed by its intent: the attributes every
+        # member holds.
         by_intent = ctx.intent_ids()
         assert by_intent == {ctx.derive_objects(e): i for i, e in enumerate(extents)}
+        assert len(by_intent) == len(extents)
         assert ctx.intent_ids() is by_intent
+
+
+def _lectic_sorted(extents):
+    return sorted(
+        extents, key=cmp_to_key(lambda a, b: -1 if lectic_less(a, b) else int(a != b))
+    )
+
+
+@pytest.mark.parametrize(
+    "objects,attributes,incidence",
+    [
+        ([], ["p", "q"], []),
+        ([], [], []),
+        (["a", "b", "c"], [], [[], [], []]),
+        # p and q are one column twice; r is held by no object.
+        (["a", "b", "c"], ["p", "q", "r"], [[1, 1, 0], [0, 0, 0], [1, 1, 0]]),
+        (["a", "b"], ["p", "q"], [[0, 0], [0, 0]]),
+        # b and d share one row, and s is held by no object.
+        (["a", "b", "c", "d"], ["p", "q", "r", "s"], [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 1, 0, 0]]),
+    ],
+)
+def test_degenerate_contexts_list_the_sorted_brute_force_extents(objects, attributes, incidence):
+    ctx = FormalContext(objects, attributes, incidence)
+    assert ctx.extents() == tuple(_lectic_sorted(brute_force_extents(ctx)))
+    assert len(ctx.intent_ids()) == len(ctx.extents())
 
 
 def test_known_extents():

@@ -8,9 +8,11 @@ shows here. ``motifs-all`` lists every motif of every family, so it pins
 the full enumeration order and each witness; it was taken before the
 hereditary search kept its options as object masks. The crown tables are
 ``crown_heavy_context(Random(seed), 12)`` clarified, pinned before crown
-search started from seed triplets. To regenerate after a deliberate
-output change, print ``_digest(...)`` for every case below and paste the
-results.
+search started from seed triplets. ``concepts`` lists every extent in
+lectic order on all six tables; it was taken while NextClosure still
+built the extents, before they became the intersections of the columns.
+To regenerate after a deliberate output change, print ``_digest(...)``
+for every case below and paste the results.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ COMMANDS = {
     "cover": ["cover", "--k", "1000000"],
     "cover-json": ["cover", "--json", "--all-motifs", "--heuristic", "normalized"],
     "basis": ["basis"],
+    "concepts": ["concepts", "--list"],
     "motifs": ["motifs", "--json", "--maximal-only"],
     "motifs-all": ["motifs", "--json"],
     "crowns": ["motifs", "--json", "--families", "crown", "--crown-cap", "12"],
@@ -39,24 +42,28 @@ GOLDEN = {
     (1, "cover"): "2a1e2727261b9c559f7f806a2e7690dfec395e0e35928b3d389dbd39dbd58e00",
     (1, "cover-json"): "ddf60e8c732238fa930e07d68cf2af5343a4c3104256bbe7b5c5992358c26985",
     (1, "basis"): "11c42a49391ce03e4eabfaf98ea33b4bff2a9f534d6cbc2f9ca48aa7d8e3dd73",
+    (1, "concepts"): "628cb7af8c940759cfb8d2a986e2ba5fbcfc9eb1f8aed0cfecaa6e8e681f4cef",
     (1, "motifs"): "6687d7884abfae6223a9f9ec299635c312ac97b350f8aebe25451137d8b842dd",
     (1, "motifs-all"): "71e33dbdd0bc460a8634a33e403b1a8ea87f874d924f12db59a1c1f80756e6d0",
     (2, "explain"): "c87ea72beb6920f846fc72ca34539c71899868d846bbe606da9073e100e2c315",
     (2, "cover"): "f5d83e3cc1b0f67b84d33890eace3e3d418609e4f575e52e6c73f622d5eff8b3",
     (2, "cover-json"): "63d53091fd4a745782b393f33e5be4f98af9b00c58440ca2e8e4abcccf637692",
     (2, "basis"): "cca362f2f473be08f17f5e52f25d623b90d3831c5f2f0ab6f692e5ae53fcdbc1",
+    (2, "concepts"): "d89619e7ef61b78c3ccd954dcb80648b79e8c5c90ca01da5a67925577663ddd9",
     (2, "motifs"): "2c96cbca907b4800c0377dfc3546397ba6dc484bc73362d1575f7aa2d3e95946",
     (2, "motifs-all"): "f01626200495dc7e88580f09878913188c0ef4a651dfb36cfed8aa256e25b445",
     (3, "explain"): "030cd6987dc37d84a08d6185a59f1605df9fcd4eae10f79d1b5c9ca38a7444b6",
     (3, "cover"): "eb7351f000a67dcf8211941253bb2cfc602be5a199af2c5c1c4a3e431a0ec1e5",
     (3, "cover-json"): "bdbfbd08a09891bac542167541ac7849fbe23a84d5c49ba9a77834316fc4fdfa",
     (3, "basis"): "8e72001849e2888693073cb9e364eead7707f78f110063960c0207b362563647",
+    (3, "concepts"): "7c179947b8cb2bc5b46bd199cd6f6c7d20c8da5f59439b234c219c223f36a9e6",
     (3, "motifs"): "72641cd67c60a6674a8b3505e65ec90f4d2580ff34a64be6795ddcfb7b0871f8",
     (3, "motifs-all"): "33edd984e56e344ac27dd335ba948be9248b7a593cbb32ef601461b31228dcc2",
     (4, "explain"): "29892766e705d0a181e6d0d1b2cbeff7c955f6665682afb41ff16c13acdbdf77",
     (4, "cover"): "a90dd7083628dbc6b65f58aa18bc6c2011d16ea3f603f32e29fb583ba6315822",
     (4, "cover-json"): "21874588c25b488b20fbba7a7e07ab0a4ad72e0a834e0a5195c5ffa6577c6bef",
     (4, "basis"): "cb8b1d6cf4fae944c08440c88da41a7a263d6b0bcd6639f0cbac105b74b74916",
+    (4, "concepts"): "f78ae4c83284b1f368b27cf0a3fb06897dc7430af03181c9d67881583c8a0bb1",
     (4, "motifs"): "da612104165f542cc53dc8b818ba70c7d7bae7470735ea7f151771f34001521b",
     (4, "motifs-all"): "724ee8c8e32e0c5e169c7eb160f54f484a3fa9793add346e34bcdbf6abf48437",
 }
@@ -92,9 +99,26 @@ CROWN_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(CROWN_GOLDEN))
-def test_crown_motifs_are_pinned(capsys, tmp_path, seed):
+# The extents of the same two tables, in lectic order.
+CROWN_CONCEPTS_GOLDEN = {
+    8: "e9aafdd8db7b878e7414a9e1734d001eaa069468c652202f1f3d845d19382bee",
+    11: "eb3f6f04559f9e2dc89bf6e981bbc55564265a55cbc88a8d40faf3ad6e42ac3a",
+}
+
+
+def _crown_table(tmp_path, seed):
     context, _ = clarify_objects(crown_heavy_context(Random(seed), 12))
     path = tmp_path / "crowns.cxt"
     path.write_text(to_burmeister(context), encoding="utf-8")
-    assert _digest(capsys, "crowns", path) == CROWN_GOLDEN[seed]
+    return path
+
+
+@pytest.mark.parametrize("seed", sorted(CROWN_GOLDEN))
+def test_crown_motifs_are_pinned(capsys, tmp_path, seed):
+    assert _digest(capsys, "crowns", _crown_table(tmp_path, seed)) == CROWN_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(CROWN_CONCEPTS_GOLDEN))
+def test_crown_table_extents_are_pinned(capsys, tmp_path, seed):
+    path = _crown_table(tmp_path, seed)
+    assert _digest(capsys, "concepts", path) == CROWN_CONCEPTS_GOLDEN[seed]
