@@ -2,7 +2,10 @@
 
 Subcommands: ``concepts``, ``motifs``, ``cover``, ``explain``, ``basis``
 and ``scaling-dim``. Inputs are Burmeister ``.cxt`` or CSV context
-files; outputs are plain text, JSON (``--json``) or CSV side files.
+files. Each command returns one result, a JSON payload and its stdout
+text built from the same data, and :func:`main` alone prints it: the
+payload with ``--json``, the text otherwise. ``cover`` and ``basis``
+can also write CSV or Burmeister files.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .covering import (
     greedy_cover,
     ratio_curve,
 )
-from .dimension import MAX_COLUMN_SCANS, check_object_count, scaling_dimension
+from .dimension import check_scale_specs, scaling_dimension
 from .enumeration import (
     DEFAULT_CROWN_SIZE_CAP,
     EnumerationConfig,
@@ -35,9 +38,11 @@ from .enumeration import (
 from .explain import explain_covering
 from .io import ParseError, load_context, to_burmeister
 from .recognition import Motif
-from .scales import ScaleFamily, build_scale, check_scale_size, column_count
+from .scales import ScaleFamily, build_scale
 
 SCHEMA_VERSION = 1
+# A command's JSON payload and its stdout text (None when it writes none).
+Result = tuple[dict, Optional[str]]
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -64,6 +69,8 @@ def _add_enumeration_flags(p: argparse.ArgumentParser) -> None:
         default=DEFAULT_CROWN_SIZE_CAP,
         help=f"crown search size cap (default {DEFAULT_CROWN_SIZE_CAP})",
     )
+
+
 def _add_pool_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--all-motifs",
@@ -92,9 +99,7 @@ def _load(args: argparse.Namespace) -> tuple[FormalContext, Optional[Clarificati
 
 
 def _config(args: argparse.Namespace) -> EnumerationConfig:
-    families = tuple(
-        ScaleFamily.from_name(part) for part in args.families.split(",") if part
-    )
+    families = tuple(ScaleFamily.from_name(part) for part in args.families.split(",") if part)
     return EnumerationConfig(families, args.min_size, args.max_size, args.crown_cap)
 
 
@@ -103,54 +108,40 @@ def _enumerate(args: argparse.Namespace, context: FormalContext) -> list[Motif]:
     return inventory.all_motifs(maximal_only=not args.all_motifs)
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=2))
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
-def cmd_concepts(args: argparse.Namespace) -> int:
+def cmd_concepts(args: argparse.Namespace) -> Result:
     context, clarification = _load(args)
-    labels = object_labels(context, clarification)
     extents = context.extents()
-    if args.json:
-        payload: dict = {"command": "concepts", "count": len(extents)}
-        if args.list:
-            payload["extents"] = [[labels[g] for g in bits(e)] for e in extents]
-        _emit_json(payload)
-        return 0
-    print(f"{len(extents)} extents")
+    payload: dict = {"command": "concepts", "count": len(extents)}
+    lines = [f"{len(extents)} extents"]
     if args.list:
-        for e in extents:
-            print("{" + ", ".join(labels[g] for g in bits(e)) + "}")
-    return 0
+        labels = object_labels(context, clarification)
+        payload["extents"] = [[labels[g] for g in bits(e)] for e in extents]
+        lines += ["{" + ", ".join(names) + "}" for names in payload["extents"]]
+    return payload, _lines(lines)
 
 
-def cmd_motifs(args: argparse.Namespace) -> int:
+def cmd_motifs(args: argparse.Namespace) -> Result:
     context, clarification = _load(args)
     inventory = enumerate_motifs(context, _config(args))
+    stats = motif_stats(inventory)
+    payload: dict = {
+        "command": "motifs",
+        "stats": {
+            str(f): {"total": t, "maximal": mx, "largest": lg}
+            for f, (t, mx, lg) in stats.items()
+        },
+    }
     if args.json:
         labels = object_labels(context, clarification)
-        stats = motif_stats(inventory)
-        motifs = inventory.all_motifs(maximal_only=args.maximal_only)
-        _emit_json(
-            {
-                "command": "motifs",
-                "stats": {
-                    str(f): {"total": t, "maximal": mx, "largest": lg}
-                    for f, (t, mx, lg) in stats.items()
-                },
-                "motifs": [
-                    {
-                        "family": str(m.family),
-                        "domain": [labels[g] for g in m.domain],
-                    }
-                    for m in motifs
-                ],
-            }
-        )
-        return 0
-    print(stats_table(inventory))
-    return 0
+        payload["motifs"] = [
+            {"family": str(m.family), "domain": [labels[g] for g in m.domain]}
+            for m in inventory.all_motifs(maximal_only=args.maximal_only)
+        ]
+    return payload, stats_table(inventory) + "\n"
 
 
 def _run_cover(
@@ -169,7 +160,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
+def cmd_cover(args: argparse.Namespace) -> Result:
     context, clarification, steps = _run_cover(args)
     labels = object_labels(context, clarification)
     total = len(context.extents())
@@ -180,69 +171,55 @@ def cmd_cover(args: argparse.Namespace) -> int:
             [list(row) for row in coverage_curve(steps)],
         )
     if args.ratios_csv:
-        rows = []
-        for step, ratios in ratio_curve(steps):
-            rows.append([step] + [f"{float(ratios[f]):.6f}" for f in ScaleFamily])
-        _write_csv(
-            args.ratios_csv, ["step"] + [str(f) for f in ScaleFamily], rows
-        )
-    if args.json:
-        _emit_json(
-            {
-                "command": "cover",
-                "heuristic": args.heuristic,
-                "total_extents": total,
-                "steps": [
-                    {
-                        "family": str(s.motif.family),
-                        "families": [str(f) for f in s.families],
-                        "domain": [labels[g] for g in s.motif.domain],
-                        "new_extents": s.new_extents,
-                        "cumulative": s.cumulative,
-                        "tie_count": s.tie_count,
-                    }
-                    for s in steps
-                ],
-            }
-        )
-        return 0
-    for i, s in enumerate(steps, 1):
-        names = ", ".join(labels[g] for g in s.motif.domain)
-        print(
-            f"step {i}: {s.motif.family} {{{names}}}"
-            f" new={s.new_extents} cumulative={s.cumulative}"
-        )
-    covered = steps[-1].cumulative if steps else 0
-    print(f"covered {covered} of {total} extents")
-    return 0
+        rows = [
+            [step] + [f"{float(ratios[f]):.6f}" for f in ScaleFamily]
+            for step, ratios in ratio_curve(steps)
+        ]
+        _write_csv(args.ratios_csv, ["step"] + [str(f) for f in ScaleFamily], rows)
+    picks = [
+        {
+            "family": str(s.motif.family),
+            "families": [str(f) for f in s.families],
+            "domain": [labels[g] for g in s.motif.domain],
+            "new_extents": s.new_extents,
+            "cumulative": s.cumulative,
+            "tie_count": s.tie_count,
+        }
+        for s in steps
+    ]
+    lines = [
+        f"step {i}: {p['family']} {{{', '.join(p['domain'])}}}"
+        f" new={p['new_extents']} cumulative={p['cumulative']}"
+        for i, p in enumerate(picks, 1)
+    ]
+    covered = picks[-1]["cumulative"] if picks else 0
+    lines.append(f"covered {covered} of {total} extents")
+    payload = {"command": "cover", "heuristic": args.heuristic, "total_extents": total}
+    payload["steps"] = picks
+    return payload, _lines(lines)
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
+def cmd_explain(args: argparse.Namespace) -> Result:
     context, clarification, steps = _run_cover(args)
     doc = explain_covering(context, steps, clarification=clarification)
-    if args.json:
-        labels = object_labels(context, clarification)
-        _emit_json(
+    labels = object_labels(context, clarification)
+    payload = {
+        "command": "explain",
+        "heuristic": args.heuristic,
+        "entries": [
             {
-                "command": "explain",
-                "heuristic": args.heuristic,
-                "entries": [
-                    {
-                        "text": e.text,
-                        "family": str(e.motif.family),
-                        "families_rendered": [str(f) for f in e.families_rendered],
-                        "domain": [labels[g] for g in e.motif.domain],
-                    }
-                    for e in doc.entries
-                ],
+                "text": e.text,
+                "family": str(e.motif.family),
+                "families_rendered": [str(f) for f in e.families_rendered],
+                "domain": [labels[g] for g in e.motif.domain],
             }
-        )
-        return 0
-    print(doc.to_text())
-    return 0
+            for e in doc.entries
+        ],
+    }
+    return payload, doc.to_text() + "\n"
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: argparse.Namespace) -> Result:
     context, _ = _load(args)
     motifs = _enumerate(args, context)
     # Greedy picks run to the end cover what the whole pool covers.
@@ -251,43 +228,27 @@ def cmd_basis(args: argparse.Namespace) -> int:
     text = to_burmeister(basis)
     if args.output:
         args.output.write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
-    return 0
+    return {"command": "basis"}, None if args.output else text
 
 
 def _parse_scale_spec(spec: str) -> tuple[ScaleFamily, int]:
     name, _, size = spec.partition(":")
     if not size.removeprefix("-").isdecimal():
         raise ValueError(f"scale spec {spec!r} must look like 'ordinal:4'")
-    family, n = ScaleFamily.from_name(name), int(size)
-    check_scale_size(family, n)
-    return family, n
+    return ScaleFamily.from_name(name), int(size)
 
 
-def cmd_scaling_dim(args: argparse.Namespace) -> int:
+def cmd_scaling_dim(args: argparse.Namespace) -> Result:
     context, _ = _load(args)
     specs = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
-    check_object_count(len(context.objects))
-    # The search's first grown map of each scale scans its n * |M_S| columns.
-    first = sum(n * column_count(family, n) for family, n in specs)
-    if first > MAX_COLUMN_SCANS:
-        raise ValueError(
-            f"the scales would scan {first} columns for one object; "
-            f"the cap is {MAX_COLUMN_SCANS} column scans"
-        )
+    check_scale_specs(len(context.objects), specs)
     scales = [build_scale(family, size) for family, size in specs]
     d = scaling_dimension(context, scales, max_d=args.max_d)
-    if args.json:
-        _emit_json(
-            {"command": "scaling-dim", "dimension": d, "max_d": args.max_d}
-        )
-        return 0
     if d is None:
-        print(f"unknown (no full measure with at most {args.max_d} scales)")
+        text = f"unknown (no full measure with at most {args.max_d} scales)"
     else:
-        print(d)
-    return 0
+        text = str(d)
+    return {"command": "scaling-dim", "dimension": d, "max_d": args.max_d}, text + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_enumeration_flags(p)
     _add_pool_flag(p)
     p.add_argument("--output", type=Path, help="write Burmeister output here")
-    p.set_defaults(func=cmd_basis)
+    p.set_defaults(func=cmd_basis, json=False)
 
     p = sub.add_parser("scaling-dim", help="least number of scales that fully measure")
     _add_input_flags(p)
@@ -353,10 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        if args.json:
+            print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+        elif text is not None:
+            print(text, end="")
     except (OSError, ParseError, IncompleteCoveringError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .context import FormalContext
+from .scales import ScaleFamily, check_scale_size, column_count
 
 MAX_OBJECTS = 8
 MAX_TUPLE_LENGTH = 4
@@ -29,6 +30,25 @@ def check_object_count(n_objects: int) -> None:
     """Reject a context with more objects than the search admits."""
     if n_objects > MAX_OBJECTS:
         raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
+
+
+def check_scale_specs(n_objects: int, specs: Sequence[tuple[ScaleFamily, int]]) -> None:
+    """Refuse a search before any of its ``(family, size)`` scales is built.
+
+    Each size must be valid for its family and the context must pass
+    :func:`check_object_count`. The first grown map of a scale ``S``
+    already scans its ``|S| * |M_S|`` columns, and one count spans all
+    scales, so their sum must stay within ``MAX_COLUMN_SCANS``.
+    """
+    for family, n in specs:
+        check_scale_size(family, n)
+    check_object_count(n_objects)
+    first = sum(n * column_count(family, n) for family, n in specs)
+    if first > MAX_COLUMN_SCANS:
+        raise ValueError(
+            f"the scales would scan {first} columns for one object; "
+            f"the cap is {MAX_COLUMN_SCANS} column scans"
+        )
 
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:

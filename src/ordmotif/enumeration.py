@@ -227,12 +227,18 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
     """Motifs whose domain has no one-object extension among ``motifs``.
 
     For every family this coincides with having no proper superset domain at
-    all, provided ``motifs`` is the family's full enumeration.
+    all, provided ``motifs`` is the family's full enumeration. Crowns are
+    returned unfiltered, since no crown contains another: two members of a
+    crown C that are not cycle neighbours share only C's intent, which the
+    intent of a subset H of C contains, so H links only along C's cycle
+    edges, and with a member of C missing those form paths, not one cycle.
     """
     pool = list(motifs)
     for m in pool:
         if m.family is not family:
             raise ValueError(f"expected only {family} motifs, found {m.family}")
+    if family is ScaleFamily.CROWN:
+        return pool
     masks = [m.domain_mask for m in pool]
     # Mark every domain one object short of a motif; the unmarked are maximal.
     extended = {mask ^ 1 << g for m, mask in zip(pool, masks) for g in m.domain}

@@ -123,8 +123,12 @@ def to_burmeister(context: FormalContext) -> str:
 
 
 def parse_csv(text: str) -> FormalContext:
-    reader = csv.reader(_io.StringIO(text))
-    table = list(reader)
+    # newline="" hands line ends to csv, so a bare "\r" ends a row too.
+    reader = csv.reader(_io.StringIO(text, newline=""))
+    try:
+        table = list(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from exc
     if not table:
         raise ParseError("empty CSV input", 1)
     attributes = table[0][1:]

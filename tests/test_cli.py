@@ -1,13 +1,16 @@
 import json
 import re
 import time
+from random import Random
 
 import pytest
 
-from ordmotif import ScaleFamily, build_scale
+from ordmotif import ScaleFamily, build_scale, clarify_objects
 from ordmotif.cli import main
 from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.io import load_context, parse_burmeister, to_burmeister
+
+from oracles import random_context
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
@@ -104,6 +107,23 @@ def test_cover_json_reports_ties_and_families(capsys, b3_path):
     assert step["families"] == ["contranominal", "crown"]
     assert step["domain"] == ["1", "2", "3"]
     assert step["tie_count"] == 2
+
+
+def test_cover_text_and_json_show_the_same_steps(capsys, tmp_path):
+    path = tmp_path / "random.cxt"
+    context, _ = clarify_objects(random_context(Random(5), 10, 8, 0.35))
+    path.write_text(to_burmeister(context), encoding="utf-8")
+    assert main(["cover", str(path), "--k", "6"]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    payload = run_json(capsys, ["cover", str(path), "--k", "6", "--json"])
+    steps = payload["steps"]
+    assert len(steps) > 1
+    assert lines == [
+        f"step {i}: {s['family']} {{{', '.join(s['domain'])}}}"
+        f" new={s['new_extents']} cumulative={s['cumulative']}"
+        for i, s in enumerate(steps, 1)
+    ]
+    assert last == f"covered {steps[-1]['cumulative']} of {payload['total_extents']} extents"
 
 
 def test_explain_text_has_both_paragraphs(capsys, b3_path):
@@ -288,6 +308,30 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     assert "the cap is" in capsys.readouterr().err
 
 
+def test_scaling_dim_admission_reads_the_cap_in_dimension(capsys, tmp_path, monkeypatch):
+    def no_build(family, n):
+        raise AssertionError(f"built {family}:{n}")
+
+    monkeypatch.setattr("ordmotif.dimension.MAX_COLUMN_SCANS", 100)
+    monkeypatch.setattr("ordmotif.cli.build_scale", no_build)
+    one = tmp_path / "one.csv"
+    one.write_text(",p\ng0,1\n", encoding="utf-8")
+    assert main(["scaling-dim", str(one), "--scales", "ordinal:11"]) == 1
+    assert "would scan 121 columns for one object; the cap is 100" in capsys.readouterr().err
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError("stdout is closed")
+
+
+def test_stdout_failure_exits_cleanly(capsys, monkeypatch, b3_path):
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    for extra in ([], ["--json"]):
+        assert main(["cover", str(b3_path), *extra]) == 1
+        assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
 def test_missing_file_fails_cleanly(capsys, tmp_path):
     assert main(["concepts", str(tmp_path / "absent.cxt")]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -336,6 +380,17 @@ def test_malformed_context_fails_cleanly(capsys, tmp_path):
     path.write_text("B\n\n2\n", encoding="utf-8")
     assert main(["concepts", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", [",p,q\ng0,1,0\ng\r1,0,1\n", ",p\ng0,1\ng1," + "1" * 131_073 + "\n"]
+)
+def test_csv_reader_errors_fail_cleanly(capsys, tmp_path, text):
+    # A stray CR ends a row; a cell past the csv module's field limit is refused.
+    path = tmp_path / "broken.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["concepts", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
 
 
 def test_bad_scale_spec_fails_cleanly(capsys, b3_path):

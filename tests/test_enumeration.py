@@ -283,11 +283,20 @@ def test_maximal_filter_equals_superset_freedom():
 
 
 def test_crowns_never_nest():
+    # So maximal_filter returns crowns unfiltered; check the law itself.
     rng = Random(73)
-    for _ in range(30):
-        ctx, _ = clarify_objects(random_context(rng, 6, 6, rng.uniform(0.3, 0.7)))
-        crowns = enumerate_crowns(ctx)
-        assert domains(maximal_filter(crowns, ScaleFamily.CROWN)) == domains(crowns)
+    raws = [random_context(rng, 6, 6, rng.uniform(0.3, 0.7)) for _ in range(30)]
+    raws += [crown_heavy_context(rng, 8 + i % 5) for i in range(20)]
+    total = 0
+    for raw in raws:
+        ctx, _ = clarify_objects(raw)
+        crowns = enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=12))
+        masks = {m.domain_mask for m in crowns}
+        for mask in masks:
+            assert not any(other != mask and other & mask == mask for other in masks)
+        assert maximal_filter(crowns, ScaleFamily.CROWN) == crowns
+        total += len(crowns)
+    assert total > 100
 
 
 def test_unclarified_context_is_rejected():

@@ -1,3 +1,4 @@
+import csv
 from random import Random
 
 import pytest
@@ -72,6 +73,22 @@ def test_csv_errors_carry_line_numbers():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_csv("")
+
+
+def test_csv_bare_carriage_returns_end_rows():
+    # Classic Mac line ends parse; a stray CR splits its row, which then fails.
+    assert parse_csv(",cold,red\rwater,1,0\rwine,0,1\r") == SAMPLE
+    with pytest.raises(ParseError, match="row has 1 cells") as err:
+        parse_csv(",cold,red\nwater,1,0\nwi\rne,0,1\n")
+    assert err.value.line == 3
+    assert parse_csv(',cold,red\n"wa\rter",1,0\nwine,0,1\n').objects == ("wa\rter", "wine")
+
+
+def test_csv_reader_errors_become_parse_errors():
+    cell = "1" * (csv.field_size_limit() + 1)
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        parse_csv(f",m\ng,1\nh,{cell}\n")
+    assert err.value.line == 3
 
 
 def test_quoted_labels_with_commas_survive_csv():
