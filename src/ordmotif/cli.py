@@ -5,7 +5,8 @@ and ``scaling-dim``. Inputs are Burmeister ``.cxt`` or CSV context
 files. Each command returns one result, a JSON payload and its stdout
 text built from the same data, and :func:`main` alone prints it: the
 payload with ``--json``, the text otherwise. ``cover`` and ``basis``
-can also write CSV or Burmeister files.
+can also write CSV or Burmeister files; ``cover`` renders its CSV files
+from its payload as well.
 """
 
 from __future__ import annotations
@@ -20,20 +21,13 @@ from typing import Optional, Sequence
 from .basis import IncompleteCoveringError, build_basis
 from .bitsets import bits
 from .context import ClarificationMap, FormalContext, clarify_objects, object_labels
-from .covering import (
-    CoveringStep,
-    HeuristicKind,
-    coverage_curve,
-    greedy_cover,
-    ratio_curve,
-)
+from .covering import CoveringStep, HeuristicKind, greedy_cover
 from .dimension import check_scale_specs, scaling_dimension
 from .enumeration import (
     DEFAULT_CROWN_SIZE_CAP,
     EnumerationConfig,
     enumerate_motifs,
     motif_stats,
-    stats_table,
 )
 from .explain import explain_covering
 from .io import ParseError, load_context, to_burmeister
@@ -124,15 +118,29 @@ def cmd_concepts(args: argparse.Namespace) -> Result:
     return payload, _lines(lines)
 
 
+def _stats_table(stats: dict[str, dict[str, int]]) -> str:
+    """Fixed-width table of the ``motifs`` payload stats, families in rank order."""
+    names = sorted(stats, key=ScaleFamily.from_name)
+    table = [["", *names]]
+    for label, key in ("motifs", "total"), ("maximal", "maximal"), ("largest size", "largest"):
+        table.append([label, *(str(stats[name][key]) for name in names)])
+    widths = [max(len(row[i]) for row in table) for i in range(len(names) + 1)]
+    return _lines(
+        [
+            "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])])
+            for row in table
+        ]
+    )
+
+
 def cmd_motifs(args: argparse.Namespace) -> Result:
     context, clarification = _load(args)
     inventory = enumerate_motifs(context, _config(args))
-    stats = motif_stats(inventory)
     payload: dict = {
         "command": "motifs",
         "stats": {
             str(f): {"total": t, "maximal": mx, "largest": lg}
-            for f, (t, mx, lg) in stats.items()
+            for f, (t, mx, lg) in motif_stats(inventory).items()
         },
     }
     if args.json:
@@ -141,7 +149,7 @@ def cmd_motifs(args: argparse.Namespace) -> Result:
             {"family": str(m.family), "domain": [labels[g] for g in m.domain]}
             for m in inventory.all_motifs(maximal_only=args.maximal_only)
         ]
-    return payload, stats_table(inventory) + "\n"
+    return payload, _stats_table(payload["stats"])
 
 
 def _run_cover(
@@ -164,18 +172,6 @@ def cmd_cover(args: argparse.Namespace) -> Result:
     context, clarification, steps = _run_cover(args)
     labels = object_labels(context, clarification)
     total = len(context.extents())
-    if args.coverage_csv:
-        _write_csv(
-            args.coverage_csv,
-            ["step", "new_extents", "cumulative"],
-            [list(row) for row in coverage_curve(steps)],
-        )
-    if args.ratios_csv:
-        rows = [
-            [step] + [f"{float(ratios[f]):.6f}" for f in ScaleFamily]
-            for step, ratios in ratio_curve(steps)
-        ]
-        _write_csv(args.ratios_csv, ["step"] + [str(f) for f in ScaleFamily], rows)
     picks = [
         {
             "family": str(s.motif.family),
@@ -187,6 +183,24 @@ def cmd_cover(args: argparse.Namespace) -> Result:
         }
         for s in steps
     ]
+    if args.coverage_csv:
+        _write_csv(
+            args.coverage_csv,
+            ["step", "new_extents", "cumulative"],
+            [[i, p["new_extents"], p["cumulative"]] for i, p in enumerate(picks, 1)],
+        )
+    if args.ratios_csv:
+        # A pick realizing q families gives each 1/q of it. As q <= 5 and
+        # lcm(1..5) = 60, shares are whole 60ths, and row i prints the exact
+        # ratio share / (60 * i) through one correctly rounded int division.
+        names = [str(f) for f in ScaleFamily]
+        shares = dict.fromkeys(names, 0)
+        rows = []
+        for i, p in enumerate(picks, 1):
+            for name in p["families"]:
+                shares[name] += 60 // len(p["families"])
+            rows.append([i] + [f"{shares[name] / (60 * i):.6f}" for name in names])
+        _write_csv(args.ratios_csv, ["step", *names], rows)
     lines = [
         f"step {i}: {p['family']} {{{', '.join(p['domain'])}}}"
         f" new={p['new_extents']} cumulative={p['cumulative']}"

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .context import FormalContext
@@ -49,7 +48,7 @@ class CoveringStep:
 
     @property
     def families(self) -> tuple[ScaleFamily, ...]:
-        """The realized families, which fractional attribution splits over."""
+        """The realized families; ``cover --ratios-csv`` splits a pick evenly over them."""
         return tuple(w.family for w in self.witnesses)
 
 
@@ -120,32 +119,3 @@ def greedy_cover(
             )
         )
     return steps
-
-
-def family_ratios(
-    steps: Sequence[CoveringStep], up_to: int | None = None
-) -> dict[ScaleFamily, Fraction]:
-    """Fractional family attribution over the first ``up_to`` selections.
-
-    A motif realizing q families contributes 1/q to each, so the returned
-    fractions sum to one whenever any step is counted.
-    """
-    counted = steps[: up_to if up_to is not None else len(steps)]
-    out = {f: Fraction(0) for f in ScaleFamily}
-    if not counted:
-        return out
-    for step in counted:
-        share = Fraction(1, len(step.families) * len(counted))
-        for f in step.families:
-            out[f] += share
-    return out
-
-
-def coverage_curve(steps: Sequence[CoveringStep]) -> list[tuple[int, int, int]]:
-    """Rows of (step number, newly covered, cumulative), 1-based steps."""
-    return [(i, s.new_extents, s.cumulative) for i, s in enumerate(steps, start=1)]
-
-
-def ratio_curve(steps: Sequence[CoveringStep]) -> list[tuple[int, dict[ScaleFamily, Fraction]]]:
-    """Family ratios after each prefix of the selection."""
-    return [(i, family_ratios(steps, i)) for i in range(1, len(steps) + 1)]

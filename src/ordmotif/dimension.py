@@ -52,15 +52,19 @@ def check_scale_specs(n_objects: int, specs: Sequence[tuple[ScaleFamily, int]]) 
 
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
-    """Extents that are not intersections of strictly larger extents."""
-    extents = context.extents()
+    """Extents that are not intersections of strictly larger extents.
+
+    Every extent is an intersection of columns, so every irreducible is a
+    column, and the extents strictly above a column meet where the columns
+    strictly above it do. Only the distinct columns are therefore tested,
+    against each other. The top is the meet of nothing and never counts.
+    """
     top = context.object_mask
+    columns = set(context.cols)
     out = []
-    for e in extents:
-        if e == top:
-            continue
+    for e in columns:
         meet = top
-        for f in extents:
+        for f in columns:
             if f != e and f & e == e:
                 meet &= f
         if meet != e:

@@ -289,31 +289,3 @@ def motif_stats(inventory: MotifInventory) -> dict[ScaleFamily, tuple[int, int, 
         largest = max((m.size for m in motifs), default=0)
         out[family] = (len(motifs), len(inventory.maximal(family)), largest)
     return out
-
-
-def stats_table(inventory: MotifInventory) -> str:
-    """Fixed-width text table of :func:`motif_stats`."""
-    stats = motif_stats(inventory)
-    families = [f for f in ScaleFamily if f in stats]
-    headers = [str(f) for f in families]
-    rows = [
-        ("motifs", [str(stats[f][0]) for f in families]),
-        ("maximal", [str(stats[f][1]) for f in families]),
-        ("largest size", [str(stats[f][2]) for f in families]),
-    ]
-    label_width = max(len(r[0]) for r in rows)
-    widths = [
-        max(len(headers[i]), max(len(r[1][i]) for r in rows)) for i in range(len(families))
-    ]
-    lines = [
-        " " * label_width
-        + "  "
-        + "  ".join(h.rjust(widths[i]) for i, h in enumerate(headers))
-    ]
-    for label, cells in rows:
-        lines.append(
-            label.ljust(label_width)
-            + "  "
-            + "  ".join(c.rjust(widths[i]) for i, c in enumerate(cells))
-        )
-    return "\n".join(lines)

@@ -126,15 +126,16 @@ def parse_csv(text: str) -> FormalContext:
     # newline="" hands line ends to csv, so a bare "\r" ends a row too.
     reader = csv.reader(_io.StringIO(text, newline=""))
     try:
-        table = list(reader)
+        # Each row with the physical line it ends on; quoted cells may span lines.
+        table = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from exc
     if not table:
         raise ParseError("empty CSV input", 1)
-    attributes = table[0][1:]
+    attributes = table[0][1][1:]
     objects = []
     incidence = []
-    for i, row in enumerate(table[1:], start=2):
+    for i, row in table[1:]:
         if len(row) != len(attributes) + 1:
             raise ParseError(
                 f"row has {len(row)} cells, expected {len(attributes) + 1}", i

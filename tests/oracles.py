@@ -292,6 +292,26 @@ def dimension_oracle(
     return None
 
 
+def meet_irreducibles_oracle(context: FormalContext) -> list[int]:
+    """Extents other than the top that are not the meet of the extents above them.
+
+    Tests every extent against every other one.
+    """
+    extents = brute_force_extents(context)
+    top = (1 << len(context.objects)) - 1
+    out = []
+    for e in extents:
+        if e == top:
+            continue
+        meet = top
+        for f in extents:
+            if f != e and f & e == e:
+                meet &= f
+        if meet != e:
+            out.append(e)
+    return sorted(out)
+
+
 def coverages_oracle(context: FormalContext, scale: FormalContext, irreducibles: int) -> set[int]:
     """Irreducibles reachable per valid map from the context onto ``scale``.
 
@@ -358,6 +378,24 @@ def greedy_oracle(
         covered |= cov
         steps.append((m, gain, len(covered), len(winners)))
     return steps
+
+
+def ratio_curve_oracle(
+    realized: list[tuple[ScaleFamily, ...]],
+) -> list[dict[ScaleFamily, Fraction]]:
+    """Family ratios after each prefix of greedy steps, recounted from scratch.
+
+    ``realized`` holds the families each step realizes. Over the first i
+    steps, a step realizing q families gives each of them 1/(q * i).
+    """
+    curve = []
+    for i in range(1, len(realized) + 1):
+        ratios = dict.fromkeys(ScaleFamily, Fraction(0))
+        for families in realized[:i]:
+            for f in families:
+                ratios[f] += Fraction(1, len(families) * i)
+        curve.append(ratios)
+    return curve
 
 
 def basis_oracle(

@@ -5,12 +5,19 @@ from random import Random
 
 import pytest
 
-from ordmotif import ScaleFamily, build_scale, clarify_objects
+from ordmotif import (
+    HeuristicKind,
+    ScaleFamily,
+    build_scale,
+    clarify_objects,
+    enumerate_motifs,
+    greedy_cover,
+)
 from ordmotif.cli import main
 from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.io import load_context, parse_burmeister, to_burmeister
 
-from oracles import random_context
+from oracles import random_context, random_corpus_item, ratio_curve_oracle
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
@@ -98,6 +105,103 @@ def test_cover_csv_side_files(capsys, tmp_path, b3_path):
         "step,nominal,ordinal,interordinal,contranominal,crown\n"
         "1,0.000000,0.000000,0.000000,0.500000,0.500000\n"
     )
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_ratios_csv_single_family(capsys, tmp_path, b3_path):
+    # A chain realizes ordinal alone; a Boolean pair splits three ways.
+    o3 = tmp_path / "o3.cxt"
+    o3.write_text(to_burmeister(build_scale(ScaleFamily.ORDINAL, 3)), encoding="utf-8")
+    ratios = tmp_path / "ratios.csv"
+    assert main(["cover", str(o3), "--ratios-csv", str(ratios)]) == 0
+    assert csv_rows(ratios)[1:] == [["1", "0.000000", "1.000000", "0.000000", "0.000000", "0.000000"]]
+    argv = ["cover", str(b3_path), "--families", "nominal", "--max-size", "2", "--k", "1"]
+    assert main(argv + ["--ratios-csv", str(ratios)]) == 0
+    assert csv_rows(ratios)[1:] == [["1", "0.333333", "0.000000", "0.333333", "0.333333", "0.000000"]]
+
+
+def test_ratios_csv_prefix(capsys, tmp_path):
+    # An interordinal pick, then a nominal one: row i counts the first i picks.
+    path = tmp_path / "two.csv"
+    path.write_text(
+        ",m1,m2,m3,m4,m5\ng1,0,1,1,0,0\ng2,0,0,0,1,1\ng3,1,1,0,0,0\ng4,0,1,0,1,0\n",
+        encoding="utf-8",
+    )
+    coverage = tmp_path / "coverage.csv"
+    ratios = tmp_path / "ratios.csv"
+    files = ["--coverage-csv", str(coverage), "--ratios-csv", str(ratios)]
+    assert main(["cover", str(path), "--k", "2", *files]) == 0
+    assert csv_rows(coverage)[1:] == [["1", "7", "7"], ["2", "1", "8"]]
+    assert csv_rows(ratios)[1:] == [
+        ["1", "0.000000", "0.000000", "1.000000", "0.000000", "0.000000"],
+        ["2", "0.500000", "0.000000", "0.500000", "0.000000", "0.000000"],
+    ]
+    assert main(["cover", str(path), "--k", "1", *files]) == 0
+    assert csv_rows(ratios)[1:] == [["1", "0.000000", "0.000000", "1.000000", "0.000000", "0.000000"]]
+    assert main(["cover", str(path), "--k", "0", *files]) == 0
+    assert csv_rows(coverage) == [["step", "new_extents", "cumulative"]]
+    assert csv_rows(ratios) == [["step", *(str(f) for f in ScaleFamily)]]
+
+
+def test_csv_side_files_match_the_steps(capsys, tmp_path):
+    # Both heuristics, maximal and all motifs, against exact fractions.
+    path = tmp_path / "random.cxt"
+    coverage = tmp_path / "coverage.csv"
+    ratios = tmp_path / "ratios.csv"
+    rng = Random(137)
+    shared = 0
+    for _ in range(50):
+        context, _ = clarify_objects(random_corpus_item(rng))
+        path.write_text(to_burmeister(context), encoding="utf-8")
+        inventory = enumerate_motifs(context)
+        for all_motifs in (False, True):
+            pool = inventory.all_motifs(maximal_only=not all_motifs)
+            for heuristic in HeuristicKind:
+                argv = ["cover", str(path), "--k", "100", "--heuristic", heuristic.value]
+                argv += ["--coverage-csv", str(coverage), "--ratios-csv", str(ratios)]
+                assert main(argv + ["--all-motifs"] * all_motifs) == 0
+                steps = greedy_cover(context, pool, 100, heuristic)
+                assert csv_rows(coverage)[1:] == [
+                    [str(i), str(s.new_extents), str(s.cumulative)]
+                    for i, s in enumerate(steps, 1)
+                ]
+                curve = ratio_curve_oracle([s.families for s in steps])
+                assert all(sum(ratios.values()) == 1 for ratios in curve)
+                rows = csv_rows(ratios)[1:]
+                assert rows == [
+                    [str(i), *(f"{float(r[f]):.6f}" for f in ScaleFamily)]
+                    for i, r in enumerate(curve, 1)
+                ]
+                assert all(abs(sum(map(float, row[1:])) - 1) < 1e-5 for row in rows)
+                shared += sum(len(s.families) > 1 for s in steps)
+    capsys.readouterr()
+    assert shared > 0
+
+
+def test_motifs_table_renders_the_json_stats(capsys, b3_path):
+    # The JSON keeps the --families order; the table ranks the families.
+    for families in (",".join(str(f) for f in ScaleFamily), "crown,nominal"):
+        argv = ["motifs", str(b3_path), "--families", families]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stats = run_json(capsys, argv + ["--json"])["stats"]
+        assert list(stats) == families.split(",")
+        names = sorted(stats, key=ScaleFamily.from_name)
+        assert lines[0].split() == names
+        labels = [("motifs", "total"), ("maximal", "maximal"), ("largest size", "largest")]
+        for line, (label, key) in zip(lines[1:], labels, strict=True):
+            assert line.startswith(label)
+            assert line[len(label) :].split() == [str(stats[n][key]) for n in names]
+        assert len({len(line) for line in lines}) == 1
+    assert lines == [
+        "              nominal  crown",
+        "motifs              3      1",
+        "maximal             3      1",
+        "largest size        2      3",
+    ]
 
 
 def test_cover_json_reports_ties_and_families(capsys, b3_path):

@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from ordmotif import (
-    CoveringStep,
     EnumerationConfig,
     FormalContext,
     HeuristicKind,
@@ -18,12 +17,7 @@ from ordmotif import (
     greedy_cover,
     recognize,
 )
-from ordmotif.covering import (
-    coverage_curve,
-    covered_extents,
-    family_ratios,
-    ratio_curve,
-)
+from ordmotif.covering import covered_extents
 from ordmotif.scales import expected_extent_count, scale_preimages
 
 from oracles import (
@@ -208,52 +202,6 @@ def test_normalized_scores_drop_after_the_first_pick():
             checked += 1
             assert Fraction(s.new_extents, expected) <= 1 - Fraction(1, expected)
     assert checked > 0
-
-
-def test_family_ratios_single_family():
-    # a chain pair realizes ordinal alone; a Boolean pair splits three ways
-    o3 = build_scale(ScaleFamily.ORDINAL, 3)
-    steps = greedy_cover(o3, [Motif(ScaleFamily.ORDINAL, (0, 1))], 1)
-    ratios = family_ratios(steps)
-    assert ratios[ScaleFamily.ORDINAL] == 1
-    assert sum(ratios.values()) == 1
-    boolean_pair = family_ratios(greedy_cover(B3, [Motif(ScaleFamily.NOMINAL, (0, 1))], 1))
-    assert boolean_pair[ScaleFamily.NOMINAL] == Fraction(1, 3)
-    assert boolean_pair[ScaleFamily.INTERORDINAL] == Fraction(1, 3)
-    assert boolean_pair[ScaleFamily.CONTRANOMINAL] == Fraction(1, 3)
-
-
-def test_family_ratios_split_across_dual_families():
-    steps = greedy_cover(B3, [TRIPLE], 1)
-    ratios = family_ratios(steps)
-    assert ratios[ScaleFamily.CONTRANOMINAL] == Fraction(1, 2)
-    assert ratios[ScaleFamily.CROWN] == Fraction(1, 2)
-    assert ratios[ScaleFamily.NOMINAL] == 0
-
-
-def test_family_ratios_prefix():
-    pair = Motif(ScaleFamily.NOMINAL, (0, 1))
-    chain = Motif(ScaleFamily.ORDINAL, (0, 2))
-    steps = [CoveringStep(pair, (pair,), 4, 4), CoveringStep(chain, (chain,), 1, 5)]
-    assert family_ratios(steps, 1)[ScaleFamily.NOMINAL] == 1
-    two = family_ratios(steps, 2)
-    assert two[ScaleFamily.NOMINAL] == Fraction(1, 2)
-    assert two[ScaleFamily.ORDINAL] == Fraction(1, 2)
-    assert sum(family_ratios([]).values()) == 0
-
-
-def test_curves_match_steps():
-    rng = Random(103)
-    ctx, _ = clarify_objects(random_context(rng, 6, 5, 0.5))
-    pool = enumerate_motifs(ctx).all_motifs(maximal_only=True)
-    steps = greedy_cover(ctx, pool, 5)
-    curve = coverage_curve(steps)
-    assert [row[0] for row in curve] == list(range(1, len(steps) + 1))
-    assert all(row[2] == s.cumulative for row, s in zip(curve, steps))
-    ratios = ratio_curve(steps)
-    for i, (step_no, table) in enumerate(ratios, start=1):
-        assert step_no == i
-        assert sum(table.values()) == 1
 
 
 def test_greedy_matches_the_reference_greedy_at_every_step():

@@ -14,7 +14,14 @@ from ordmotif.context import clarify_objects
 from ordmotif.dimension import meet_irreducible_extents
 from ordmotif.scales import FAMILY_MIN_SIZE
 
-from oracles import coverages_oracle, dimension_oracle, full_row_context, random_context
+from oracles import (
+    coverages_oracle,
+    dimension_oracle,
+    full_row_context,
+    meet_irreducibles_oracle,
+    random_context,
+    with_shared_column,
+)
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
 N3 = build_scale(ScaleFamily.NOMINAL, 3)
@@ -36,6 +43,21 @@ def test_meet_irreducibles_of_chain():
 def test_meet_irreducibles_exclude_top():
     one = FormalContext.from_rows(["g"], ["m"], (0b1,))
     assert meet_irreducible_extents(one) == []
+
+
+def test_meet_irreducibles_match_the_all_extents_oracle():
+    # A full column is the top extent; a repeated column adds no extent.
+    rng = Random(131)
+    for _ in range(400):
+        ctx = random_context(rng, rng.randint(0, 7), rng.randint(0, 7), rng.uniform(0.2, 0.8))
+        variants = [ctx, with_shared_column(ctx)]
+        if ctx.attributes:
+            m = rng.randrange(len(ctx.attributes))
+            rows = [r | (r >> m & 1) << len(ctx.attributes) for r in ctx.rows]
+            attributes = (*ctx.attributes, "copy")
+            variants.append(FormalContext.from_rows(ctx.objects, attributes, rows))
+        for c in variants:
+            assert meet_irreducible_extents(c) == meet_irreducibles_oracle(c)
 
 
 def test_boolean_cube_needs_three_chains():

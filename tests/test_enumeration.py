@@ -23,7 +23,6 @@ from ordmotif.enumeration import (
     enumerate_hereditary,
     maximal_filter,
     motif_stats,
-    stats_table,
 )
 from ordmotif.recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES
 
@@ -332,17 +331,6 @@ def test_config_validation():
         enumerate_hereditary(
             build_scale(ScaleFamily.NOMINAL, 2), ScaleFamily.CROWN
         )
-
-
-def test_stats_table_shape():
-    b3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
-    inv = enumerate_motifs(b3)
-    text = stats_table(inv)
-    lines = text.splitlines()
-    assert lines[0].split() == [str(f) for f in ScaleFamily]
-    assert lines[1].startswith("motifs")
-    assert lines[2].startswith("maximal")
-    assert lines[3].startswith("largest size")
 
 
 def test_size_bounds_are_respected():

@@ -73,6 +73,13 @@ def test_csv_errors_carry_line_numbers():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_csv("")
+    # A quoted label may span lines; errors after it name the physical line.
+    with pytest.raises(ParseError, match="line 4: cell '2'") as err:
+        parse_csv(',m\n"a\nb",1\nc,2\n')
+    assert err.value.line == 4
+    with pytest.raises(ParseError, match="line 4: row has 3 cells") as err:
+        parse_csv(',m\n"a\nb",1\nc,1,0\n')
+    assert err.value.line == 4
 
 
 def test_csv_bare_carriage_returns_end_rows():
