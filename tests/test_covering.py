@@ -28,6 +28,7 @@ from oracles import (
     greedy_oracle,
     random_context,
     random_corpus_item,
+    ratio_curve_oracle,
 )
 
 B3 = build_scale(ScaleFamily.CONTRANOMINAL, 3)
@@ -202,6 +203,16 @@ def test_normalized_scores_drop_after_the_first_pick():
             checked += 1
             assert Fraction(s.new_extents, expected) <= 1 - Fraction(1, expected)
     assert checked > 0
+
+
+def test_family_ratios_split_across_dual_families():
+    # The B3 pick realizes contranominal and crown; each takes half of it.
+    steps = greedy_cover(B3, [TRIPLE], 1)
+    assert steps[0].families == (ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN)
+    (ratios,) = ratio_curve_oracle([s.families for s in steps])
+    assert ratios[ScaleFamily.CONTRANOMINAL] == Fraction(1, 2)
+    assert ratios[ScaleFamily.CROWN] == Fraction(1, 2)
+    assert ratios[ScaleFamily.NOMINAL] == 0
 
 
 def test_greedy_matches_the_reference_greedy_at_every_step():
