@@ -12,12 +12,40 @@ off the context's intent table and computes none. The problem is hard
 in general, and a context in which every set is an extent drops no
 partial map, hence the caps on object count, tuple length and the
 scale column scans the search counts as it goes.
+
+Two exact cuts spare the search work whose answer is known:
+
+* Chain scales are answered by width. A *chain scale* has objects and
+  nonempty, pairwise nested columns, as ordinal scales do; its
+  *capacity* is its number of distinct columns other than its full
+  object set. A measure onto it pulls the columns back to a chain of at
+  most *capacity* proper extents, plus G. Every such chain
+  E_1 < ... < E_k is realized: with C_1 < ... < C_c the distinct proper
+  columns, send g to an object of C_i outside C_(i-1) for the least i
+  with g in E_i, or to an object outside C_c when no E_i holds g. Then
+  C_i pulls back to E_min(i,k) and a full column to G. With no
+  irreducible at all, sending every object into the smallest column
+  pulls every column back to G. So when every scale is a chain scale and
+  the longest chain of irreducibles fits the largest capacity, the
+  dimension is the least number of chains covering the irreducibles, at
+  least 1: by Dilworth's theorem their width, the irreducibles minus a
+  maximum matching on strict inclusion (Fulkerson 1956; Ganter, Hanika &
+  Hirth, "Scaling Dimension", ICFCA 2023).
+* Interchangeable scale objects are tried once. Let s0 be the least scale
+  object no assigned object maps to. When swapping s0 with a later unused
+  object t maps every scale column onto a scale column, the swap is a
+  scale automorphism fixing every earlier assignment, so it carries the
+  maps that send the next object to t one-to-one onto those that send it
+  to s0, with the same preimage family: t need not be tried. Only the
+  columns holding exactly one of s0 and t can move, so only they are
+  tested.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .bitsets import bits
 from .context import FormalContext
 from .scales import ScaleFamily, check_scale_size, column_count
 
@@ -72,6 +100,25 @@ def meet_irreducible_extents(context: FormalContext) -> list[int]:
     return sorted(out)
 
 
+def _swappable(scale: FormalContext, s0: int, columns: set[int]) -> int:
+    """Scale objects ``t > s0`` whose swap with ``s0`` maps every column onto a column.
+
+    A column holding both or neither of the two is fixed by the swap, so
+    only the columns in ``rows[s0] ^ rows[t]`` are tested, up to the first
+    that moves onto no column.
+    """
+    rows, cols = scale.rows, scale.cols
+    out = 0
+    for t in range(s0 + 1, len(rows)):
+        pair = 1 << s0 | 1 << t
+        for c in bits(rows[s0] ^ rows[t]):
+            if cols[c] ^ pair not in columns:
+                break
+        else:
+            out |= 1 << t
+    return out
+
+
 def _measure_coverages(
     context: FormalContext, scale: FormalContext, irreducibles: int, spent: list[int]
 ) -> set[int]:
@@ -90,6 +137,10 @@ def _measure_coverages(
     measures survive. Records which irreducibles appear among their
     preimages; sets of extents are ints over ``intent_ids()``.
 
+    An unused scale object that the least unused one ``s0`` can swap with
+    (:func:`_swappable`, computed once per ``s0``) is not tried: the swap
+    gives its maps the same preimage families as those through ``s0``.
+
     Each grown partial map adds its ``|S| * |M_S|`` column scans to the
     shared ``spent[0]``; past ``MAX_COLUMN_SCANS`` the search fails.
     """
@@ -98,9 +149,12 @@ def _measure_coverages(
     rows = context.rows
     extents = context.extents()
     ids = context.intent_ids()
+    scale_columns = set(scale.cols)
+    scale_objects = [(1 << s, row) for s, row in enumerate(scale.rows)]
+    swaps: dict[int, int] = {}
     out: set[int] = set()
 
-    def grow(g: int, columns: list[tuple[int, int]]) -> None:
+    def grow(g: int, columns: list[tuple[int, int]], used: int) -> None:
         if g == n:
             hit = 0
             for _, intent in columns:
@@ -113,10 +167,16 @@ def _measure_coverages(
                 f"scaling dimension search stopped after {spent[0]} scale column "
                 f"scans; the cap is {MAX_COLUMN_SCANS} column scans"
             )
+        s0 = ~used & (used + 1)
+        if s0 not in swaps:
+            swaps[s0] = _swappable(scale, s0.bit_length() - 1, scale_columns)
+        skip = swaps[s0] & ~used
         bit = 1 << g
         assigned = (bit << 1) - 1
         row_g = rows[g]
-        for row in scale.rows:
+        for s, row in scale_objects:
+            if skip & s:
+                continue
             grown = []
             for c, (pre, intent) in enumerate(columns):
                 if row >> c & 1:
@@ -128,10 +188,48 @@ def _measure_coverages(
                     break
                 grown.append((pre, intent))
             else:
-                grow(g + 1, grown)
+                grow(g + 1, grown, used | s)
 
-    grow(0, [(0, context.attribute_mask)] * len(scale.attributes))
+    grow(0, [(0, context.attribute_mask)] * len(scale.attributes), 0)
     return out
+
+
+def _chain_capacity(scale: FormalContext) -> int | None:
+    """Distinct columns other than the full object set, for a chain scale.
+
+    ``None`` unless ``scale`` has objects and its columns are nonempty and
+    pairwise nested.
+    """
+    chain = sorted(scale.cols, key=int.bit_count)
+    if not scale.rows or 0 in chain or any(a & b != a for a, b in zip(chain, chain[1:])):
+        return None
+    return len(set(chain) - {scale.object_mask})
+
+
+def _height_and_width(sets: list[int]) -> tuple[int, int]:
+    """Longest chain and fewest covering chains of distinct sets under strict inclusion.
+
+    The fewest chains are ``len(sets)`` minus a maximum matching of sets
+    to strict supersets (Dilworth; Fulkerson 1956), grown by augmenting
+    paths.
+    """
+    above = [[j for j, f in enumerate(sets) if e != f and e & f == e] for e in sets]
+    height = [0] * len(sets)
+    for i in sorted(range(len(sets)), key=lambda i: -sets[i].bit_count()):
+        height[i] = 1 + max((height[j] for j in above[i]), default=0)
+    match: list[int | None] = [None] * len(sets)
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in above[i]:
+            if j not in seen:
+                seen.add(j)
+                if match[j] is None or augment(match[j], seen):
+                    match[j] = i
+                    return True
+        return False
+
+    matched = sum(augment(i, set()) for i in range(len(sets)))
+    return max(height, default=0), len(sets) - matched
 
 
 def scaling_dimension(
@@ -142,7 +240,9 @@ def scaling_dimension(
     """Least d <= ``max_d`` admitting a full measure into a d-fold semi-product.
 
     Scales may repeat within a tuple. Returns ``None`` when no tuple of
-    length up to ``max_d`` works.
+    length up to ``max_d`` works. When every scale is a chain scale and the
+    longest chain of irreducibles fits the largest capacity, the answer is
+    their width (at least 1) and no map is searched.
     """
     check_object_count(len(context.objects))
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:
@@ -150,9 +250,17 @@ def scaling_dimension(
     if not scales:
         raise ValueError("the scale family must not be empty")
 
+    irreducibles = meet_irreducible_extents(context)
+    capacities = [_chain_capacity(scale) for scale in scales]
+    if None not in capacities:
+        height, width = _height_and_width(irreducibles)
+        if height <= max(capacities):
+            d = max(width, 1)
+            return d if d <= max_d else None
+
     ids = context.intent_ids()
     target = 0
-    for e in meet_irreducible_extents(context):
+    for e in irreducibles:
         target |= 1 << ids[context.derive_objects(e)]
     coverages: set[int] = set()
     spent = [0]

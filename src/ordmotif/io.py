@@ -130,6 +130,9 @@ def parse_csv(text: str) -> FormalContext:
         table = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from exc
+    # csv yields [] for a blank line; a file may end in some.
+    while table and not table[-1][1]:
+        table.pop()
     if not table:
         raise ParseError("empty CSV input", 1)
     attributes = table[0][1][1:]

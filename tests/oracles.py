@@ -292,6 +292,23 @@ def dimension_oracle(
     return None
 
 
+def least_cover_oracle(coverages: set[int], target: int, max_d: int) -> int | None:
+    """Least d <= ``max_d`` such that d of ``coverages``, repeats allowed, cover ``target``.
+
+    ``coverages`` are per-map sets of irreducibles as ints, such as the
+    union of ``dimension._measure_coverages`` over a call's scales; every
+    choice of d of them is tried.
+    """
+    for d in range(1, max_d + 1):
+        for combo in combinations_with_replacement(sorted(coverages), d):
+            union = 0
+            for c in combo:
+                union |= c
+            if target & ~union == 0:
+                return d
+    return None
+
+
 def meet_irreducibles_oracle(context: FormalContext) -> list[int]:
     """Extents other than the top that are not the meet of the extents above them.
 

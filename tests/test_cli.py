@@ -363,14 +363,17 @@ def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
 
 
 def test_scaling_dim_stops_runaway_searches_at_the_real_cap(capsys, tmp_path):
-    # Unbounded, these took about 130 s and 70 s.
+    # Unbounded, the interordinal search took about 130 s.
     b8 = _contranominal_path(tmp_path, 8)
     start = time.monotonic()
-    for scale in ("interordinal:8", "contranominal:8"):
+    for scale in ("interordinal:8", "crown:8"):
         assert main(["scaling-dim", str(b8), "--scales", scale]) == 1
         assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
-    # Only a runaway search comes near this; the two refusals take about 9 s.
+    # Only a runaway search comes near this; the two refusals take about 8 s.
     assert time.monotonic() - start < 60
+    # Its own scale's objects are interchangeable, so each is tried once.
+    assert main(["scaling-dim", str(b8), "--scales", "contranominal:8"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):

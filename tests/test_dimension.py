@@ -18,6 +18,7 @@ from oracles import (
     coverages_oracle,
     dimension_oracle,
     full_row_context,
+    least_cover_oracle,
     meet_irreducibles_oracle,
     random_context,
     with_shared_column,
@@ -182,6 +183,19 @@ def test_pruned_map_search_matches_the_exhaustive_one_on_random_contexts():
         _assert_same_coverages(context, rng.choice(RANDOM_SCALES))
 
 
+def test_pruned_map_search_matches_the_exhaustive_one_on_random_scales():
+    # Random scales have some interchangeable objects and some that are
+    # not, so an object can be used before a smaller one it swaps with.
+    rng = Random(2753)
+    twins = FormalContext.from_rows(["a", "b", "c"], ["p", "q", "r"], (0b111, 0b010, 0b100))
+    for _ in range(300):
+        raw = random_context(rng, rng.randint(0, 5), rng.randint(1, 5), rng.uniform(0.2, 0.8))
+        context, _ = clarify_objects(raw)
+        scale = random_context(rng, rng.randint(1, 4), rng.randint(1, 4), rng.uniform(0.2, 0.8))
+        _assert_same_coverages(context, scale)
+        _assert_same_coverages(context, twins)
+
+
 def test_pruned_map_search_matches_the_exhaustive_one_without_an_empty_extent():
     rng = Random(8191)
     for _ in range(60):
@@ -206,7 +220,137 @@ def test_largest_admitted_scales_measure_themselves_with_pruning():
 
 
 def test_nominal_8_measures_itself_below_the_column_scan_cap():
-    # The largest self-measure among the size-8 scales: about 4.4M of the
-    # 2**23 column scans. Contranominal 8 drops nothing and is refused.
+    # Every two objects of these scales are interchangeable, so each grown
+    # map tries the used objects and one unused one. Without that, nominal 8
+    # took about 4.4M column scans and contranominal 8, which drops no
+    # partial map, passed the 2**23 cap.
     n8 = build_scale(ScaleFamily.NOMINAL, 8)
+    b8 = build_scale(ScaleFamily.CONTRANOMINAL, 8)
     assert scaling_dimension(n8, [n8]) == 1
+    assert scaling_dimension(b8, [b8]) == 1
+    assert _column_scans(n8, n8) <= 1_000
+    assert _column_scans(b8, b8) < 100_000
+
+
+def _searched_dimension(context, scales, max_d):
+    # The least cover of the irreducibles by the map search's coverage sets.
+    ids = context.intent_ids()
+    target = 0
+    for e in meet_irreducible_extents(context):
+        target |= 1 << ids[context.derive_objects(e)]
+    coverages = set()
+    for scale in scales:
+        coverages |= dimension._measure_coverages(context, scale, target, [0])
+    return least_cover_oracle(coverages, target, max_d)
+
+
+def _takes_width_path(context, scales):
+    height, _ = dimension._height_and_width(meet_irreducible_extents(context))
+    return height <= max(dimension._chain_capacity(s) for s in scales)
+
+
+def test_chain_capacity_counts_the_proper_columns():
+    for n in range(1, 7):
+        assert dimension._chain_capacity(build_scale(ScaleFamily.ORDINAL, n)) == n - 1
+    # One column, the full object set, is a chain of capacity 0.
+    assert dimension._chain_capacity(build_scale(ScaleFamily.NOMINAL, 1)) == 0
+    assert dimension._chain_capacity(build_scale(ScaleFamily.INTERORDINAL, 1)) == 0
+    # An empty column, or two columns that do not nest, make no chain scale.
+    assert dimension._chain_capacity(build_scale(ScaleFamily.CONTRANOMINAL, 1)) is None
+    for family in (ScaleFamily.NOMINAL, ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL):
+        assert dimension._chain_capacity(build_scale(family, 2)) is None, family
+    assert dimension._chain_capacity(build_scale(ScaleFamily.CROWN, 3)) is None
+    # Repeated columns count once.
+    doubled = FormalContext.from_rows(["a", "b"], ["p", "q", "r"], (0b111, 0b100))
+    assert dimension._chain_capacity(doubled) == 1
+    # No objects means no map at all, even with no columns.
+    assert dimension._chain_capacity(FormalContext.from_rows([], [], [])) is None
+
+
+def test_height_and_width_of_small_posets():
+    assert dimension._height_and_width([]) == (0, 0)
+    assert dimension._height_and_width([0b1, 0b11, 0b111]) == (3, 1)
+    assert dimension._height_and_width([0b011, 0b101, 0b110]) == (1, 3)
+    # The three pairs are an antichain; each singleton lies below two of them.
+    assert dimension._height_and_width([0b001, 0b011, 0b100, 0b110, 0b101]) == (2, 3)
+
+
+def test_chain_scales_agree_with_the_explicit_semiproduct_search():
+    rng = Random(6151)
+    sides = set()
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        n = rng.randint(2, 4 if k <= 3 else 3)
+        ctx = random_context(rng, n, rng.randint(1, 4), rng.uniform(0.2, 0.8))
+        scales = [build_scale(ScaleFamily.ORDINAL, k)]
+        sides.add(_takes_width_path(ctx, scales))
+        assert scaling_dimension(ctx, scales, max_d=2) == dimension_oracle(ctx, scales, 2), (
+            ctx,
+            k,
+        )
+    assert sides == {True, False}
+
+
+def test_chain_scales_agree_with_the_map_search():
+    rng = Random(7001)
+    sides = set()
+    for trial in range(300):
+        n = rng.randint(0, 6)
+        if trial % 3 == 0 and n:
+            ctx = full_row_context(rng, n)
+        else:
+            ctx = random_context(rng, n, rng.randint(0, 6), rng.uniform(0.2, 0.8))
+        scales = [
+            build_scale(ScaleFamily.ORDINAL, rng.randint(1, 6))
+            for _ in range(rng.randint(1, 2))
+        ]
+        max_d = rng.randint(1, 4)
+        sides.add(_takes_width_path(ctx, scales))
+        assert scaling_dimension(ctx, scales, max_d) == _searched_dimension(ctx, scales, max_d), (
+            ctx,
+            scales,
+            max_d,
+        )
+    assert sides == {True, False}
+
+
+def test_width_path_cases():
+    rng = Random(17)
+    o5 = build_scale(ScaleFamily.ORDINAL, 5)
+    # The empty set is no extent, yet every chain of extents is realized.
+    for _ in range(20):
+        ctx = full_row_context(rng, rng.randint(2, 6))
+        assert ctx.object_closure(0) != 0
+        assert scaling_dimension(ctx, [o5]) == _searched_dimension(ctx, [o5], 4)
+    # One extent: no irreducible to cover, and one map suffices.
+    same = FormalContext.from_rows(["a", "b", "c"], ["m"], (1, 1, 1))
+    for scale in (build_scale(ScaleFamily.ORDINAL, 1), O3):
+        assert scaling_dimension(same, [scale]) == 1
+    # Five pairwise incomparable singletons need five chains.
+    n5 = build_scale(ScaleFamily.NOMINAL, 5)
+    assert scaling_dimension(n5, [O3]) is None
+    assert _searched_dimension(n5, [O3], 4) is None
+    # The longest chain decides the capacity, the shortest scale is not needed.
+    assert scaling_dimension(o5, [O2, o5]) == 1
+    assert scaling_dimension(I3, [O2, o5]) == 2
+    assert scaling_dimension(I3, [O2]) == _searched_dimension(I3, [O2], 4)
+
+
+def test_a_scale_that_is_no_chain_takes_the_map_search(monkeypatch):
+    calls = []
+    search = dimension._measure_coverages
+
+    def counted(context, scale, irreducibles, spent):
+        calls.append(scale)
+        return search(context, scale, irreducibles, spent)
+
+    monkeypatch.setattr(dimension, "_measure_coverages", counted)
+    assert scaling_dimension(O3, [O3]) == 1
+    assert calls == []
+    assert scaling_dimension(O3, [O3, N3]) == 1
+    assert calls == [O3, N3]
+    assert scaling_dimension(I3, [O2, N3]) == _searched_dimension(I3, [O2, N3], 4)
+    calls.clear()
+    # Chain scales of capacities 1 and 4: the larger one decides.
+    assert scaling_dimension(I3, [O2, build_scale(ScaleFamily.ORDINAL, 5)]) == 2
+    assert calls == []

@@ -82,6 +82,19 @@ def test_csv_errors_carry_line_numbers():
     assert err.value.line == 4
 
 
+def test_csv_trailing_blank_lines_are_ignored():
+    assert parse_csv(",cold,red\nwater,1,0\nwine,0,1\n\n") == SAMPLE
+    assert parse_csv(",cold,red\r\nwater,1,0\r\nwine,0,1\r\n\r\n\r\n") == SAMPLE
+    assert parse_csv(",m\ng,1\n\n").objects == ("g",)
+    # A blank line between rows is still a row of 0 cells.
+    with pytest.raises(ParseError, match="line 3: row has 0 cells") as err:
+        parse_csv(",cold,red\nwater,1,0\n\nwine,0,1\n")
+    assert err.value.line == 3
+    for blank in ("\n", "\n\n\n", "\r\n\r\n"):
+        with pytest.raises(ParseError, match="empty CSV input"):
+            parse_csv(blank)
+
+
 def test_csv_bare_carriage_returns_end_rows():
     # Classic Mac line ends parse; a stray CR splits its row, which then fails.
     assert parse_csv(",cold,red\rwater,1,0\rwine,0,1\r") == SAMPLE
