@@ -11,7 +11,10 @@ column carries its preimage's intent, so that test reads the closure
 off the context's intent table and computes none. The problem is hard
 in general, and a context in which every set is an extent drops no
 partial map, hence the caps on object count, tuple length and the
-scale column scans the search counts as it goes.
+scale column scans the search counts as it goes. The final cover is an
+exact search bounded by cardinality: it branches only on the maps' sets
+holding the least uncovered irreducible, and stops once d sets of the
+largest size are too few for what is left.
 
 Two exact cuts spare the search work whose answer is known:
 
@@ -268,22 +271,15 @@ def scaling_dimension(
         coverages |= _measure_coverages(context, scale, target, spent)
     if not coverages:
         return None
-    # Dominated coverage sets never help a smallest tuple.
-    maximal = [c for c in coverages if not any(c != o and c | o == o for o in coverages)]
-    maximal.sort(key=lambda c: (-c.bit_count(), c))
+    largest = max(c.bit_count() for c in coverages)
 
-    def search(missing: int, budget: int, start: int) -> bool:
+    def cover(missing: int, budget: int) -> bool:
+        # Some set of every cover holds the least missing irreducible.
         if not missing:
             return True
-        if budget == 0:
+        if missing.bit_count() > budget * largest:
             return False
-        for i in range(start, len(maximal)):
-            if missing & maximal[i]:
-                if search(missing & ~maximal[i], budget - 1, i + 1):
-                    return True
-        return False
+        low = missing & -missing
+        return any(cover(missing & ~c, budget - 1) for c in coverages if c & low)
 
-    for d in range(1, max_d + 1):
-        if search(target, d, 0):
-            return d
-    return None
+    return next((d for d in range(1, max_d + 1) if cover(target, d)), None)

@@ -6,18 +6,19 @@ is a witness too. So their domains grow depth-first, one object at a
 time, under the family's step rule on rows. Each node keeps the objects
 it may still try as one int and narrows it with ``&`` before the rule
 runs. Crowns are not hereditary: H is a crown iff the objects sharing an
-attribute outside H's intent link H into one cycle. A depth-first path
-search, capped by size, finds each cycle once on rows, from a seed
-triplet of its least object and that object's two cycle neighbours.
+attribute outside H's intent link H into one cycle. Crown enumeration
+runs ``recognition.crown_walks``, the walk ``recognize`` also runs, from
+every seed triplet of an object and two objects above it that it
+overlaps, capped by size, so it finds each cycle once on rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .context import FormalContext, require_clarified
-from .recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES, Motif, recognize
+from .recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES, Motif, crown_walks, recognize
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 DEFAULT_MIN_SIZE = 2
@@ -140,9 +141,9 @@ def enumerate_crowns(
 
     Each cycle is found once, from its seed triplet: its least object
     ``x`` and x's two cycle neighbours ``a < b``, both above ``x`` among
-    the objects x overlaps. The walk ``[x, a, ..., b]`` that
-    :func:`_crown_walks` grows from the triplet is the recognizer's
-    canonical walk.
+    the objects x overlaps. Its witness is the walk ``[x, a, ..., b]``
+    that ``recognition.crown_walks`` grows from the triplet, the one
+    :func:`recognize` returns.
     """
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
@@ -160,59 +161,9 @@ def enumerate_crowns(
         ups = [g for g in overlap[x] if g > x]
         for i, a in enumerate(ups):
             for b in ups[i + 1 :]:
-                for walk in _crown_walks(rows, overlap, x, a, b, lo, hi):
+                for walk in crown_walks(rows, overlap, x, a, b, lo, hi):
                     crowns.append(Motif(ScaleFamily.CROWN, walk))
     return _sorted_motifs(crowns)
-
-
-def _crown_walks(
-    rows: Sequence[int], overlap: list[list[int]], x: int, a: int, b: int, lo: int, hi: int
-) -> Iterator[tuple[int, ...]]:
-    """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects seeded by x, a, b.
-
-    A crown's consecutive pairs share an attribute outside its intent and
-    no other pair does. On a triangle the intent is what all three share.
-    On a longer cycle a and b are not consecutive, so the intent is
-    exactly what a and b share: every member holds it, and two members
-    are consecutive iff they share more. A path then grows from
-    ``[x, a]`` by objects consecutive with its last object only, and
-    closes, without growing further, at an object consecutive with b.
-    """
-    ab = rows[a] & rows[b]
-    if ab & ~rows[x]:
-        # a and b share more than x holds, so they are consecutive.
-        intent = rows[x] & ab
-        if lo <= 3 and rows[x] & rows[a] & ~intent and rows[x] & rows[b] & ~intent:
-            yield x, a, b
-        return
-    rest = ~ab
-    if hi < 4 or not rows[x] & rows[a] & rest or not rows[x] & rows[b] & rest:
-        return
-    # An explicit stack of (path, path_mask, inner), so the cap is not
-    # bounded by the recursion limit; ``inner`` ORs the rows strictly
-    # between x and the path's last object.
-    stack = [([x, a], 1 << a | 1 << b, 0)]
-    while stack:
-        path, path_mask, inner = stack.pop()
-        last = path[-1]
-        if rows[last] & rows[b] & rest:
-            if lo <= len(path) + 1:
-                yield (*path, b)
-            continue
-        if len(path) + 1 >= hi:
-            continue
-        link = rows[last] & rest
-        apart = (rows[x] | inner) & rest
-        next_inner = inner | rows[last]
-        for nxt in overlap[last]:
-            if (
-                nxt > x
-                and rows[nxt] & link
-                and not path_mask >> nxt & 1
-                and not rows[nxt] & apart
-                and rows[nxt] & ab == ab
-            ):
-                stack.append((path + [nxt], path_mask | 1 << nxt, next_inner))
 
 
 def enumerate_family(

@@ -158,9 +158,9 @@ def parse_csv(text: str) -> FormalContext:
 
 
 def load_context(path: str | Path) -> FormalContext:
-    """Read a UTF-8 context file; the suffix (.cxt or .csv, any case) picks the format."""
+    """Read a UTF-8 context file, BOM or not; the suffix (.cxt or .csv, any case) picks the format."""
     suffix = Path(path).suffix.lower()
     parsers = {".cxt": parse_burmeister, ".csv": parse_csv}
     if suffix not in parsers:
         raise ParseError(f"cannot infer format from suffix {suffix!r}")
-    return parsers[suffix](Path(path).read_bytes().decode("utf-8"))
+    return parsers[suffix](Path(path).read_bytes().decode("utf-8-sig"))

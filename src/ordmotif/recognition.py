@@ -2,14 +2,16 @@
 
 A motif is a set H of objects whose induced subcontext K[H, M] admits a
 full scale-measure onto a standard scale of size |H|. Verification works
-for arbitrary maps; recognition finds a witnessing bijection in polynomial
-time per family, or reports that none exists.
+for arbitrary maps; recognition finds a witnessing bijection per family,
+or reports that none exists. Each family's rule lives here once and
+enumeration runs it too: a step function per hereditary family, and
+:func:`crown_walks` for crowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitsets import bits, mask_of
 from .context import FormalContext, require_clarified
@@ -189,6 +191,68 @@ HEREDITARY_CANDIDATES = {
 }
 
 
+def crown_walks(
+    rows: Sequence[int], overlap: Sequence[Sequence[int]], x: int, a: int, b: int, lo: int, hi: int
+) -> Iterator[tuple[int, ...]]:
+    """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects seeded by x, a, b.
+
+    The crown rule, which :func:`recognize` and enumeration both run: a set
+    H of at least three objects with intent I is a crown iff its members
+    linked by sharing something outside I form one cycle through H, and
+    its witness walks from its least object x over x's neighbours a < b.
+    ``overlap[g]`` holds the objects that may follow g; none whose row
+    misses g's ever does.
+
+    A crown's consecutive pairs share an attribute outside its intent and
+    no other pair does. On a triangle the intent is what all three share.
+    On a longer cycle a and b are not consecutive, so the intent is
+    exactly what a and b share: every member holds it, and two members
+    are consecutive iff they share more. A path then grows from
+    ``[x, a]`` by objects above x that hold that intent and are
+    consecutive with its last object only, and closes, without growing
+    further, at the first object consecutive with b. So the linked members
+    are exactly the walk's consecutive ones, and a walk so found needs no
+    system check: a column cut to H is H or a clique of the cycle (an edge
+    at most when |H| >= 4), every edge is a cut column, and edges meet in
+    singletons and the empty set.
+    """
+    ab = rows[a] & rows[b]
+    if ab & ~rows[x]:
+        # a and b share more than x holds, so they are consecutive.
+        intent = rows[x] & ab
+        if lo <= 3 and rows[x] & rows[a] & ~intent and rows[x] & rows[b] & ~intent:
+            yield x, a, b
+        return
+    rest = ~ab
+    if hi < 4 or not rows[x] & rows[a] & rest or not rows[x] & rows[b] & rest:
+        return
+    # An explicit stack of (path, path_mask, inner), so the cap is not
+    # bounded by the recursion limit; ``inner`` ORs the rows strictly
+    # between x and the path's last object.
+    stack = [([x, a], 1 << a | 1 << b, 0)]
+    while stack:
+        path, path_mask, inner = stack.pop()
+        last = path[-1]
+        if rows[last] & rows[b] & rest:
+            if lo <= len(path) + 1:
+                yield (*path, b)
+            continue
+        if len(path) + 1 >= hi:
+            continue
+        link = rows[last] & rest
+        apart = (rows[x] | inner) & rest
+        next_inner = inner | rows[last]
+        for nxt in overlap[last]:
+            if (
+                nxt > x
+                and rows[nxt] & link
+                and not path_mask >> nxt & 1
+                and not rows[nxt] & apart
+                and rows[nxt] & ab == ab
+            ):
+                stack.append((path + [nxt], path_mask | 1 << nxt, next_inner))
+
+
 def _fold(context: FormalContext, family: ScaleFamily, walk: list[int]) -> tuple[int, ...] | None:
     seed, step = HEREDITARY_RULES[family]
     rows = context.rows
@@ -229,33 +293,20 @@ _WITNESS_ORDERS = {
 
 
 def _recognize_crown(context: FormalContext, idx: list[int]) -> tuple[int, ...] | None:
-    n = len(idx)
-    common = context.attribute_mask
+    # x's cycle neighbours are the members sharing something outside I with
+    # it. With two of them, H is a crown iff the walk from x, with every
+    # member free to follow every other, closes through all of H.
+    rows = context.rows
+    intent = context.attribute_mask
     for g in idx:
-        common &= context.rows[g]
-    # Attributes shared by the whole domain cannot separate anything; the
-    # cycle must emerge from the remaining overlaps.
-    neighbours: dict[int, list[int]] = {g: [] for g in idx}
-    for i, a in enumerate(idx):
-        for b in idx[i + 1 :]:
-            if context.rows[a] & context.rows[b] & ~common:
-                neighbours[a].append(b)
-                neighbours[b].append(a)
-    if any(len(ns) != 2 for ns in neighbours.values()):
+        intent &= rows[g]
+    x = idx[0]
+    links = [g for g in idx[1:] if rows[x] & rows[g] & ~intent]
+    if len(links) != 2:
         return None
-    start = idx[0]
-    walk = [start, min(neighbours[start])]
-    while len(walk) < n:
-        a, b = neighbours[walk[-1]]
-        nxt = b if a == walk[-2] else a
-        if nxt in walk:
-            return None  # closed early: more than one cycle component
-        walk.append(nxt)
-    # One cycle through H needs no system check: a column cut to H is H or a
-    # clique of the cycle (an edge at most when |H| >= 4), every edge is a
-    # cut column, and edges meet in singletons and the empty set. The walk
-    # also closes, since every degree is 2.
-    return tuple(walk)
+    a, b = links
+    n = len(idx)
+    return next(crown_walks(rows, [idx] * len(rows), x, a, b, n, n), None)
 
 
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:

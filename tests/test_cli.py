@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import ordmotif
 from ordmotif import (
     HeuristicKind,
     ScaleFamily,
@@ -374,6 +380,29 @@ def test_scaling_dim_stops_runaway_searches_at_the_real_cap(capsys, tmp_path):
     # Its own scale's objects are interchangeable, so each is tried once.
     assert main(["scaling-dim", str(b8), "--scales", "contranominal:8"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_scaling_dim_bounds_the_final_cover(tmp_path):
+    # One column per 4-subset of eight objects: all 70 columns are
+    # meet-irreducible, and no 4 coverage sets of a crown map reach them.
+    # A cover search that tried every combination of up to 4 of the
+    # hundreds of coverage sets ran for minutes; a subprocess with a
+    # timeout fails on that instead of hanging the suite.
+    subsets = list(combinations(range(8), 4))
+    path = tmp_path / "k84.csv"
+    path.write_text(
+        "," + ",".join("m" + "".join(map(str, c)) for c in subsets) + "\n"
+        + "".join(f"g{g}," + ",".join(str(int(g in c)) for c in subsets) + "\n" for g in range(8)),
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ordmotif.__file__).parents[1])}
+    for scale in ("crown:4", "crown:5"):
+        done = subprocess.run(
+            [sys.executable, "-m", "ordmotif.cli", "scaling-dim", str(path), "--scales", scale],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "unknown (no full measure with at most 4 scales)\n"
 
 
 def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):

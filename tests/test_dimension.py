@@ -232,8 +232,8 @@ def test_nominal_8_measures_itself_below_the_column_scan_cap():
     assert _column_scans(b8, b8) < 100_000
 
 
-def _searched_dimension(context, scales, max_d):
-    # The least cover of the irreducibles by the map search's coverage sets.
+def _coverage_sets(context, scales):
+    # The irreducibles as one int, and the map search's coverage sets of them.
     ids = context.intent_ids()
     target = 0
     for e in meet_irreducible_extents(context):
@@ -241,7 +241,48 @@ def _searched_dimension(context, scales, max_d):
     coverages = set()
     for scale in scales:
         coverages |= dimension._measure_coverages(context, scale, target, [0])
+    return coverages, target
+
+
+def _searched_dimension(context, scales, max_d):
+    # The least cover of the irreducibles by the map search's coverage sets.
+    coverages, target = _coverage_sets(context, scales)
     return least_cover_oracle(coverages, target, max_d)
+
+
+def test_exact_cover_matches_the_least_cover_oracle_on_planted_measures():
+    # Each context is the columns of 1-3 random maps onto non-chain scales,
+    # so the map search runs and many answers are 2 to 4. The exact cover
+    # must find the least cover over the same coverage sets, also where d
+    # sets of the largest size hold exactly as many irreducibles as there are.
+    rng = Random(3)
+    families = [f for f in ScaleFamily if f is not ScaleFamily.ORDINAL]
+    answers = set()
+    tight = 0
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        rows = [0] * n
+        width = 0
+        scales = []
+        for _ in range(rng.randint(1, 3)):
+            scale = build_scale(rng.choice(families), rng.randint(3, 4))
+            scales.append(scale)
+            for g in range(n):
+                rows[g] |= scale.rows[rng.randrange(len(scale.rows))] << width
+            width += len(scale.attributes)
+        ctx = FormalContext.from_rows(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(width)], rows
+        )
+        scales = scales[: rng.randint(1, len(scales))]
+        max_d = rng.randint(1, 4)
+        coverages, target = _coverage_sets(ctx, scales)
+        got = scaling_dimension(ctx, scales, max_d)
+        assert got == least_cover_oracle(coverages, target, max_d), (ctx, scales, max_d)
+        answers.add(got)
+        if got is not None and got > 1:
+            tight += got * max(map(int.bit_count, coverages)) == target.bit_count()
+    assert {None, 1, 2, 3, 4} <= answers
+    assert tight >= 5, tight
 
 
 def _takes_width_path(context, scales):

@@ -97,8 +97,9 @@ def test_crown_search_depth_does_not_follow_the_crown_size():
 
 
 def test_crown_search_equals_recognition_over_all_subsets():
-    # The search emits its closed paths as witnesses without recognizing
-    # them; they must be exactly what recognition accepts, in the same order.
+    # Enumeration runs the crown walk once per seed triplet over the whole
+    # context, recognition once per domain on that domain alone; both must
+    # find the same crowns with the same witnesses, in the same order.
     rng = Random(79)
     raws = [
         crown_heavy_context(rng, 7 + i % 4) if i % 2 else random_context(rng, 7 + i % 4, 7, 0.35)

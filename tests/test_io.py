@@ -158,6 +158,16 @@ def test_file_round_trip(tmp_path):
         assert load_context(p) == SAMPLE
 
 
+def test_byte_order_marks_are_dropped(tmp_path):
+    # Editors on some systems save UTF-8 with a leading BOM; it must not
+    # become part of the 'B' header or of the CSV corner cell.
+    for name, text in (("k.cxt", to_burmeister(SAMPLE)), ("k.csv", to_csv(SAMPLE))):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_context(p) == SAMPLE
+
+
 def test_burmeister_without_a_name_line(tmp_path):
     # The counts may follow 'B' directly, when the next line after them is blank.
     bare, named = tmp_path / "bare.cxt", tmp_path / "named.cxt"

@@ -23,6 +23,7 @@ from oracles import (
     crown_heavy_context,
     is_valid_motif,
     random_context,
+    with_shared_column,
 )
 
 ALL = list(ScaleFamily)
@@ -144,26 +145,28 @@ def test_recognizer_agrees_with_bijection_oracle():
                         assert is_valid_motif(ctx, got)
 
 
-def test_crown_rule_agrees_with_bijection_oracle_on_six_objects():
+def test_crown_rule_agrees_with_bijection_oracle_on_six_and_seven_objects():
     # Crowns of four and more objects are rare below six objects, so this
-    # plants them: the recognizer's cycle rule must match the oracle there.
+    # plants them. The crown walk is shared with enumeration, so this
+    # oracle comparison is its independent check.
     rng = Random(71)
     found = Counter()
     checked = 0
-    while checked < 80:
-        ctx, _ = clarify_objects(crown_heavy_context(rng, 6))
-        if len(ctx.objects) < 6:
+    while checked < 200:
+        n = 6 + checked % 2
+        ctx, _ = clarify_objects(crown_heavy_context(rng, n))
+        if len(ctx.objects) < n:
             continue
         checked += 1
-        for size in range(3, 7):
-            for domain in combinations(range(6), size):
+        for size in range(3, n + 1):
+            for domain in combinations(range(n), size):
                 got = recognize(ctx, domain, ScaleFamily.CROWN)
                 want = bijection_oracle(ctx, domain, ScaleFamily.CROWN)
                 assert (got is not None) == want, (ctx.rows, domain)
                 if got is not None:
                     assert is_valid_motif(ctx, got)
                     found[size] += 1
-    assert all(found[size] >= 5 for size in (4, 5, 6)), found
+    assert all(found[size] >= 5 for size in (4, 5, 6, 7)), found
 
 
 def test_interordinal_witness_reversal_also_witnesses():
@@ -211,6 +214,43 @@ def test_crown_rejects_two_disjoint_triangles():
         [f"g{i}" for i in range(6)], [f"m{j}" for j in range(6)], rows
     )
     assert recognize(ctx, range(6), ScaleFamily.CROWN) is None
+
+
+def _linked_context(n, links):
+    # One column per link, held by its two objects.
+    rows = [[int(g in link) for link in links] for g in range(n)]
+    return FormalContext([f"g{g}" for g in range(n)], [f"m{j}" for j in range(len(links))], rows)
+
+
+@pytest.mark.parametrize(
+    "n, links",
+    [
+        # A 6-cycle 0-1-2-3-4-5-0 with a chord 2-4 away from the least member.
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 4)]),
+        # The cycle x-a-c-b-x as 0-1-3-2-0, and member 4 linked to a and b.
+        (5, [(0, 1), (1, 3), (3, 2), (2, 0), (4, 1), (4, 2)]),
+    ],
+)
+def test_crown_needs_one_cycle_beyond_the_least_members_two_links(n, links):
+    # The least member has exactly two links, yet the links are no cycle.
+    ctx = _linked_context(n, links)
+    assert recognize(ctx, range(n), ScaleFamily.CROWN) is None
+    assert not bijection_oracle(ctx, tuple(range(n)), ScaleFamily.CROWN)
+
+
+def test_crown_walk_starts_at_the_least_member_towards_its_lower_neighbour():
+    # C_n with shuffled object labels and one column every member holds.
+    rng = Random(53)
+    for n in range(3, 9):
+        label = list(range(n))
+        rng.shuffle(label)
+        cycle = [(label[i], label[(i + 1) % n]) for i in range(n)]
+        ctx = with_shared_column(_linked_context(n, cycle))
+        walk = recognize(ctx, range(n), ScaleFamily.CROWN).domain
+        assert walk[0] == 0 and walk[1] < walk[-1]
+        edges = {frozenset(link) for link in cycle}
+        assert {frozenset((walk[i - 1], walk[i])) for i in range(n)} == edges
+        assert is_valid_motif(ctx, Motif(ScaleFamily.CROWN, walk))
 
 
 def test_crown_ignores_attributes_common_to_the_whole_domain():
