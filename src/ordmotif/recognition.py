@@ -2,10 +2,10 @@
 
 A motif is a set H of objects whose induced subcontext K[H, M] admits a
 full scale-measure onto a standard scale of size |H|. Verification works
-for arbitrary maps; recognition finds a witnessing bijection per family,
-or reports that none exists. Each family's rule lives here once and
-enumeration runs it too: a step function per hereditary family, and
-:func:`crown_walks` for crowns.
+for arbitrary maps; recognition finds a witnessing bijection in
+polynomial time per family, or reports that none exists. Each family's
+rule lives here once and enumeration runs it too: a step function per
+hereditary family, and :func:`crown_walks` for crowns.
 """
 
 from __future__ import annotations
@@ -201,7 +201,8 @@ def crown_walks(
     linked by sharing something outside I form one cycle through H, and
     its witness walks from its least object x over x's neighbours a < b.
     ``overlap[g]`` holds the objects that may follow g; none whose row
-    misses g's ever does.
+    misses g's ever does. Enumeration needs the walk to branch; recognize
+    first checks that every member has two links, so its walk never does.
 
     A crown's consecutive pairs share an attribute outside its intent and
     no other pair does. On a triangle the intent is what all three share.
@@ -293,20 +294,19 @@ _WITNESS_ORDERS = {
 
 
 def _recognize_crown(context: FormalContext, idx: list[int]) -> tuple[int, ...] | None:
-    # x's cycle neighbours are the members sharing something outside I with
-    # it. With two of them, H is a crown iff the walk from x, with every
-    # member free to follow every other, closes through all of H.
+    # Links are pairs sharing something outside I. H is no cycle unless each
+    # member has two; then no walk step has two objects to choose from, so
+    # the walk from x closes through all of H, or stops, in O(|H|^2).
     rows = context.rows
     intent = context.attribute_mask
     for g in idx:
         intent &= rows[g]
-    x = idx[0]
-    links = [g for g in idx[1:] if rows[x] & rows[g] & ~intent]
-    if len(links) != 2:
+    links = [[h for h in idx if h != g and rows[g] & rows[h] & ~intent] for g in idx]
+    if any(len(ends) != 2 for ends in links):
         return None
-    a, b = links
+    a, b = links[0]
     n = len(idx)
-    return next(crown_walks(rows, [idx] * len(rows), x, a, b, n, n), None)
+    return next(crown_walks(rows, [idx] * len(rows), idx[0], a, b, n, n), None)
 
 
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:

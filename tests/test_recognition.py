@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import combinations
 from random import Random
@@ -236,6 +237,21 @@ def test_crown_needs_one_cycle_beyond_the_least_members_two_links(n, links):
     ctx = _linked_context(n, links)
     assert recognize(ctx, range(n), ScaleFamily.CROWN) is None
     assert not bijection_oracle(ctx, tuple(range(n)), ScaleFamily.CROWN)
+
+
+def test_crown_rejects_a_diamond_chain_without_branching():
+    # x = 0 links a = 1 and b = 2 only, and a chain of 20 diamonds
+    # a-{u,v}-w-{u,v}-w-... hangs off a. A walk that branched on each
+    # diamond would try 2^20 paths; a had three links, so H is no cycle.
+    links, prev, nxt = [(0, 1), (0, 2)], 1, 3
+    for _ in range(20):
+        u, v, w = nxt, nxt + 1, nxt + 2
+        links += [(prev, u), (prev, v), (u, w), (v, w)]
+        prev, nxt = w, nxt + 3
+    ctx = _linked_context(nxt, links)
+    start = time.monotonic()
+    assert recognize(ctx, range(nxt), ScaleFamily.CROWN) is None
+    assert time.monotonic() - start < 1
 
 
 def test_crown_walk_starts_at_the_least_member_towards_its_lower_neighbour():
