@@ -16,24 +16,35 @@ exact search bounded by cardinality: it branches only on the maps' sets
 holding the least uncovered irreducible, and stops once d sets of the
 largest size are too few for what is left.
 
-Two exact cuts spare the search work whose answer is known:
+Three exact cuts spare the search work whose answer is known:
 
-* Chain scales are answered by width. A *chain scale* has objects and
-  nonempty, pairwise nested columns, as ordinal scales do; its
-  *capacity* is its number of distinct columns other than its full
-  object set. A measure onto it pulls the columns back to a chain of at
-  most *capacity* proper extents, plus G. Every such chain
-  E_1 < ... < E_k is realized: with C_1 < ... < C_c the distinct proper
-  columns, send g to an object of C_i outside C_(i-1) for the least i
-  with g in E_i, or to an object outside C_c when no E_i holds g. Then
-  C_i pulls back to E_min(i,k) and a full column to G. With no
-  irreducible at all, sending every object into the smallest column
-  pulls every column back to G. So when every scale is a chain scale and
-  the longest chain of irreducibles fits the largest capacity, the
-  dimension is the least number of chains covering the irreducibles, at
-  least 1: by Dilworth's theorem their width, the irreducibles minus a
-  maximum matching on strict inclusion (Fulkerson 1956; Ganter, Hanika &
-  Hirth, "Scaling Dimension", ICFCA 2023).
+* Chain-shaped scales are walked over extents. A scale with objects T is
+  *chain-shaped* when every column is T, a member of a chain
+  C_1 < ... < C_c of distinct, proper, nonempty sets, or, in the
+  *complemented* shape, T minus some C_i, with every such complement a
+  column. Ordinal scales have the plain shape and ``interordinal:n`` the
+  complemented one with c = n - 1. A measure pulls the C_i back to a
+  nondecreasing chain A_1 <= ... <= A_c of extents, and in the
+  complemented shape each G minus A_i must be an extent too. Every such
+  chain is realized: send g to an object of C_i outside C_(i-1) for the
+  least i with g in A_i, or to an object outside C_c when no A_i holds
+  g. Then C_i pulls back to A_i, T minus C_i to G minus A_i, and T to G.
+  A shorter chain is padded by repeats, so the coverage sets are the
+  irreducibles met by chains of at most c distinct extents, and only the
+  extents that meet one matter: in the plain shape the irreducibles
+  themselves, in the complemented one the extents E with G minus E an
+  extent and E or G minus E irreducible. The plain shape always realizes
+  the chain G, ..., G; the complemented one realizes some chain only if
+  some extent's complement is an extent.
+* Chain scales are answered by width. A *chain scale* has the plain
+  shape, and its *capacity* is c, its distinct columns other than T.
+  With no irreducible at all, one map that pulls every column back to G
+  suffices. So when every scale is a chain scale and the longest chain
+  of irreducibles fits the largest capacity, the dimension is the least
+  number of chains covering the irreducibles, at least 1: by Dilworth's
+  theorem their width, the irreducibles minus a maximum matching on
+  strict inclusion (Fulkerson 1956; Ganter, Hanika & Hirth, "Scaling
+  Dimension", ICFCA 2023).
 * Interchangeable scale objects are tried once. Let s0 be the least scale
   object no assigned object maps to. When swapping s0 with a later unused
   object t maps every scale column onto a scale column, the swap is a
@@ -42,6 +53,9 @@ Two exact cuts spare the search work whose answer is known:
   to s0, with the same preimage family: t need not be tried. Only the
   columns holding exactly one of s0 and t can move, so only they are
   tested.
+
+Crowns, nominal and contranominal scales of three or more objects, and
+any scale the shape test misses keep the map search.
 """
 
 from __future__ import annotations
@@ -101,6 +115,16 @@ def meet_irreducible_extents(context: FormalContext) -> list[int]:
         if meet != e:
             out.append(e)
     return sorted(out)
+
+
+def _spend(spent: list[int], scans: int) -> None:
+    """Add ``scans`` to the shared count ``spent[0]``; fail past ``MAX_COLUMN_SCANS``."""
+    spent[0] += scans
+    if spent[0] > MAX_COLUMN_SCANS:
+        raise ValueError(
+            f"scaling dimension search stopped after {spent[0]} scale column "
+            f"scans; the cap is {MAX_COLUMN_SCANS} column scans"
+        )
 
 
 def _swappable(scale: FormalContext, s0: int, columns: set[int]) -> int:
@@ -164,12 +188,7 @@ def _measure_coverages(
                 hit |= 1 << ids[intent]
             out.add(hit & irreducibles)
             return
-        spent[0] += cost
-        if spent[0] > MAX_COLUMN_SCANS:
-            raise ValueError(
-                f"scaling dimension search stopped after {spent[0]} scale column "
-                f"scans; the cap is {MAX_COLUMN_SCANS} column scans"
-            )
+        _spend(spent, cost)
         s0 = ~used & (used + 1)
         if s0 not in swaps:
             swaps[s0] = _swappable(scale, s0.bit_length() - 1, scale_columns)
@@ -197,16 +216,88 @@ def _measure_coverages(
     return out
 
 
-def _chain_capacity(scale: FormalContext) -> int | None:
-    """Distinct columns other than the full object set, for a chain scale.
+def _chain_shape(scale: FormalContext) -> tuple[int, bool] | None:
+    """``(|C|, complemented)`` for a chain-shaped scale, else ``None``.
 
-    ``None`` unless ``scale`` has objects and its columns are nonempty and
-    pairwise nested.
+    Every column must be the scale's object set T or a member of a chain
+    C of distinct, proper, nonempty sets (the plain shape), or else also
+    T minus a member of C, with every member's complement a column (the
+    complemented shape). ``None`` for a scale without objects. The test
+    is conservative: a scale it misses is still measured by the map
+    search. In the complemented shape C and its complements swap roles,
+    and the smallest proper column is a least member of one of them, so C
+    is taken as the columns sharing that column's first object.
     """
-    chain = sorted(scale.cols, key=int.bit_count)
-    if not scale.rows or 0 in chain or any(a & b != a for a, b in zip(chain, chain[1:])):
+    top = scale.object_mask
+    proper = set(scale.cols) - {top}
+    if not scale.rows or 0 in proper:
         return None
-    return len(set(chain) - {scale.object_mask})
+    chain = sorted(proper, key=int.bit_count)
+    if all(a & b == a for a, b in zip(chain, chain[1:])):
+        return len(chain), False
+    first = chain[0] & -chain[0]
+    chain = [c for c in chain if c & first]
+    if (
+        2 * len(chain) == len(proper)
+        and all(top ^ c in proper for c in chain)
+        and all(a & b == a for a, b in zip(chain, chain[1:]))
+    ):
+        return len(chain), True
+    return None
+
+
+def _chain_coverages(
+    context: FormalContext, length: int, complemented: bool, irreducibles: int, spent: list[int]
+) -> set[int]:
+    """Maximal coverage sets of the measures onto a chain-shaped scale.
+
+    A measure pulls the chain C back to a nondecreasing chain of at most
+    ``length`` extents, in the complemented shape of extents whose
+    complements are extents too, and every such chain is realized (see
+    the module docstring). The irreducibles a chain meets are those among
+    its members, and in the complemented shape also those among their
+    complements, so only *relevant* members, which meet some irreducible,
+    are walked: chains of them grow upwards by strict inclusion, and each
+    chain that cannot grow gives a coverage set. Without relevant members
+    the empty coverage stands, if any map is a measure at all.
+
+    Each walk step adds one plus the members it tries to the shared
+    ``spent[0]``, the count the map search keeps.
+    """
+    extents = context.extents()
+    if complemented:
+        top = context.object_mask
+        index = {e: i for i, e in enumerate(extents)}
+        hits = {
+            e: (1 << i | 1 << index[top ^ e]) & irreducibles
+            for i, e in enumerate(extents)
+            if top ^ e in index
+        }
+        if not hits:
+            return set()
+    else:
+        hits = {extents[i]: 1 << i for i in bits(irreducibles)}
+    relevant = sorted((e for e, hit in hits.items() if hit), key=int.bit_count)
+    if not length or not relevant:
+        return {0}
+    above = {e: [f for f in relevant if f != e and e & f == e] for e in relevant}
+    found: set[int] = set()
+
+    def walk(e: int, depth: int, hit: int) -> None:
+        _spend(spent, 1 + len(above[e]))
+        if depth == length or not above[e]:
+            found.add(hit)
+            return
+        for f in above[e]:
+            walk(f, depth + 1, hit | hits[f])
+
+    for e in relevant:
+        walk(e, 1, hits[e])
+    out: set[int] = set()
+    for hit in sorted(found, key=int.bit_count, reverse=True):
+        if all(hit & ~kept for kept in out):
+            out.add(hit)
+    return out
 
 
 def _height_and_width(sets: list[int]) -> tuple[int, int]:
@@ -243,9 +334,11 @@ def scaling_dimension(
     """Least d <= ``max_d`` admitting a full measure into a d-fold semi-product.
 
     Scales may repeat within a tuple. Returns ``None`` when no tuple of
-    length up to ``max_d`` works. When every scale is a chain scale and the
-    longest chain of irreducibles fits the largest capacity, the answer is
-    their width (at least 1) and no map is searched.
+    length up to ``max_d`` works. When every scale is a chain scale and
+    the longest chain of irreducibles fits the largest capacity,
+    the answer is their width (at least 1) and no map is searched.
+    Otherwise chain-shaped scales are walked over extents and the others
+    searched, on one column scan count.
     """
     check_object_count(len(context.objects))
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:
@@ -254,10 +347,10 @@ def scaling_dimension(
         raise ValueError("the scale family must not be empty")
 
     irreducibles = meet_irreducible_extents(context)
-    capacities = [_chain_capacity(scale) for scale in scales]
-    if None not in capacities:
+    shapes = [_chain_shape(scale) for scale in scales]
+    if all(shape is not None and not shape[1] for shape in shapes):
         height, width = _height_and_width(irreducibles)
-        if height <= max(capacities):
+        if height <= max(length for length, _ in shapes):
             d = max(width, 1)
             return d if d <= max_d else None
 
@@ -267,8 +360,11 @@ def scaling_dimension(
         target |= 1 << ids[context.derive_objects(e)]
     coverages: set[int] = set()
     spent = [0]
-    for scale in scales:
-        coverages |= _measure_coverages(context, scale, target, spent)
+    for scale, shape in zip(scales, shapes):
+        if shape is None:
+            coverages |= _measure_coverages(context, scale, target, spent)
+        else:
+            coverages |= _chain_coverages(context, *shape, target, spent)
     if not coverages:
         return None
     largest = max(c.bit_count() for c in coverages)

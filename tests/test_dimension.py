@@ -106,8 +106,12 @@ def test_bounds_are_enforced(monkeypatch):
     # Every set is an extent of contranominal 7, so nothing is dropped.
     monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", 10_000)
     b7 = build_scale(ScaleFamily.CONTRANOMINAL, 7)
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="the cap is 10000 column scans"):
-        scaling_dimension(b7, [build_scale(ScaleFamily.INTERORDINAL, 7)])
+        scaling_dimension(b7, [build_scale(ScaleFamily.CROWN, 7)])
+    # The interordinal scale is chain-shaped, so it is walked, not searched.
+    assert scaling_dimension(b7, [build_scale(ScaleFamily.INTERORDINAL, 7)]) == 4
+    assert time.perf_counter() - start < 1
 
 
 def _column_scans(context, scale):
@@ -116,8 +120,25 @@ def _column_scans(context, scale):
     return spent[0]
 
 
+def _irreducible_bits(context):
+    # The meet-irreducible extents as one int over ``intent_ids()``.
+    ids = context.intent_ids()
+    target = 0
+    for e in meet_irreducible_extents(context):
+        target |= 1 << ids[context.derive_objects(e)]
+    return target
+
+
+def _walk_scans(context, scale):
+    spent = [0]
+    shape = dimension._chain_shape(scale)
+    dimension._chain_coverages(context, *shape, _irreducible_bits(context), spent)
+    return spent[0]
+
+
 def test_one_column_scan_count_spans_every_scale(monkeypatch):
-    first, second = _column_scans(B3, O3), _column_scans(B3, N3)
+    # O3 is walked over extents and N3 searched by maps, on one count.
+    first, second = _walk_scans(B3, O3), _column_scans(B3, N3)
     assert first > 0 and second > 0
     monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", first + second)
     assert scaling_dimension(B3, [O3, N3]) == 3
@@ -234,10 +255,7 @@ def test_nominal_8_measures_itself_below_the_column_scan_cap():
 
 def _coverage_sets(context, scales):
     # The irreducibles as one int, and the map search's coverage sets of them.
-    ids = context.intent_ids()
-    target = 0
-    for e in meet_irreducible_extents(context):
-        target |= 1 << ids[context.derive_objects(e)]
+    target = _irreducible_bits(context)
     coverages = set()
     for scale in scales:
         coverages |= dimension._measure_coverages(context, scale, target, [0])
@@ -287,25 +305,35 @@ def test_exact_cover_matches_the_least_cover_oracle_on_planted_measures():
 
 def _takes_width_path(context, scales):
     height, _ = dimension._height_and_width(meet_irreducible_extents(context))
-    return height <= max(dimension._chain_capacity(s) for s in scales)
+    return height <= max(dimension._chain_shape(s)[0] for s in scales)
 
 
 def test_chain_capacity_counts_the_proper_columns():
     for n in range(1, 7):
-        assert dimension._chain_capacity(build_scale(ScaleFamily.ORDINAL, n)) == n - 1
+        assert dimension._chain_shape(build_scale(ScaleFamily.ORDINAL, n)) == (n - 1, False)
     # One column, the full object set, is a chain of capacity 0.
-    assert dimension._chain_capacity(build_scale(ScaleFamily.NOMINAL, 1)) == 0
-    assert dimension._chain_capacity(build_scale(ScaleFamily.INTERORDINAL, 1)) == 0
-    # An empty column, or two columns that do not nest, make no chain scale.
-    assert dimension._chain_capacity(build_scale(ScaleFamily.CONTRANOMINAL, 1)) is None
+    assert dimension._chain_shape(build_scale(ScaleFamily.NOMINAL, 1)) == (0, False)
+    assert dimension._chain_shape(build_scale(ScaleFamily.INTERORDINAL, 1)) == (0, False)
+    # An empty column makes no chain-shaped scale.
+    assert dimension._chain_shape(build_scale(ScaleFamily.CONTRANOMINAL, 1)) is None
+    # Two columns that do not nest but complement each other: C = {{1}}.
     for family in (ScaleFamily.NOMINAL, ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL):
-        assert dimension._chain_capacity(build_scale(family, 2)) is None, family
-    assert dimension._chain_capacity(build_scale(ScaleFamily.CROWN, 3)) is None
+        assert dimension._chain_shape(build_scale(family, 2)) == (1, True), family
+    for n in range(3, 7):
+        assert dimension._chain_shape(build_scale(ScaleFamily.INTERORDINAL, n)) == (n - 1, True)
+        for family in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN):
+            assert dimension._chain_shape(build_scale(family, n)) is None, (family, n)
+    # A chain {a} < {a, b} and as many other columns, {b} and {b, c}, but
+    # {c} = T minus {a, b} is no column.
+    lopsided = FormalContext.from_rows(
+        ["a", "b", "c"], ["p", "q", "r", "s"], (0b0011, 0b1110, 0b1000)
+    )
+    assert dimension._chain_shape(lopsided) is None
     # Repeated columns count once.
     doubled = FormalContext.from_rows(["a", "b"], ["p", "q", "r"], (0b111, 0b100))
-    assert dimension._chain_capacity(doubled) == 1
+    assert dimension._chain_shape(doubled) == (1, False)
     # No objects means no map at all, even with no columns.
-    assert dimension._chain_capacity(FormalContext.from_rows([], [], [])) is None
+    assert dimension._chain_shape(FormalContext.from_rows([], [], [])) is None
 
 
 def test_height_and_width_of_small_posets():
@@ -388,10 +416,97 @@ def test_a_scale_that_is_no_chain_takes_the_map_search(monkeypatch):
     monkeypatch.setattr(dimension, "_measure_coverages", counted)
     assert scaling_dimension(O3, [O3]) == 1
     assert calls == []
+    # O3 is chain-shaped, so only N3 is searched.
     assert scaling_dimension(O3, [O3, N3]) == 1
-    assert calls == [O3, N3]
+    assert calls == [N3]
     assert scaling_dimension(I3, [O2, N3]) == _searched_dimension(I3, [O2, N3], 4)
     calls.clear()
     # Chain scales of capacities 1 and 4: the larger one decides.
     assert scaling_dimension(I3, [O2, build_scale(ScaleFamily.ORDINAL, 5)]) == 2
     assert calls == []
+
+
+def _maximal(sets):
+    return {s for s in sets if not any(s != t and s & t == s for t in sets)}
+
+
+CHAIN_SHAPED = [
+    *(build_scale(ScaleFamily.INTERORDINAL, n) for n in range(1, 7)),
+    *(build_scale(ScaleFamily.ORDINAL, n) for n in range(1, 7)),
+    N2,
+]
+
+
+def test_chain_walk_finds_the_maximal_sets_of_the_map_search():
+    # The walk reads the coverage sets off the extents, the map search
+    # grows every measure. A third of the contexts have a full row, so the
+    # empty set is no extent and no complemented shape has any measure.
+    rng = Random(9973)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(0, 6)
+        if trial % 3 == 0 and n:
+            ctx = full_row_context(rng, n)
+        else:
+            ctx = random_context(rng, n, rng.randint(0, 6), rng.uniform(0.2, 0.8))
+        target = _irreducible_bits(ctx)
+        for scale in CHAIN_SHAPED:
+            walked = dimension._chain_coverages(ctx, *dimension._chain_shape(scale), target, [0])
+            assert walked == _maximal(dimension._measure_coverages(ctx, scale, target, [0])), (
+                ctx,
+                scale,
+            )
+            seen.add(min(len(walked), 2) if walked != {0} else "empty")
+    # No measure, only the empty coverage, one set and several sets.
+    assert seen == {0, "empty", 1, 2}
+
+
+def test_a_relabeled_interordinal_scale_gets_the_map_search_answer():
+    # Objects and columns shuffled: the shape test reads sets, not order.
+    # One more column, {2} = "<=2" and ">=2": the same extents, but no
+    # chain shape, so the map search runs.
+    rng = Random(401)
+    i4 = build_scale(ScaleFamily.INTERORDINAL, 4)
+    order = [2, 0, 3, 1]
+    columns = rng.sample(list(i4.cols), len(i4.cols))
+    relabeled = FormalContext.from_rows(
+        ["c", "a", "d", "b"],
+        [f"m{j}" for j in range(len(columns))],
+        [sum((c >> g & 1) << j for j, c in enumerate(columns)) for g in order],
+    )
+    padded = FormalContext.from_rows(
+        i4.objects, (*i4.attributes, "=2"), [r | (g == 1) << 8 for g, r in enumerate(i4.rows)]
+    )
+    assert dimension._chain_shape(relabeled) == (3, True)
+    assert dimension._chain_shape(padded) is None
+    for trial in range(40):
+        ctx = random_context(rng, rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.2, 0.8))
+        max_d = rng.randint(1, 4)
+        searched = _searched_dimension(ctx, [i4], max_d)
+        for scale in (i4, relabeled, padded):
+            assert scaling_dimension(ctx, [scale], max_d) == searched, (ctx, scale, max_d)
+
+
+def test_interordinal_dimension_of_contranominal_scales():
+    # Every set is an extent, so every chain of atoms and co-atoms is a
+    # measure's; each reaches at most two co-atoms, one of them through
+    # an atom's complement.
+    for n, d in ((4, 2), (5, 3), (6, 3)):
+        b = build_scale(ScaleFamily.CONTRANOMINAL, n)
+        i = build_scale(ScaleFamily.INTERORDINAL, n)
+        target = _irreducible_bits(b)
+        assert least_cover_oracle(coverages_oracle(b, i, target), target, 4) == d
+        assert scaling_dimension(b, [i]) == d
+
+
+def test_the_walk_counts_against_the_column_scan_cap(monkeypatch):
+    i8 = build_scale(ScaleFamily.INTERORDINAL, 8)
+    walk = _walk_scans(i8, i8)
+    monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", 5)
+    with pytest.raises(ValueError, match="the cap is 5 column scans"):
+        scaling_dimension(i8, [i8])
+    monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", walk)
+    assert scaling_dimension(i8, [i8]) == 1
+    monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", walk - 1)
+    with pytest.raises(ValueError, match="column scans"):
+        scaling_dimension(i8, [i8])
