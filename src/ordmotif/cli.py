@@ -255,7 +255,7 @@ def _parse_scale_spec(spec: str) -> tuple[ScaleFamily, int]:
 def cmd_scaling_dim(args: argparse.Namespace) -> Result:
     context, _ = _load(args)
     specs = [_parse_scale_spec(s) for s in args.scales.split(",") if s]
-    check_scale_specs(len(context.objects), specs)
+    specs = check_scale_specs(len(context.objects), specs)
     scales = [build_scale(family, size) for family, size in specs]
     d = scaling_dimension(context, scales, max_d=args.max_d)
     if d is None:

@@ -45,14 +45,25 @@ Three exact cuts spare the search work whose answer is known:
   theorem their width, the irreducibles minus a maximum matching on
   strict inclusion (Fulkerson 1956; Ganter, Hanika & Hirth, "Scaling
   Dimension", ICFCA 2023).
-* Interchangeable scale objects are tried once. Let s0 be the least scale
-  object no assigned object maps to. When swapping s0 with a later unused
-  object t maps every scale column onto a scale column, the swap is a
-  scale automorphism fixing every earlier assignment, so it carries the
-  maps that send the next object to t one-to-one onto those that send it
-  to s0, with the same preimage family: t need not be tried. Only the
-  columns holding exactly one of s0 and t can move, so only they are
-  tested.
+* The map search grows one map per orbit of the scale's automorphisms.
+  An automorphism permutes the scale's columns, so composed with a map
+  it keeps the preimage family, measure or not. Once the first objects
+  are assigned, an automorphism fixing every used scale object carries
+  the maps sending the next object to t onto those sending it to t's
+  image, with the same partial preimages, so only one scale object per
+  orbit of that pointwise stabilizer is tried, and by induction every
+  measure has a grown image (isomorph rejection along a stabilizer chain;
+  McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+  A used object is fixed, hence always tried. On a crown, a cycle of n
+  pairs, the automorphisms are its rotations and reflections: the first
+  object goes to cycle position 0 only. While every used object lies
+  in {0, n/2} (n/2 only for even n), the reflection through 0 still
+  fixes them and pairs position i with n - i, so positions 0..n//2 are
+  tried; once another object is used, only the identity fixes them. On
+  a nominal or contranominal scale every permutation is an
+  automorphism, so the unused objects form one orbit and only the least
+  of them is tried.
+  Any other scale tries every object.
 
 Crowns, nominal and contranominal scales of three or more objects, and
 any scale the shape test misses keep the map search.
@@ -60,9 +71,11 @@ any scale the shape test misses keep the map search.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import reduce
+from operator import and_, or_
+from typing import Callable, Sequence
 
-from .bitsets import bits
+from .bitsets import bits, mask_of
 from .context import FormalContext
 from .scales import ScaleFamily, check_scale_size, column_count
 
@@ -77,23 +90,40 @@ def check_object_count(n_objects: int) -> None:
         raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
 
 
-def check_scale_specs(n_objects: int, specs: Sequence[tuple[ScaleFamily, int]]) -> None:
+def check_scale_specs(
+    n_objects: int, specs: Sequence[tuple[ScaleFamily, int]]
+) -> list[tuple[ScaleFamily, int]]:
     """Refuse a search before any of its ``(family, size)`` scales is built.
 
     Each size must be valid for its family and the context must pass
-    :func:`check_object_count`. The first grown map of a scale ``S``
-    already scans its ``|S| * |M_S|`` columns, and one count spans all
-    scales, so their sum must stay within ``MAX_COLUMN_SCANS``.
+    :func:`check_object_count`. The map search runs on crowns and on
+    nominal and contranominal scales of three or more objects, and the
+    first grown map of such a scale ``S`` already scans its
+    ``|S| * |M_S|`` columns. One count spans all scales, so the sum over
+    these scales must stay within ``MAX_COLUMN_SCANS``.
+
+    Returns the specs to build. The other scales are chain-shaped and
+    walked over chains of distinct extents, which have at most
+    ``n_objects + 1`` members. So an ordinal or interordinal scale of
+    more than ``n_objects + 2`` objects gives the same answer on the same
+    column scan count as one of that size, which is built instead.
     """
     for family, n in specs:
         check_scale_size(family, n)
     check_object_count(n_objects)
-    first = sum(n * column_count(family, n) for family, n in specs)
+    first = sum(
+        n * column_count(family, n)
+        for family, n in specs
+        if family is ScaleFamily.CROWN
+        or family in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL) and n >= 3
+    )
     if first > MAX_COLUMN_SCANS:
         raise ValueError(
             f"the scales would scan {first} columns for one object; "
             f"the cap is {MAX_COLUMN_SCANS} column scans"
         )
+    chains = (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
+    return [(f, min(n, n_objects + 2) if f in chains else n) for f, n in specs]
 
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
@@ -127,23 +157,64 @@ def _spend(spent: list[int], scans: int) -> None:
         )
 
 
-def _swappable(scale: FormalContext, s0: int, columns: set[int]) -> int:
-    """Scale objects ``t > s0`` whose swap with ``s0`` maps every column onto a column.
+def _cycle_shape(scale: FormalContext) -> list[int] | None:
+    """The cyclic order of a crown-shaped scale's objects, else ``None``.
 
-    A column holding both or neither of the two is fixed by the swap, so
-    only the columns in ``rows[s0] ^ rows[t]`` are tested, up to the first
-    that moves onto no column.
+    A scale is crown-shaped when it has at least three objects, every
+    column is a pair and the distinct pairs form one cycle through all
+    objects, so relabeled crowns qualify. The order starts at object 0
+    and goes on to its smaller neighbour: ``build_scale(CROWN, n)`` gives
+    0, 1, ..., n - 1. Pairs in which every object has two neighbours
+    form disjoint cycles, so the one through object 0 must hold them all.
     """
-    rows, cols = scale.rows, scale.cols
-    out = 0
-    for t in range(s0 + 1, len(rows)):
-        pair = 1 << s0 | 1 << t
-        for c in bits(rows[s0] ^ rows[t]):
-            if cols[c] ^ pair not in columns:
-                break
-        else:
-            out |= 1 << t
-    return out
+    n = len(scale.rows)
+    if n < 3 or any(c.bit_count() != 2 for c in scale.cols):
+        return None
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for pair in scale.cols:
+        a, b = bits(pair)
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    if any(len(m) != 2 for m in neighbours):
+        return None
+    order = [0]
+    previous, current = 0, min(neighbours[0])
+    while current:
+        order.append(current)
+        a, b = neighbours[current]
+        previous, current = current, b if a == previous else a
+    return order if len(order) == n else None
+
+
+def _orbit_rule(scale: FormalContext) -> Callable[[int], int]:
+    """The scale objects to try next, as a mask, given the used ones.
+
+    One object per orbit of the automorphisms that fix every used object
+    (the third cut of the module docstring):
+
+    * a crown (:func:`_cycle_shape`) tries cycle position 0 first, then
+      positions 0..n//2 while every used object lies in {0, n/2} (n/2
+      only for even n), and then every object;
+    * a nominal or contranominal scale (every column a singleton, or all
+      objects but one, and each object in, or left out of, some column)
+      tries the used objects and the least unused one;
+    * any other scale tries every object.
+    """
+    everything = scale.object_mask
+    order = _cycle_shape(scale)
+    if order is not None:
+        n = len(order)
+        first = 1 << order[0]
+        mirror = first | 1 << order[n // 2] if n % 2 == 0 else first
+        half = mask_of(order[: n // 2 + 1])
+        return lambda used: everything if used & ~mirror else half if used else first
+    sizes = {c.bit_count() for c in scale.cols}
+    if (
+        sizes == {1} and reduce(or_, scale.cols) == everything
+        or sizes == {len(scale.rows) - 1} and reduce(and_, scale.cols) == 0
+    ):
+        return lambda used: used | ~used & (used + 1)
+    return lambda used: everything
 
 
 def _measure_coverages(
@@ -152,21 +223,26 @@ def _measure_coverages(
     """Irreducibles reachable per valid map from the context onto ``scale``.
 
     Grows each map one object at a time, in object order, trying the
-    scale's objects in their order, and carries the partial preimage ``P``
-    of every scale column next to its intent. A branch ends as soon as some
-    ``P`` has an assigned object outside ``P`` in its closure: every
-    completion's preimage contains ``P`` and is an extent, so it would hold
-    that object too, which the assignment already ruled out. An object
-    joining ``P`` narrows the intent to its row, and the closure is read off
-    ``context.intent_ids()``; an object kept out of ``P`` is outside the
-    closure iff it lacks some attribute of the intent. Once every object is
-    assigned the test says that each preimage is an extent, so exactly the
-    measures survive. Records which irreducibles appear among their
-    preimages; sets of extents are ints over ``intent_ids()``.
+    scale objects :func:`_orbit_rule` names in their order, and carries
+    the partial preimage ``P`` of every scale column next to its intent.
+    A branch ends as soon as some ``P`` has an assigned object outside
+    ``P`` in its closure: every completion's preimage contains ``P`` and
+    is an extent, so it would hold that object too, which the assignment
+    already ruled out. An object joining ``P`` narrows the intent to its
+    row, and the closure is read off ``context.intent_ids()``; an object
+    kept out of ``P`` is outside the closure iff it lacks some attribute
+    of the intent. Once every object is assigned the test says that each
+    preimage is an extent, so exactly the measures survive. Records which
+    irreducibles appear among their preimages; sets of extents are ints
+    over ``intent_ids()``.
 
-    An unused scale object that the least unused one ``s0`` can swap with
-    (:func:`_swappable`, computed once per ``s0``) is not tried: the swap
-    gives its maps the same preimage families as those through ``s0``.
+    The orbit rule skips a scale object t only when an automorphism that
+    fixes every used scale object carries t onto a tried one. Composing
+    with it keeps the assignment so far and permutes the columns, so the
+    partial preimages form the same family and the tried branch is
+    pruned exactly when t's is. By induction over the objects, every
+    measure has a grown image under some automorphism, with the same
+    preimage family: the recorded sets are those of the full search.
 
     Each grown partial map adds its ``|S| * |M_S|`` column scans to the
     shared ``spent[0]``; past ``MAX_COLUMN_SCANS`` the search fails.
@@ -176,9 +252,8 @@ def _measure_coverages(
     rows = context.rows
     extents = context.extents()
     ids = context.intent_ids()
-    scale_columns = set(scale.cols)
+    tries = _orbit_rule(scale)
     scale_objects = [(1 << s, row) for s, row in enumerate(scale.rows)]
-    swaps: dict[int, int] = {}
     out: set[int] = set()
 
     def grow(g: int, columns: list[tuple[int, int]], used: int) -> None:
@@ -189,15 +264,12 @@ def _measure_coverages(
             out.add(hit & irreducibles)
             return
         _spend(spent, cost)
-        s0 = ~used & (used + 1)
-        if s0 not in swaps:
-            swaps[s0] = _swappable(scale, s0.bit_length() - 1, scale_columns)
-        skip = swaps[s0] & ~used
+        tried = tries(used)
         bit = 1 << g
         assigned = (bit << 1) - 1
         row_g = rows[g]
         for s, row in scale_objects:
-            if skip & s:
+            if not tried & s:
                 continue
             grown = []
             for c, (pre, intent) in enumerate(columns):

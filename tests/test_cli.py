@@ -374,6 +374,16 @@ def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == "4\n"
 
 
+def test_scaling_dim_grows_one_crown_map_per_rotation_and_reflection(capsys, tmp_path):
+    # Every set is an extent of contranominal 7, so no map is dropped; the
+    # full search scanned 6.7M columns in about 2 s, the orbit rule 0.48M.
+    b7 = _contranominal_path(tmp_path, 7)
+    start = time.monotonic()
+    assert main(["scaling-dim", str(b7), "--scales", "crown:7"]) == 0
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().out == "4\n"
+
+
 def test_scaling_dim_stops_runaway_searches_at_the_real_cap(capsys, tmp_path):
     b8 = _contranominal_path(tmp_path, 8)
     start = time.monotonic()
@@ -440,20 +450,29 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     nine.write_text(",p\n" + "".join(f"g{i},{i % 2}\n" for i in range(9)), encoding="utf-8")
     assert main(["scaling-dim", str(nine), "--scales", "ordinal:2"]) == 1
     assert "capped at 8 objects" in capsys.readouterr().err
-    # An interordinal scale has 2n columns: one object scans 2896 * 5792.
-    start = time.monotonic()
-    assert main(["scaling-dim", str(one), "--scales", "interordinal:2896"]) == 1
-    assert time.monotonic() - start < 1
-    assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
-    # Each scale alone is below the cap, but the count is shared.
-    many = ",".join(["ordinal:2000"] * 50)
+    # Each crown alone is below the cap, but the count is shared: 50 * 410 * 410.
+    many = ",".join(["crown:410"] * 50)
     assert main(["scaling-dim", str(one), "--scales", many]) == 1
-    assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"would scan 8405000 columns for one object; the cap is {MAX_COLUMN_SCANS} column" in err
     # A context without objects scans nothing, but its scales are not built either.
     empty = tmp_path / "empty.cxt"
     empty.write_text("B\n\n0\n0\n\n", encoding="utf-8")
     assert main(["scaling-dim", str(empty), "--scales", "nominal:100000"]) == 1
     assert "the cap is" in capsys.readouterr().err
+    # Chain-shaped scales are walked over extents and scan no column, so
+    # they are not charged. A chain of distinct extents of one object has
+    # at most two members, so each scale is built with three objects.
+    built = []
+    monkeypatch.setattr("ordmotif.cli.build_scale", lambda f, n: built.append(n) or build_scale(f, n))
+    start = time.monotonic()
+    assert main(["scaling-dim", str(one), "--scales", "interordinal:2896"]) == 0
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+    many = ",".join(["ordinal:2000"] * 50)
+    assert main(["scaling-dim", str(one), "--scales", many]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert built == [3] * 51
 
 
 def test_scaling_dim_admission_reads_the_cap_in_dimension(capsys, tmp_path, monkeypatch):
@@ -464,7 +483,7 @@ def test_scaling_dim_admission_reads_the_cap_in_dimension(capsys, tmp_path, monk
     monkeypatch.setattr("ordmotif.cli.build_scale", no_build)
     one = tmp_path / "one.csv"
     one.write_text(",p\ng0,1\n", encoding="utf-8")
-    assert main(["scaling-dim", str(one), "--scales", "ordinal:11"]) == 1
+    assert main(["scaling-dim", str(one), "--scales", "nominal:11"]) == 1
     assert "would scan 121 columns for one object; the cap is 100" in capsys.readouterr().err
 
 

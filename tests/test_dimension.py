@@ -190,6 +190,17 @@ def _assert_same_coverages(context, scale):
     ), (context, scale)
 
 
+def _relabeled(rng, scale):
+    # The same scale with its objects and its columns shuffled.
+    n, m = len(scale.rows), len(scale.attributes)
+    objects, columns = rng.sample(range(n), n), rng.sample(range(m), m)
+    return FormalContext.from_rows(
+        [scale.objects[g] for g in objects],
+        [scale.attributes[j] for j in columns],
+        [sum((scale.rows[g] >> c & 1) << j for j, c in enumerate(columns)) for g in objects],
+    )
+
+
 def test_pruned_map_search_matches_the_exhaustive_one_on_scales():
     for context in _family_scales(range(1, 6)):
         for scale in (*SMALL_SCALES, context):
@@ -205,8 +216,9 @@ def test_pruned_map_search_matches_the_exhaustive_one_on_random_contexts():
 
 
 def test_pruned_map_search_matches_the_exhaustive_one_on_random_scales():
-    # Random scales have some interchangeable objects and some that are
-    # not, so an object can be used before a smaller one it swaps with.
+    # Random scales, and the twin scale whose objects b and c swap, are
+    # neither crown-, nominal- nor contranominal-shaped (or rarely so),
+    # so they take the plain search.
     rng = Random(2753)
     twins = FormalContext.from_rows(["a", "b", "c"], ["p", "q", "r"], (0b111, 0b010, 0b100))
     for _ in range(300):
@@ -229,7 +241,7 @@ def test_largest_admitted_scales_measure_themselves_with_pruning():
     # 8**8 maps per scale: the exhaustive search took 19-47 s per scale. A
     # search that tested preimages only on complete maps would grow all
     # 8**7 partial maps of seven objects, each costing |S| * |M_S| >= 64
-    # column scans; the pruned one makes 0.2-1.7M scans per scale.
+    # column scans; the pruned one makes 0.02-1.7M scans per scale.
     start = time.perf_counter()
     for family in (ScaleFamily.ORDINAL, ScaleFamily.CROWN, ScaleFamily.INTERORDINAL):
         scale = build_scale(family, 8)
@@ -251,6 +263,13 @@ def test_nominal_8_measures_itself_below_the_column_scan_cap():
     assert scaling_dimension(b8, [b8]) == 1
     assert _column_scans(n8, n8) <= 1_000
     assert _column_scans(b8, b8) < 100_000
+    # Exactly: the used objects and the least unused one, also on a
+    # shuffled copy of the scale.
+    rng = Random(23)
+    for scale in (n8, _relabeled(rng, n8)):
+        assert _column_scans(n8, scale) == 896
+    for scale in (b8, _relabeled(rng, b8)):
+        assert _column_scans(b8, scale) == 73_984
 
 
 def _coverage_sets(context, scales):
@@ -510,3 +529,88 @@ def test_the_walk_counts_against_the_column_scan_cap(monkeypatch):
     monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", walk - 1)
     with pytest.raises(ValueError, match="column scans"):
         scaling_dimension(i8, [i8])
+
+
+def _is_cycle_order(scale, order):
+    # Cyclic neighbours in ``order`` are exactly the scale's columns.
+    n = len(order)
+    pairs = {1 << order[i] | 1 << order[(i + 1) % n] for i in range(n)}
+    return sorted(order) == list(range(n)) and pairs == set(scale.cols)
+
+
+def test_cycle_shape_reads_the_order_of_any_crown():
+    rng = Random(881)
+    for n in range(3, 9):
+        crown = build_scale(ScaleFamily.CROWN, n)
+        assert dimension._cycle_shape(crown) == list(range(n))
+        for _ in range(5):
+            relabeled = _relabeled(rng, crown)
+            order = dimension._cycle_shape(relabeled)
+            assert order[0] == 0 and order[1] < order[-1]
+            assert _is_cycle_order(relabeled, order), (relabeled, order)
+    # Two disjoint triangles: every object has two neighbours, but the
+    # walk from the first object meets only half of them.
+    triangles = [0b000011, 0b000110, 0b000101, 0b011000, 0b110000, 0b101000]
+    two = FormalContext.from_rows(
+        [f"g{i}" for i in range(6)],
+        [f"m{j}" for j in range(6)],
+        [sum((c >> g & 1) << j for j, c in enumerate(triangles)) for g in range(6)],
+    )
+    assert dimension._cycle_shape(two) is None
+    # One more column, a chord of the 5-crown: two objects get three neighbours.
+    c5 = build_scale(ScaleFamily.CROWN, 5)
+    chord = FormalContext.from_rows(
+        c5.objects, (*c5.attributes, "13"), [r | (g in (0, 2)) << 5 for g, r in enumerate(c5.rows)]
+    )
+    assert dimension._cycle_shape(chord) is None
+    # A repeated column is the same pair.
+    doubled = FormalContext.from_rows(
+        c5.objects, (*c5.attributes, "1'"), [r | (r & 1) << 5 for r in c5.rows]
+    )
+    assert dimension._cycle_shape(doubled) == list(range(5))
+    assert dimension._cycle_shape(FormalContext.from_rows([], [], [])) is None
+    for family in (ScaleFamily.NOMINAL, ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL):
+        assert dimension._cycle_shape(build_scale(family, 4)) is None
+    # contranominal:3 is the 3-crown.
+    assert dimension._cycle_shape(build_scale(ScaleFamily.CONTRANOMINAL, 3)) == [0, 1, 2]
+    assert dimension._cycle_shape(build_scale(ScaleFamily.CONTRANOMINAL, 4)) is None
+
+
+def test_orbit_rule_matches_the_exhaustive_search_on_relabeled_scales():
+    # Crowns, nominal and contranominal scales take the orbit rule, also
+    # shuffled; the oracle tries all |S|**|G| maps, so |G| stays small.
+    rng = Random(6007)
+    scales = [
+        *(build_scale(ScaleFamily.CROWN, n) for n in range(3, 8)),
+        *(build_scale(f, n) for f in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL) for n in range(3, 7)),
+    ]
+    for trial in range(300):
+        scale = rng.choice(scales)
+        if trial % 2:
+            scale = _relabeled(rng, scale)
+        n = rng.randint(1, 6)
+        while len(scale.rows) ** n > 20_000:
+            n -= 1
+        if trial % 5 == 0:
+            context = full_row_context(rng, n)
+        else:
+            raw = random_context(rng, n, rng.randint(1, 6), rng.uniform(0.2, 0.8))
+            context, _ = clarify_objects(raw)
+        _assert_same_coverages(context, scale)
+
+
+def test_orbit_rule_column_scans():
+    # A crown tries its first object at one cycle position, and then at
+    # positions 0..n//2 while the reflection through 0 fixes the used
+    # ones. Full search: crown 4 496 scans, crown 6 15,804 and
+    # contranominal 7 against crown:7 6,725,593.
+    crowns = {n: build_scale(ScaleFamily.CROWN, n) for n in (4, 6, 7)}
+    assert _column_scans(crowns[4], crowns[4]) == 176
+    assert _column_scans(crowns[6], crowns[6]) == 1_512
+    b7 = build_scale(ScaleFamily.CONTRANOMINAL, 7)
+    assert _column_scans(b7, crowns[7]) == 480_592
+    # A relabeled crown gets the same rule, so the same count.
+    rng = Random(19)
+    for crown in crowns.values():
+        for _ in range(3):
+            assert _column_scans(crown, _relabeled(rng, crown)) == _column_scans(crown, crown)
