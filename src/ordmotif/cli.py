@@ -265,19 +265,14 @@ def cmd_scaling_dim(args: argparse.Namespace) -> Result:
     return {"command": "scaling-dim", "dimension": d, "max_d": args.max_d}, text + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ordmotif", description="Ordinal motifs in formal contexts"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("concepts", help="count (and list) the extents")
+def _concepts_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument("--list", action="store_true", help="print every extent")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_concepts)
 
-    p = sub.add_parser("motifs", help="enumerate motifs and tabulate counts")
+
+def _motifs_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     _add_enumeration_flags(p)
     p.add_argument(
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_motifs)
 
-    p = sub.add_parser("cover", help="greedy extent covering by motifs")
+
+def _cover_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     _add_enumeration_flags(p)
     _add_pool_flag(p)
@@ -296,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("explain", help="textual explanations for a covering")
+
+def _explain_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     _add_enumeration_flags(p)
     _add_pool_flag(p)
@@ -304,14 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("basis", help="fold a complete covering into one context")
+
+def _basis_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     _add_enumeration_flags(p)
     _add_pool_flag(p)
     p.add_argument("--output", type=Path, help="write Burmeister output here")
     p.set_defaults(func=cmd_basis, json=False)
 
-    p = sub.add_parser("scaling-dim", help="least number of scales that fully measure")
+
+def _scaling_dim_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     p.add_argument(
         "--scales",
@@ -322,11 +321,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scaling_dim)
 
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line parser; only ``command``'s subparser if it names one.
+
+    A run needs the parser of its own subcommand alone, and building all
+    six costs more than a small ``scaling-dim`` run. Any other value,
+    such as ``--help`` or a misspelt command, builds all six, so help and
+    errors list every choice; the usage line lists them either way.
+    """
+    commands = {
+        "concepts": ("count (and list) the extents", _concepts_parser),
+        "motifs": ("enumerate motifs and tabulate counts", _motifs_parser),
+        "cover": ("greedy extent covering by motifs", _cover_parser),
+        "explain": ("textual explanations for a covering", _explain_parser),
+        "basis": ("fold a complete covering into one context", _basis_parser),
+        "scaling-dim": ("least number of scales that fully measure", _scaling_dim_parser),
+    }
+    parser = argparse.ArgumentParser(
+        prog="ordmotif", description="Ordinal motifs in formal contexts"
+    )
+    if command in commands:
+        choices = "{" + ",".join(commands) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+        commands = {command: commands[command]}
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill) in commands.items():
+        fill(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         payload, text = args.func(args)
         if args.json:

@@ -3,16 +3,20 @@
 A motif covers the closures of the preimages of its scale's extents, one
 int over the context's extent ids. No closure is computed: the intent of
 a preimage is the AND of its objects' rows (every attribute for the empty
-set), ``scales.preimage_intents`` writes those ANDs in closed form on the
-motif's witness, and the context's ``intent_ids()`` table names the
-extent with that intent: the preimage's closure.
+set), and the context's ``intent_ids()`` table names the extent with that
+intent: the preimage's closure. ``covered_extents`` covers the whole pool
+in one pass, writing each family's ANDs in closed form on the motif's
+witness. They are the shapes ``scales.preimage_intents`` joins for the
+basis, written out per family so no motif builds a list; the tests pin
+the two forms to each other.
 
 The standard heuristic picks the largest marginal gain per step; the
-normalized one divides the gain by the motif's own extent count,
-favouring small motifs that are covered in full. Scores compare
-exactly, by integer cross-multiplication, so ties break
-deterministically: smaller family rank first, then the
-lexicographically smallest sorted domain.
+normalized one divides the gain by the motif's own extent count, which
+is its cover's size: distinct preimages have distinct closures, since
+each closure meets the domain in its preimage. It favours small motifs
+that are covered in full. Scores compare exactly, by integer
+cross-multiplication, so ties break deterministically: smaller family
+rank first, then the lexicographically smallest sorted domain.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .context import FormalContext
 from .recognition import Motif, realizations
-from .scales import ScaleFamily, expected_extent_count, preimage_intents
+from .scales import ScaleFamily, check_scale_size
 
 
 class HeuristicKind(enum.Enum):
@@ -52,17 +56,77 @@ class CoveringStep:
         return tuple(w.family for w in self.witnesses)
 
 
-def covered_extents(context: FormalContext, motif: Motif) -> int:
-    """Closures of the preimages of the motif's scale extents, as extent-id bits.
+def covered_extents(context: FormalContext, motifs: Sequence[Motif]) -> list[int]:
+    """Each motif's cover: the closures of its scale preimages, as extent-id bits.
 
-    Each closure is the extent with the preimage's intent, read off
-    ``intent_ids()``.
+    A preimage's closure is the extent with the preimage's intent, read
+    off ``intent_ids()``. Two closures recur and are looked up once: each
+    object's, whose intent is its row, and the empty preimage's, whose
+    intent is every attribute. A size the motif's family does not allow
+    raises ``ValueError``.
     """
+    # Local names: reading a member off the enum class costs a lookup per motif.
+    nominal, _, interordinal, contranominal, crown = ScaleFamily
     ids = context.intent_ids()
-    out = 0
-    for intent in preimage_intents(context, motif.family, motif.domain):
-        out |= 1 << ids[intent]
-    return out
+    rows = context.rows
+    every = context.attribute_mask
+    single = [1 << ids[row] for row in rows]
+    empty = 1 << ids[every]
+    covers: list[int] = []
+    cover_of = covers.append
+    for motif in motifs:
+        family = motif.family
+        witness = motif.domain
+        if len(witness) < 3:
+            check_scale_size(family, len(witness))
+            if len(witness) == 1:
+                # the one object, and the empty set only for contranominal
+                cover = single[witness[0]]
+                cover_of(cover | empty if family is contranominal else cover)
+                continue
+        if family is nominal:
+            # the empty set, the singletons and the whole domain
+            cover, meet = empty, every
+            for g in witness:
+                meet &= rows[g]
+                cover |= single[g]
+            cover |= 1 << ids[meet]
+        elif family is crown:
+            # the nominal extents, plus the pairs of cycle neighbours
+            cover, meet = empty, every
+            prev = rows[witness[-1]]
+            for g in witness:
+                row = rows[g]
+                meet &= row
+                cover |= single[g] | 1 << ids[prev & row]
+                prev = row
+            cover |= 1 << ids[meet]
+        elif family is interordinal:
+            # the empty set and the intervals
+            cover = empty
+            for i, g in enumerate(witness, 1):
+                meet = rows[g]
+                cover |= single[g]
+                for h in witness[i:]:
+                    meet &= rows[h]
+                    cover |= 1 << ids[meet]
+        elif family is contranominal:
+            # every subset, by doubling
+            meets = [every]
+            for g in witness:
+                row = rows[g]
+                meets += [meet & row for meet in meets]
+            cover = 0
+            for meet in meets:
+                cover |= 1 << ids[meet]
+        else:
+            # ordinal: the prefixes
+            cover, meet = 0, every
+            for g in witness:
+                meet &= rows[g]
+                cover |= 1 << ids[meet]
+        cover_of(cover)
+    return covers
 
 
 def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:
@@ -79,13 +143,15 @@ def greedy_cover(
     if k < 0:
         raise ValueError("step count must be nonnegative")
     pool = _canonical_order(motifs)
+    covers = covered_extents(context, pool)
+    # A cover holds one extent per scale extent (see the module docstring).
     if heuristic is HeuristicKind.STANDARD:
         weights = [1] * len(pool)
     else:
-        weights = [expected_extent_count(m.family, m.size) for m in pool]
+        weights = [cover.bit_count() for cover in covers]
     # Gains only fall as coverage grows, so a candidate that gains nothing
     # leaves the scan for good; the rest keep their canonical order.
-    live = [(m, covered_extents(context, m), w) for m, w in zip(pool, weights)]
+    live = list(zip(pool, covers, weights))
     covered = 0
     steps: list[CoveringStep] = []
     for _ in range(k):

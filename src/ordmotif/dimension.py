@@ -301,17 +301,31 @@ def _chain_shape(scale: FormalContext) -> tuple[int, bool] | None:
     is taken as the columns sharing that column's first object.
     """
     top = scale.object_mask
-    proper = set(scale.cols) - {top}
-    if not scale.rows or 0 in proper:
+    if not scale.rows:
         return None
-    chain = sorted(proper, key=int.bit_count)
-    if all(a & b == a for a, b in zip(chain, chain[1:])):
-        return len(chain), False
-    first = chain[0] & -chain[0]
-    chain = [c for c in chain if c & first]
+    # Members of C have distinct sizes, and so do their complements, so
+    # neither shape has three distinct proper columns of one size. One
+    # pass groups the proper columns by size and rejects most other
+    # scales (nominal, contranominal, crowns) by their third column.
+    by_size: dict[int, list[int]] = {}
+    for col in scale.cols:
+        if col != top:
+            same = by_size.setdefault(col.bit_count(), [])
+            if col not in same:
+                if len(same) == 2:
+                    return None
+                same.append(col)
+    if 0 in by_size:
+        return None
+    proper = [c for size in sorted(by_size) for c in by_size[size]]
+    if all(a & b == a for a, b in zip(proper, proper[1:])):
+        return len(proper), False
+    first = proper[0] & -proper[0]
+    chain = [c for c in proper if c & first]
+    objects = len(scale.rows)
     if (
         2 * len(chain) == len(proper)
-        and all(top ^ c in proper for c in chain)
+        and all(top ^ c in by_size.get(objects - c.bit_count(), ()) for c in chain)
         and all(a & b == a for a, b in zip(chain, chain[1:]))
     ):
         return len(chain), True

@@ -173,17 +173,3 @@ def scale_extents(family: ScaleFamily, n: int) -> list[int]:
     """
     return scale_preimages(family, range(n))
 
-
-def expected_extent_count(family: ScaleFamily, n: int) -> int:
-    """Number of extents of the standard scale of the given family and size."""
-    check_scale_size(family, n)
-    if family is ScaleFamily.NOMINAL:
-        return 1 if n == 1 else n + 2
-    if family is ScaleFamily.ORDINAL:
-        return n
-    if family is ScaleFamily.INTERORDINAL:
-        return 1 if n == 1 else n * (n + 1) // 2 + 1
-    if family is ScaleFamily.CONTRANOMINAL:
-        return 2**n
-    return 8 if n == 3 else 2 * n + 2
-

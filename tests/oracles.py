@@ -209,6 +209,21 @@ _ORACLE_MIN_SIZE = {
 }
 
 
+def expected_extent_count(family: ScaleFamily, n: int) -> int:
+    """Number of extents of the standard scale of the given family and size, in closed form."""
+    if n < _ORACLE_MIN_SIZE[family]:
+        raise ValueError(f"{family} scale needs size >= {_ORACLE_MIN_SIZE[family]}, got {n}")
+    if family is ScaleFamily.NOMINAL:
+        return 1 if n == 1 else n + 2
+    if family is ScaleFamily.ORDINAL:
+        return n
+    if family is ScaleFamily.INTERORDINAL:
+        return 1 if n == 1 else n * (n + 1) // 2 + 1
+    if family is ScaleFamily.CONTRANOMINAL:
+        return 2**n
+    return 8 if n == 3 else 2 * n + 2
+
+
 def bijection_oracle(context: FormalContext, domain: tuple[int, ...], family: ScaleFamily) -> bool:
     """True iff some bijection onto the same-size scale is a full measure.
 

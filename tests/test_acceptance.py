@@ -36,10 +36,10 @@ from ordmotif import (
 from ordmotif.covering import covered_extents
 from ordmotif.enumeration import enumerate_family, motif_stats
 from ordmotif.explain import TEMPLATES, render_motif
-from ordmotif.scales import expected_extent_count
 
 from oracles import (
     dimension_oracle,
+    expected_extent_count,
     extent_set,
     induced_subcontext,
     is_valid_motif,
@@ -128,7 +128,7 @@ def test_criterion_3_heredity_and_coverage_counts():
             found = {tuple(sorted(m.domain)) for m in motifs}
             for m in motifs:
                 motifs_checked += 1
-                covered = extent_set(ctx, covered_extents(ctx, m))
+                covered = extent_set(ctx, covered_extents(ctx, [m])[0])
                 assert covered <= extents
                 assert len(covered) == expected_extent_count(family, m.size), m
                 d = tuple(sorted(m.domain))

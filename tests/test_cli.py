@@ -19,7 +19,7 @@ from ordmotif import (
     enumerate_motifs,
     greedy_cover,
 )
-from ordmotif.cli import main
+from ordmotif.cli import build_parser, main
 from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.io import load_context, parse_burmeister, to_burmeister
 
@@ -497,6 +497,44 @@ def test_stdout_failure_exits_cleanly(capsys, monkeypatch, b3_path):
     for extra in ([], ["--json"]):
         assert main(["cover", str(b3_path), *extra]) == 1
         assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
+
+COMMANDS = ("concepts", "motifs", "cover", "explain", "basis", "scaling-dim")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        [],
+        ["bogus"],
+        ["bogus", "small.csv"],
+        ["explain"],
+        ["explain", "small.csv", "--k", "nope"],
+        ["explain", "small.csv", "--bogus"],
+        ["scaling-dim", "small.csv"],
+        *([command, "--help"] for command in COMMANDS),
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_main_parses_like_the_parser_of_every_command(capsys, monkeypatch, argv):
+    # main builds only the named command's parser; help, errors and exit
+    # codes must read as they do with all six built.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as stopped:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return stopped.value.code, out, err
+
+    expected = outcome(build_parser().parse_args)
+    assert outcome(main) == expected
+    assert expected[0] in (0, 2)
+    if argv[:1] == ["bogus"]:
+        assert "invalid choice" in expected[2]
 
 
 def test_missing_file_fails_cleanly(capsys, tmp_path):

@@ -18,11 +18,12 @@ from ordmotif import (
     recognize,
 )
 from ordmotif.covering import covered_extents
-from ordmotif.scales import expected_extent_count, scale_preimages
+from ordmotif.scales import FAMILY_MIN_SIZE, preimage_intents, scale_preimages
 
 from oracles import (
     brute_force_extents,
     crown_heavy_context,
+    expected_extent_count,
     extent_set,
     full_row_context,
     greedy_oracle,
@@ -36,12 +37,12 @@ TRIPLE = Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))
 
 
 def test_full_motif_covers_the_whole_boolean_cube():
-    assert extent_set(B3, covered_extents(B3, TRIPLE)) == frozenset(B3.extents())
+    assert extent_set(B3, covered_extents(B3, [TRIPLE])[0]) == frozenset(B3.extents())
 
 
 def test_crown_triple_covers_eight():
     c = recognize(B3, (0, 1, 2), ScaleFamily.CROWN)
-    assert len(extent_set(B3, covered_extents(B3, c))) == 8
+    assert len(extent_set(B3, covered_extents(B3, [c])[0])) == 8
 
 
 def test_covered_extent_count_matches_expected_exactly():
@@ -52,7 +53,7 @@ def test_covered_extent_count_matches_expected_exactly():
         inventory = enumerate_motifs(ctx)
         for motifs in inventory.by_family.values():
             for m in motifs:
-                covered = extent_set(ctx, covered_extents(ctx, m))
+                covered = extent_set(ctx, covered_extents(ctx, [m])[0])
                 assert len(covered) == expected_extent_count(m.family, m.size)
                 assert covered <= extents
 
@@ -73,13 +74,73 @@ def test_covered_extents_are_the_closures_of_the_preimages():
             raw = full_row_context(rng, 6 + i % 3)
         ctx, _ = clarify_objects(raw)
         extents = brute_force_extents(ctx)
-        for m in enumerate_motifs(ctx, config).all_motifs():
+        pool = enumerate_motifs(ctx, config).all_motifs()
+        for m, cover in zip(pool, covered_extents(ctx, pool), strict=True):
             expected = set()
             for p in scale_preimages(m.family, m.domain):
                 expected.add(min((e for e in extents if e & p == p), key=int.bit_count))
-            assert extent_set(ctx, covered_extents(ctx, m)) == expected, (ctx.rows, m)
+            assert extent_set(ctx, cover) == expected, (ctx.rows, m)
             seen.discard((m.family, m.size == 1))
     assert not seen
+
+
+def _cover_from_preimage_intents(ctx, motif):
+    ids = ctx.intent_ids()
+    cover = 0
+    for intent in preimage_intents(ctx, motif.family, motif.domain):
+        cover |= 1 << ids[intent]
+    return cover
+
+
+def test_pool_kernel_is_pinned_to_the_preimage_intents():
+    # covered_extents writes each family's intents out in closed form, and
+    # preimage_intents, which the basis reads, joins the same shapes. Every
+    # AND of rows is an intent, so the two must agree on any witness of
+    # distinct objects, recognized or not.
+    rng = Random(139)
+    contexts = [
+        FormalContext.from_rows(["g"], [], [0]),
+        FormalContext.from_rows(["g", "h", "i"], [], [0, 0, 0]),
+    ]
+    contexts += [random_context(rng, 9, 6, rng.uniform(0.2, 0.8)) for _ in range(40)]
+    checked = set()
+    for ctx in contexts:
+        n_objects = len(ctx.objects)
+        pool = [
+            Motif(f, tuple(rng.sample(range(n_objects), size)))
+            for f in ScaleFamily
+            for size in range(FAMILY_MIN_SIZE[f], min(7, n_objects) + 1)
+            for _ in range(3)
+        ]
+        covers = covered_extents(ctx, pool)
+        assert len(covers) == len(pool)
+        for m, cover in zip(pool, covers):
+            assert cover == _cover_from_preimage_intents(ctx, m), (ctx.rows, m)
+            checked.add((m.family, m.size))
+    assert checked == {(f, n) for f in ScaleFamily for n in range(FAMILY_MIN_SIZE[f], 8)}
+    for bad in (Motif(ScaleFamily.CROWN, (0, 1)), Motif(ScaleFamily.NOMINAL, ())):
+        with pytest.raises(ValueError):
+            covered_extents(B3, [TRIPLE, bad])
+
+
+def test_pool_kernel_counts_one_extent_per_scale_extent():
+    # A scale among extra objects is still a motif on its own objects: extra
+    # rows leave every column's trace on them as it was. Its cover then
+    # holds exactly one extent per scale extent, the normalized weight.
+    rng = Random(149)
+    for f in ScaleFamily:
+        for n in range(FAMILY_MIN_SIZE[f], 8):
+            scale = build_scale(f, n)
+            width = len(scale.attributes)
+            extra = [rng.getrandbits(width) for _ in range(rng.randrange(4))]
+            order = list(range(n + len(extra)))
+            rng.shuffle(order)
+            rows = [(scale.rows + tuple(extra))[i] for i in order]
+            ctx = FormalContext.from_rows([f"g{i}" for i in order], scale.attributes, rows)
+            m = Motif(f, tuple(order.index(i) for i in range(n)))
+            (cover,) = covered_extents(ctx, [m])
+            assert cover == _cover_from_preimage_intents(ctx, m), (f, n, rows)
+            assert cover.bit_count() == expected_extent_count(f, n), (f, n, rows)
 
 
 def test_greedy_cover_and_basis_ask_no_closure(monkeypatch):
@@ -112,8 +173,8 @@ def test_dual_family_motifs_cover_the_same_extents():
             c = recognize(ctx, d, ScaleFamily.CROWN)
             if b is not None and c is not None:
                 seen += 1
-                assert extent_set(ctx, covered_extents(ctx, b)) == extent_set(
-                    ctx, covered_extents(ctx, c)
+                assert extent_set(ctx, covered_extents(ctx, [b])[0]) == extent_set(
+                    ctx, covered_extents(ctx, [c])[0]
                 )
     assert seen > 0
 
@@ -179,7 +240,7 @@ def test_cumulative_equals_union_of_covered_sets():
         steps = greedy_cover(ctx, pool, 5)
         union: set[int] = set()
         for s in steps:
-            union |= extent_set(ctx, covered_extents(ctx, s.motif))
+            union |= extent_set(ctx, covered_extents(ctx, [s.motif])[0])
         if steps:
             assert steps[-1].cumulative == len(union)
             assert steps[-1].cumulative <= len(ctx.extents())

@@ -14,12 +14,12 @@ from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.scales import (
     FAMILY_MIN_SIZE,
     column_count,
-    expected_extent_count,
     scale_preimages,
 )
 
 from oracles import (
     brute_force_extents,
+    expected_extent_count,
     induced_subcontext,
     oracle_scale,
     oracle_semiproduct,
