@@ -7,8 +7,7 @@ set), and the context's ``intent_ids()`` table names the extent with that
 intent: the preimage's closure. ``covered_extents`` covers the whole pool
 in one pass, writing each family's ANDs in closed form on the motif's
 witness. They are the shapes ``scales.preimage_intents`` joins for the
-basis, written out per family so no motif builds a list; the tests pin
-the two forms to each other.
+basis, written out per family; the tests pin the two forms together.
 
 The standard heuristic picks the largest marginal gain per step; the
 normalized one divides the gain by the motif's own extent count, which
@@ -17,11 +16,18 @@ each closure meets the domain in its preimage. It favours small motifs
 that are covered in full. Scores compare exactly, by integer
 cross-multiplication, so ties break deterministically: smaller family
 rank first, then the lexicographically smallest sorted domain.
+
+Gains never rise as coverage grows, so steps are lazy (Minoux 1978):
+each weight's candidates sit in buckets by a bound on their gain, first
+the cover's size. A step re-scores the top bucket of each group that can
+reach the best score, moving candidates to their gain (0 is never read),
+until a bucket keeps someone: the group's best gain and all its ties.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -130,7 +136,7 @@ def covered_extents(context: FormalContext, motifs: Sequence[Motif]) -> list[int
 
 
 def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:
-    return sorted(motifs, key=lambda m: (m.family, tuple(sorted(m.domain))))
+    return sorted(motifs, key=lambda m: (m.family, sorted(m.domain)))
 
 
 def greedy_cover(
@@ -144,44 +150,38 @@ def greedy_cover(
         raise ValueError("step count must be nonnegative")
     pool = _canonical_order(motifs)
     covers = covered_extents(context, pool)
-    # A cover holds one extent per scale extent (see the module docstring).
-    if heuristic is HeuristicKind.STANDARD:
-        weights = [1] * len(pool)
-    else:
-        weights = [cover.bit_count() for cover in covers]
-    # Gains only fall as coverage grows, so a candidate that gains nothing
-    # leaves the scan for good; the rest keep their canonical order.
-    live = list(zip(pool, covers, weights))
+    sizes = [cover.bit_count() for cover in covers]
+    weights = [1] * len(pool) if heuristic is HeuristicKind.STANDARD else sizes
+    groups: defaultdict[int, defaultdict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    for i, (size, weight) in enumerate(zip(sizes, weights)):
+        groups[weight][size].append(i)
+    order = [[max(buckets), weight, buckets] for weight, buckets in groups.items()]
     covered = 0
     steps: list[CoveringStep] = []
     for _ in range(k):
         # The best score so far is best_gain / best_weight; weights are positive.
-        best_gain, best_weight, best, ties = 0, 1, None, 0
+        best_gain, best_weight, best, ties = 0, 1, len(pool), 0
         uncovered = ~covered
-        kept: list[tuple[Motif, int, int]] = []
-        keep = kept.append
-        for entry in live:
-            gain = (entry[1] & uncovered).bit_count()
-            if gain:
-                keep(entry)
-                weight = entry[2]
-                lhs, rhs = gain * best_weight, best_gain * weight
-                if lhs > rhs:
-                    best_gain, best_weight, best, ties = gain, weight, entry, 1
-                elif lhs == rhs:
-                    ties += 1
-        if best is None:
+        order.sort(key=lambda group: group[0] / group[1], reverse=True)
+        for group in order:
+            top, weight, buckets = group
+            while top and top * best_weight >= best_gain * weight:
+                for i in buckets.pop(top):
+                    buckets[(covers[i] & uncovered).bit_count()].append(i)
+                kept = buckets[top]
+                if kept:
+                    if top * best_weight > best_gain * weight:
+                        best, ties = len(pool), 0
+                    ties += len(kept)
+                    if min(kept) < best:
+                        best_gain, best_weight, best = top, weight, min(kept)
+                    break
+                while top and not buckets[top]:
+                    top -= 1
+            group[0] = top
+        if not ties:
             break
-        live = kept
-        chosen, cov, _ = best
-        covered |= cov
-        steps.append(
-            CoveringStep(
-                motif=chosen,
-                witnesses=realizations(context, chosen.domain),
-                new_extents=best_gain,
-                cumulative=covered.bit_count(),
-                tie_count=ties,
-            )
-        )
+        covered |= covers[best]
+        witnesses = realizations(context, pool[best].domain)
+        steps.append(CoveringStep(pool[best], witnesses, best_gain, covered.bit_count(), ties))
     return steps

@@ -309,6 +309,27 @@ def test_greedy_matches_the_reference_greedy_past_full_coverage():
     assert compared > 20
 
 
+def test_greedy_matches_the_reference_greedy_on_larger_tables():
+    # Tables of 8-10 objects give pools of 25-194 motifs, where the tied
+    # candidates of a step were last scored at different steps, so a
+    # bucket of them is no longer in canonical order.
+    rng = Random(131)
+    compared = 0
+    for i in range(30):
+        ctx, _ = clarify_objects(random_context(rng, rng.randint(8, 10), rng.randint(6, 9), 0.4))
+        inventory = enumerate_motifs(ctx)
+        for pool in (inventory.all_motifs(maximal_only=True), inventory.all_motifs()):
+            shuffled = rng.sample(pool, len(pool))
+            runs = [(pool, heuristic) for heuristic in HeuristicKind]
+            runs.append((shuffled, list(HeuristicKind)[i % 2]))
+            for motifs, heuristic in runs:
+                steps = greedy_cover(ctx, motifs, len(pool), heuristic)
+                got = [(s.motif, s.new_extents, s.cumulative, s.tie_count) for s in steps]
+                assert got == greedy_oracle(ctx, pool, len(pool), heuristic)
+                compared += 1
+    assert compared == 180
+
+
 def test_greedy_is_deterministic():
     rng = Random(107)
     ctx, _ = clarify_objects(random_context(rng, 6, 6, 0.5))

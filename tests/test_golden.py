@@ -4,7 +4,9 @@ Each table is ``random_context(Random(seed), 14, 12, 0.3)`` clarified and
 written as Burmeister. The digests were taken from the CLI before the
 closed-form witness extents replaced the preimage loops, so any change to
 the printed motifs, witnesses, tie counts, coverings or basis columns
-shows here. ``motifs-all`` lists every motif of every family, so it pins
+shows here. ``cover-nested`` runs the normalized greedy over every motif
+to full coverage; it was taken before the greedy re-scored only its top
+gain bucket. ``motifs-all`` lists every motif of every family, so it pins
 the full enumeration order and each witness; it was taken before the
 hereditary search kept its options as object masks. The crown tables are
 ``crown_heavy_context(Random(seed), 12)`` clarified, pinned before crown
@@ -30,6 +32,7 @@ COMMANDS = {
     "explain": ["explain", "--k", "10"],
     "cover": ["cover", "--k", "1000000"],
     "cover-json": ["cover", "--json", "--all-motifs", "--heuristic", "normalized"],
+    "cover-nested": ["cover", "--k", "1000000", "--all-motifs", "--heuristic", "normalized"],
     "basis": ["basis"],
     "concepts": ["concepts", "--list"],
     "motifs": ["motifs", "--json", "--maximal-only"],
@@ -41,6 +44,7 @@ GOLDEN = {
     (1, "explain"): "2d6394b8ec772722394b6e1c61bc4da688d2b53ef881476d58c124a2fba81571",
     (1, "cover"): "2a1e2727261b9c559f7f806a2e7690dfec395e0e35928b3d389dbd39dbd58e00",
     (1, "cover-json"): "ddf60e8c732238fa930e07d68cf2af5343a4c3104256bbe7b5c5992358c26985",
+    (1, "cover-nested"): "c2bb00f404edd6a8dadb3b500fa39e09b353b805d6d6e30a406cf05397d323d6",
     (1, "basis"): "11c42a49391ce03e4eabfaf98ea33b4bff2a9f534d6cbc2f9ca48aa7d8e3dd73",
     (1, "concepts"): "628cb7af8c940759cfb8d2a986e2ba5fbcfc9eb1f8aed0cfecaa6e8e681f4cef",
     (1, "motifs"): "6687d7884abfae6223a9f9ec299635c312ac97b350f8aebe25451137d8b842dd",
@@ -48,6 +52,7 @@ GOLDEN = {
     (2, "explain"): "c87ea72beb6920f846fc72ca34539c71899868d846bbe606da9073e100e2c315",
     (2, "cover"): "f5d83e3cc1b0f67b84d33890eace3e3d418609e4f575e52e6c73f622d5eff8b3",
     (2, "cover-json"): "63d53091fd4a745782b393f33e5be4f98af9b00c58440ca2e8e4abcccf637692",
+    (2, "cover-nested"): "78b46b1e93baab34e5ebc30f72d7f94472c1649b422ca5d90f595da3dc69e7eb",
     (2, "basis"): "cca362f2f473be08f17f5e52f25d623b90d3831c5f2f0ab6f692e5ae53fcdbc1",
     (2, "concepts"): "d89619e7ef61b78c3ccd954dcb80648b79e8c5c90ca01da5a67925577663ddd9",
     (2, "motifs"): "2c96cbca907b4800c0377dfc3546397ba6dc484bc73362d1575f7aa2d3e95946",
@@ -55,6 +60,7 @@ GOLDEN = {
     (3, "explain"): "030cd6987dc37d84a08d6185a59f1605df9fcd4eae10f79d1b5c9ca38a7444b6",
     (3, "cover"): "eb7351f000a67dcf8211941253bb2cfc602be5a199af2c5c1c4a3e431a0ec1e5",
     (3, "cover-json"): "bdbfbd08a09891bac542167541ac7849fbe23a84d5c49ba9a77834316fc4fdfa",
+    (3, "cover-nested"): "58fc18dc129dbb105d96b6d97342b24cc9984a2b2744ef71a41e1beb5807de65",
     (3, "basis"): "8e72001849e2888693073cb9e364eead7707f78f110063960c0207b362563647",
     (3, "concepts"): "7c179947b8cb2bc5b46bd199cd6f6c7d20c8da5f59439b234c219c223f36a9e6",
     (3, "motifs"): "72641cd67c60a6674a8b3505e65ec90f4d2580ff34a64be6795ddcfb7b0871f8",
@@ -62,6 +68,7 @@ GOLDEN = {
     (4, "explain"): "29892766e705d0a181e6d0d1b2cbeff7c955f6665682afb41ff16c13acdbdf77",
     (4, "cover"): "a90dd7083628dbc6b65f58aa18bc6c2011d16ea3f603f32e29fb583ba6315822",
     (4, "cover-json"): "21874588c25b488b20fbba7a7e07ab0a4ad72e0a834e0a5195c5ffa6577c6bef",
+    (4, "cover-nested"): "e216c73c5b94b8e18a008929193a672d707dc2cd5ce424ddb308c382919eba0b",
     (4, "basis"): "cb8b1d6cf4fae944c08440c88da41a7a263d6b0bcd6639f0cbac105b74b74916",
     (4, "concepts"): "f78ae4c83284b1f368b27cf0a3fb06897dc7430af03181c9d67881583c8a0bb1",
     (4, "motifs"): "da612104165f542cc53dc8b818ba70c7d7bae7470735ea7f151771f34001521b",
