@@ -15,7 +15,9 @@ is its cover's size: distinct preimages have distinct closures, since
 each closure meets the domain in its preimage. It favours small motifs
 that are covered in full. Scores compare exactly, by integer
 cross-multiplication, so ties break deterministically: smaller family
-rank first, then the lexicographically smallest sorted domain.
+rank first, then the lexicographically smallest sorted domain, then the
+earlier input position. The pool is taken in any order and not sorted;
+the tie key is built only for candidates that share a kept bucket.
 
 Gains never rise as coverage grows, so steps are lazy (Minoux 1978):
 each weight's candidates sit in buckets by a bound on their gain, first
@@ -29,7 +31,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .context import FormalContext
 from .recognition import Motif, realizations
@@ -135,20 +137,27 @@ def covered_extents(context: FormalContext, motifs: Sequence[Motif]) -> list[int
     return covers
 
 
-def _canonical_order(motifs: Iterable[Motif]) -> list[Motif]:
-    return sorted(motifs, key=lambda m: (m.family, sorted(m.domain)))
-
-
 def greedy_cover(
     context: FormalContext,
     motifs: Sequence[Motif],
     k: int,
     heuristic: HeuristicKind = HeuristicKind.STANDARD,
 ) -> list[CoveringStep]:
-    """Select up to ``k`` motifs greedily; stops early once nothing gains."""
+    """Select up to ``k`` motifs greedily; stops early once nothing gains.
+
+    ``motifs`` may come in any order: ties go to the smaller family rank,
+    then the smaller sorted domain, then the earlier position in ``motifs``.
+    """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    pool = _canonical_order(motifs)
+    pool = list(motifs)
+    tie_keys: list[tuple | None] = [None] * len(pool)
+
+    def tie_key(i: int) -> tuple:
+        if tie_keys[i] is None:
+            tie_keys[i] = (pool[i].family, sorted(pool[i].domain), i)
+        return tie_keys[i]
+
     covers = covered_extents(context, pool)
     sizes = [cover.bit_count() for cover in covers]
     weights = [1] * len(pool) if heuristic is HeuristicKind.STANDARD else sizes
@@ -160,7 +169,7 @@ def greedy_cover(
     steps: list[CoveringStep] = []
     for _ in range(k):
         # The best score so far is best_gain / best_weight; weights are positive.
-        best_gain, best_weight, best, ties = 0, 1, len(pool), 0
+        best_gain, best_weight, best, ties = 0, 1, None, 0
         uncovered = ~covered
         order.sort(key=lambda group: group[0] / group[1], reverse=True)
         for group in order:
@@ -171,10 +180,11 @@ def greedy_cover(
                 kept = buckets[top]
                 if kept:
                     if top * best_weight > best_gain * weight:
-                        best, ties = len(pool), 0
+                        best, ties = None, 0
                     ties += len(kept)
-                    if min(kept) < best:
-                        best_gain, best_weight, best = top, weight, min(kept)
+                    first = kept[0] if len(kept) == 1 else min(kept, key=tie_key)
+                    if best is None or tie_key(first) < tie_key(best):
+                        best_gain, best_weight, best = top, weight, first
                     break
                 while top and not buckets[top]:
                     top -= 1

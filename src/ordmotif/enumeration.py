@@ -10,6 +10,10 @@ attribute outside H's intent link H into one cycle. Crown enumeration
 runs ``recognition.crown_walks``, the walk ``recognize`` also runs, from
 every seed triplet of an object and two objects above it that it
 overlaps, capped by size, so it finds each cycle once on rows.
+
+Every family's motifs are listed by size, then sorted domain. Nominal
+and contranominal sets are emitted in that order; chains, walks and
+crowns, whose witnesses are not ascending, are sorted into it.
 """
 
 from __future__ import annotations
@@ -63,7 +67,9 @@ class EnumerationConfig:
 
 
 def _sorted_motifs(motifs: list[Motif]) -> list[Motif]:
-    # Every domain is found once, so one sort by size, then domain, orders them.
+    # Every family lists its motifs by size, then sorted domain. Every domain
+    # is found once, so for ordinal, interordinal and crown witnesses, which
+    # are not ascending, one sort orders them; sets are emitted in order.
     motifs.sort(key=lambda m: (len(m.domain), sorted(m.domain)))
     return motifs
 
@@ -83,6 +89,9 @@ def enumerate_hereditary(
     ``recognition.HEREDITARY_CANDIDATES`` narrows that mask with column
     ORs and ANDs, and the step rule decides every object left.
     Singletons obey another rule and go through :func:`recognize`.
+    The stack pops seeds and children in ascending object order, so set
+    paths come out in lexicographic order and, listed size by size, need
+    no sort; chains and walks are sorted afterwards.
     """
     if family not in HEREDITARY_RULES:
         raise ValueError(f"{family} is not hereditary; see enumerate_crowns")
@@ -90,13 +99,13 @@ def enumerate_hereditary(
     n_objects = len(context.objects)
     require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
-    motifs: list[Motif] = []
+    levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
 
     if lo <= 1 <= hi:
         for g in range(n_objects):
             motif = recognize(context, (g,), family)
             if motif is not None:
-                motifs.append(motif)
+                levels[1].append(motif)
 
     rows, cols = context.rows, context.cols
     seed, step = HEREDITARY_RULES[family]
@@ -104,7 +113,7 @@ def enumerate_hereditary(
     walks = family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
     everyone = (1 << n_objects) - 1
     stack = []
-    for g in range(n_objects):
+    for g in reversed(range(n_objects)):
         state = seed(rows[g], context.attribute_mask)
         if state is not None:
             stack.append(([g], state, everyone ^ 1 << g if walks else everyone & -(2 << g)))
@@ -114,7 +123,7 @@ def enumerate_hereditary(
         if len(path) >= least and (
             family is not ScaleFamily.INTERORDINAL or path[0] < path[-1]
         ):
-            motifs.append(Motif(family, tuple(path)))
+            levels[len(path)].append(Motif(family, tuple(path)))
         if len(path) >= hi:
             continue
         if candidates is not None:
@@ -129,9 +138,12 @@ def enumerate_hereditary(
             if s is not None:
                 grown.append((x, s))
                 after |= low
-        for x, s in grown:
+        for x, s in reversed(grown):
             stack.append((path + [x], s, after ^ 1 << x if walks else after & -(2 << x)))
-    return _sorted_motifs(motifs)
+    motifs: list[Motif] = []
+    for level in levels:
+        motifs += level
+    return _sorted_motifs(motifs) if walks else motifs
 
 
 def enumerate_crowns(

@@ -10,21 +10,20 @@ hereditary family, and :func:`crown_walks` for crowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bitsets import bits, mask_of
 from .context import FormalContext, require_clarified
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 
-@dataclass(frozen=True)
-class Motif:
+class Motif(NamedTuple):
     """A recognized domain; the order of ``domain`` encodes the witness.
 
     ``domain[i]`` is the object mapped to scale object ``i + 1``. For crowns
     this is the canonical cycle walk, for ordinal and interordinal scales the
     chain order, and ascending object index where any bijection witnesses.
+    A named tuple, so it equals the plain tuple ``(family, domain)``.
     """
 
     family: ScaleFamily

@@ -211,6 +211,61 @@ def test_tie_break_prefers_lexicographically_smaller_domain():
     assert steps[0].motif.domain == (0, 1)
 
 
+def _second_witness(motif):
+    # The reversed chain of an interordinal walk, or a crown's walk rotated by one.
+    if motif.family is ScaleFamily.CROWN:
+        return Motif(motif.family, motif.domain[1:] + motif.domain[:1])
+    return Motif(motif.family, motif.domain[::-1])
+
+
+@pytest.mark.parametrize("family", [ScaleFamily.INTERORDINAL, ScaleFamily.CROWN])
+def test_one_domain_under_two_witnesses_goes_to_the_earlier_copy(family):
+    scale = build_scale(family, 5)
+    first = recognize(scale, range(5), family)
+    second = _second_witness(first)
+    assert first != second
+    for pool in ([first, second], [second, first]):
+        (step,) = greedy_cover(scale, pool, 1)
+        assert step.motif is pool[0]
+        assert step.tie_count == 2
+
+
+def test_pool_order_does_not_change_the_steps():
+    # Every interordinal walk and crown joins the pool twice, under two
+    # witnesses; whatever the order, a step picks the same domain, and the
+    # copy of it that comes first in that order.
+    rng = Random(109)
+    for i in range(24):
+        table = crown_heavy_context(rng, 8) if i % 2 else random_context(rng, 8, 6, 0.5)
+        ctx, _ = clarify_objects(table)
+        pool = enumerate_motifs(ctx, EnumerationConfig(min_size=1)).all_motifs()
+        pool += [
+            _second_witness(m)
+            for m in pool
+            if m.family in (ScaleFamily.INTERORDINAL, ScaleFamily.CROWN) and m.size > 1
+        ]
+        shuffled = rng.sample(pool, len(pool))
+        for heuristic in HeuristicKind:
+            want = [
+                (sorted(s.motif.domain), s.motif.family, s.new_extents, s.cumulative, s.tie_count)
+                for s in greedy_cover(ctx, pool, len(pool), heuristic)
+            ]
+            for order in (pool, pool[::-1], shuffled):
+                steps = greedy_cover(ctx, order, len(order), heuristic)
+                got = [
+                    (sorted(s.motif.domain), s.motif.family, s.new_extents, s.cumulative, s.tie_count)
+                    for s in steps
+                ]
+                assert got == want, (ctx.rows, heuristic)
+                for s in steps:
+                    copies = [
+                        m
+                        for m in order
+                        if m.family is s.motif.family and sorted(m.domain) == sorted(s.motif.domain)
+                    ]
+                    assert s.motif is copies[0]
+
+
 def test_heuristics_can_pick_differently():
     pool = [TRIPLE, Motif(ScaleFamily.NOMINAL, (0, 1))]
     standard = greedy_cover(B3, pool, 1, HeuristicKind.STANDARD)

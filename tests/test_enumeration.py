@@ -370,6 +370,34 @@ def test_min_and_max_size_one_yield_singletons_only():
     assert seen == set(HEREDITARY)
 
 
+@pytest.mark.parametrize(
+    "min_size,max_size", [(None, None), (1, None), (1, 1), (1, 2), (None, 3), (3, 5)]
+)
+def test_every_family_lists_motifs_by_size_then_sorted_domain(min_size, max_size):
+    # Nominal and contranominal sets come out of the search in this order
+    # with no sort; the covering tie-break and the CLI output rely on it.
+    rng = Random(107)
+    contexts = [random_context(rng, 9, 7, rng.uniform(0.3, 0.7)) for _ in range(6)]
+    contexts += [full_row_context(rng, 8) for _ in range(4)]
+    contexts += [crown_heavy_context(rng, 10) for _ in range(4)]
+    config = EnumerationConfig(min_size=min_size, max_size=max_size, crown_size_cap=6)
+    sizes: dict[ScaleFamily, set[int]] = {f: set() for f in ALL}
+    for ctx in contexts:
+        ctx, _ = clarify_objects(ctx)
+        for f in ALL:
+            motifs = enumerate_family(ctx, f, config)
+            assert motifs == sorted(motifs, key=lambda m: (len(m.domain), sorted(m.domain))), (
+                ctx.rows,
+                f,
+            )
+            sizes[f].update(m.size for m in motifs)
+    # The sets span several sizes, so the order is tested across levels.
+    lo = min_size or 2
+    hi = 4 if max_size is None else min(max_size, 4)
+    for f in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL):
+        assert set(range(lo, hi + 1)) <= sizes[f], f
+
+
 def _fixed_row_size_context(rng, n_objects, n_attributes, per_row):
     # Every object holds ``per_row`` attributes, like the sparse and dense
     # benchmark tables.

@@ -8,7 +8,10 @@ shows here. ``cover-nested`` runs the normalized greedy over every motif
 to full coverage; it was taken before the greedy re-scored only its top
 gain bucket. ``motifs-all`` lists every motif of every family, so it pins
 the full enumeration order and each witness; it was taken before the
-hereditary search kept its options as object masks. The crown tables are
+hereditary search kept its options as object masks. ``motifs-min1`` and
+``motifs-max3`` list every motif with singletons and with a size cut;
+they were taken before nominal and contranominal sets came out of the
+search in order instead of being sorted into it. The crown tables are
 ``crown_heavy_context(Random(seed), 12)`` clarified, pinned before crown
 search started from seed triplets. ``concepts`` lists every extent in
 lectic order on all six tables; it was taken while NextClosure still
@@ -37,6 +40,8 @@ COMMANDS = {
     "concepts": ["concepts", "--list"],
     "motifs": ["motifs", "--json", "--maximal-only"],
     "motifs-all": ["motifs", "--json"],
+    "motifs-min1": ["motifs", "--json", "--min-size", "1"],
+    "motifs-max3": ["motifs", "--json", "--max-size", "3"],
     "crowns": ["motifs", "--json", "--families", "crown", "--crown-cap", "12"],
 }
 
@@ -49,6 +54,8 @@ GOLDEN = {
     (1, "concepts"): "628cb7af8c940759cfb8d2a986e2ba5fbcfc9eb1f8aed0cfecaa6e8e681f4cef",
     (1, "motifs"): "6687d7884abfae6223a9f9ec299635c312ac97b350f8aebe25451137d8b842dd",
     (1, "motifs-all"): "71e33dbdd0bc460a8634a33e403b1a8ea87f874d924f12db59a1c1f80756e6d0",
+    (1, "motifs-min1"): "8fb63138d9c202b5ecb8f8ff15fdbdf8d59b6f13262136b62acc3858e197dfb9",
+    (1, "motifs-max3"): "ec2b2987ceaffe526b8683fffd6b116f19efe1cf6ef8190aecb2fcc0c680c08a",
     (2, "explain"): "c87ea72beb6920f846fc72ca34539c71899868d846bbe606da9073e100e2c315",
     (2, "cover"): "f5d83e3cc1b0f67b84d33890eace3e3d418609e4f575e52e6c73f622d5eff8b3",
     (2, "cover-json"): "63d53091fd4a745782b393f33e5be4f98af9b00c58440ca2e8e4abcccf637692",
@@ -57,6 +64,8 @@ GOLDEN = {
     (2, "concepts"): "d89619e7ef61b78c3ccd954dcb80648b79e8c5c90ca01da5a67925577663ddd9",
     (2, "motifs"): "2c96cbca907b4800c0377dfc3546397ba6dc484bc73362d1575f7aa2d3e95946",
     (2, "motifs-all"): "f01626200495dc7e88580f09878913188c0ef4a651dfb36cfed8aa256e25b445",
+    (2, "motifs-min1"): "f95978ae283d36cd00e386408895ab26d1fdaa61739dff2c948aee66166076ff",
+    (2, "motifs-max3"): "e817312fbd8d7643ecb60d51449349e6a14b419b8cc63a05e3a3a8d07cbeb493",
     (3, "explain"): "030cd6987dc37d84a08d6185a59f1605df9fcd4eae10f79d1b5c9ca38a7444b6",
     (3, "cover"): "eb7351f000a67dcf8211941253bb2cfc602be5a199af2c5c1c4a3e431a0ec1e5",
     (3, "cover-json"): "bdbfbd08a09891bac542167541ac7849fbe23a84d5c49ba9a77834316fc4fdfa",
@@ -65,6 +74,8 @@ GOLDEN = {
     (3, "concepts"): "7c179947b8cb2bc5b46bd199cd6f6c7d20c8da5f59439b234c219c223f36a9e6",
     (3, "motifs"): "72641cd67c60a6674a8b3505e65ec90f4d2580ff34a64be6795ddcfb7b0871f8",
     (3, "motifs-all"): "33edd984e56e344ac27dd335ba948be9248b7a593cbb32ef601461b31228dcc2",
+    (3, "motifs-min1"): "1623b873ebb8cfed675bc4d5252f8a3f4a559c1f89df76bc91ea77f69ba4496d",
+    (3, "motifs-max3"): "a3b72b2ce134609b841c10fd7aeb8f8b66367665a341c8b77c423b973595c8fa",
     (4, "explain"): "29892766e705d0a181e6d0d1b2cbeff7c955f6665682afb41ff16c13acdbdf77",
     (4, "cover"): "a90dd7083628dbc6b65f58aa18bc6c2011d16ea3f603f32e29fb583ba6315822",
     (4, "cover-json"): "21874588c25b488b20fbba7a7e07ab0a4ad72e0a834e0a5195c5ffa6577c6bef",
@@ -73,6 +84,8 @@ GOLDEN = {
     (4, "concepts"): "f78ae4c83284b1f368b27cf0a3fb06897dc7430af03181c9d67881583c8a0bb1",
     (4, "motifs"): "da612104165f542cc53dc8b818ba70c7d7bae7470735ea7f151771f34001521b",
     (4, "motifs-all"): "724ee8c8e32e0c5e169c7eb160f54f484a3fa9793add346e34bcdbf6abf48437",
+    (4, "motifs-min1"): "fe860b1da6e289c86c76a8f1a8fa1ef964956231234b828755becd464628955c",
+    (4, "motifs-max3"): "86e5730215a0c896bde190a8307d9a0ae3542ca997a680aa287c7187a2d0d8c4",
 }
 
 
