@@ -3,9 +3,13 @@
 Nominal, ordinal, interordinal and contranominal motifs are hereditary
 along their witnesses: every prefix of a witness of two or more objects
 is a witness too. So their domains grow depth-first, one object at a
-time, under the family's step rule on rows. Each node keeps the objects
-it may still try as one int and narrows it with ``&`` before the rule
-runs. Crowns are not hereditary: H is a crown iff the objects sharing an
+time. Ordinal, interordinal and contranominal domains grow under the
+family's step rule on rows; each node keeps the objects it may still try
+as one int and narrows it with ``&`` before the rule runs. Nominal sets
+have no step rule: they are the cliques of one graph per meet, whose
+links are found once per context, so a clique carries the objects that
+may still join it and knows from the search whether it is maximal.
+Crowns are not hereditary: H is a crown iff the objects sharing an
 attribute outside H's intent link H into one cycle. Crown enumeration
 runs ``recognition.crown_walks``, the walk ``recognize`` also runs, from
 every seed triplet of an object and two objects above it that it
@@ -80,21 +84,22 @@ def enumerate_hereditary(
     """All motif domains of a hereditary family within the size bounds.
 
     Paths grow under ``recognition.HEREDITARY_RULES`` and are their own
-    witnesses: nominal and contranominal sets in ascending object order,
-    ordinal chains down from the full row, interordinal walks from every
-    object, kept when ``path[0] < path[-1]``; so each domain is reached
-    once. A node's options are one int of objects: the siblings the step
-    rule accepted (for sets only those above the new object), since
-    dropping any object but the first from a witness leaves a witness.
+    witnesses: contranominal sets in ascending object order, ordinal
+    chains down from the full row, interordinal walks from every object,
+    kept when ``path[0] < path[-1]``; so each domain is reached once. A
+    node's options are one int of objects: the siblings the step rule
+    accepted (for sets only those above the new object), since dropping
+    any object but the first from a witness leaves a witness.
     ``recognition.HEREDITARY_CANDIDATES`` narrows that mask with column
     ORs and ANDs, and the step rule decides every object left.
     Singletons obey another rule and go through :func:`recognize`.
     The stack pops seeds and children in ascending object order, so set
     paths come out in lexicographic order and, listed size by size, need
-    no sort; chains and walks are sorted afterwards.
+    no sort; chains and walks are sorted afterwards. Nominal sets have
+    no step rule (see :func:`enumerate_nominal`), nor do crowns.
     """
     if family not in HEREDITARY_RULES:
-        raise ValueError(f"{family} is not hereditary; see enumerate_crowns")
+        raise ValueError(f"{family} has no step rule; see enumerate_family")
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
     require_clarified(context, range(n_objects))
@@ -146,6 +151,88 @@ def enumerate_hereditary(
     return _sorted_motifs(motifs) if walks else motifs
 
 
+class _Searched(list):
+    """A family's motifs in enumeration order, with the maximal ones the search found.
+
+    :func:`maximal_filter` returns ``maximal`` for such a list instead of
+    running the one-short rule; any plain list is filtered.
+    """
+
+    __slots__ = ("maximal",)
+
+
+def enumerate_nominal(
+    context: FormalContext, config: EnumerationConfig | None = None
+) -> list[Motif]:
+    """All nominal motif domains within the size bounds, maximal ones marked.
+
+    H (|H| >= 2) is nominal iff every pair of its rows meets in the same
+    intent I and no row equals I, so its domains are the cliques of one
+    graph per meet. One pass over the pairs x < y with incomparable rows
+    ORs y into ``links[x][meet]`` and x into ``links[y][meet]``. A clique
+    keeps ``common``, the objects that pair with every member at its
+    meet; it grows by those above its last member, and no step rule runs.
+    It is maximal among the listed motifs iff ``common`` is empty or it
+    has the largest size allowed (the X set of Bron & Kerbosch 1973).
+    Singletons have the full row, which no pair holds, and go through
+    :func:`recognize`. As in :func:`enumerate_hereditary`, the stack pops
+    ascending sets in lexicographic order, and listed size by size they
+    need no sort.
+    """
+    family = ScaleFamily.NOMINAL
+    config = config or EnumerationConfig()
+    n_objects = len(context.objects)
+    require_clarified(context, range(n_objects))
+    lo, hi = config.bounds(family, n_objects)
+    levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
+    tops: list[list[Motif]] = [[] for _ in range(hi + 1)]
+
+    if lo <= 1 <= hi:
+        for g in range(n_objects):
+            motif = recognize(context, (g,), family)
+            if motif is not None:
+                levels[1].append(motif)
+                tops[1].append(motif)
+
+    rows = context.rows
+    links: list[dict[int, int]] = [{} for _ in range(n_objects)]
+    pairs = []
+    for x in range(n_objects):
+        rx, lx = rows[x], links[x]
+        for y in range(x + 1, n_objects):
+            meet = rx & rows[y]
+            if meet != rx and meet != rows[y]:
+                pairs.append((x, y, meet))
+                lx[meet] = lx.get(meet, 0) | 1 << y
+                links[y][meet] = links[y].get(meet, 0) | 1 << x
+    stack = []
+    if hi >= 2:
+        # Pairs in descending order, so the stack pops them ascending.
+        stack = [((x, y), m, links[x][m] & links[y][m]) for x, y, m in reversed(pairs)]
+    least = max(lo, 2)
+    while stack:
+        path, meet, common = stack.pop()
+        size = len(path)
+        if size >= least:
+            motif = Motif(family, path)
+            levels[size].append(motif)
+            if not common or size == hi:
+                tops[size].append(motif)
+        if size == hi:
+            continue
+        grown = common & -(2 << path[-1])
+        while grown:
+            y = grown.bit_length() - 1
+            grown ^= 1 << y
+            stack.append((path + (y,), meet, common & links[y][meet]))
+    motifs = _Searched()
+    motifs.maximal = []
+    for level, top in zip(levels, tops):
+        motifs += level
+        motifs.maximal += top
+    return motifs
+
+
 def enumerate_crowns(
     context: FormalContext, config: EnumerationConfig | None = None
 ) -> list[Motif]:
@@ -181,6 +268,8 @@ def enumerate_crowns(
 def enumerate_family(
     context: FormalContext, family: ScaleFamily, config: EnumerationConfig | None = None
 ) -> list[Motif]:
+    if family is ScaleFamily.NOMINAL:
+        return enumerate_nominal(context, config)
     if family is ScaleFamily.CROWN:
         return enumerate_crowns(context, config)
     return enumerate_hereditary(context, family, config)
@@ -195,7 +284,12 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
     crown C that are not cycle neighbours share only C's intent, which the
     intent of a subset H of C contains, so H links only along C's cycle
     edges, and with a member of C missing those form paths, not one cycle.
+    A list from :func:`enumerate_nominal` holds its maximal motifs already.
     """
+    if isinstance(motifs, _Searched):
+        if motifs and motifs[0].family is not family:
+            raise ValueError(f"expected only {family} motifs, found {motifs[0].family}")
+        return list(motifs.maximal)
     pool = list(motifs)
     for m in pool:
         if m.family is not family:
@@ -213,7 +307,8 @@ class MotifInventory:
     """Per-family enumeration results.
 
     A family's maximal sub-list is filtered the first time it is asked
-    for and kept; inventories compare by their enumeration results alone.
+    for and kept (nominal's comes from the search); inventories compare
+    by their enumeration results alone.
     """
 
     by_family: dict[ScaleFamily, list[Motif]]

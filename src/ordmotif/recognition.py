@@ -4,8 +4,11 @@ A motif is a set H of objects whose induced subcontext K[H, M] admits a
 full scale-measure onto a standard scale of size |H|. Verification works
 for arbitrary maps; recognition finds a witnessing bijection in
 polynomial time per family, or reports that none exists. Each family's
-rule lives here once and enumeration runs it too: a step function per
-hereditary family, and :func:`crown_walks` for crowns.
+rule lives here once and enumeration runs it too: a step function for
+ordinal, interordinal and contranominal domains, and :func:`crown_walks`
+for crowns. The nominal rule is pairwise and checked in O(|H|^2): every
+pair of rows meets in one intent that no row equals. Enumeration grows
+nominal sets as the cliques of one meet under the same rule.
 """
 
 from __future__ import annotations
@@ -93,17 +96,13 @@ def _recognize_size_one(context: FormalContext, g: int, family: ScaleFamily) -> 
     return (g,) if full_row else None
 
 
-def _nominal_step(rows, path, state, r):
-    # Every pair meets exactly in I, and no row equals I: a pair has
-    # incomparable rows, and a later row meets U in I without being I.
-    intent, union = state
-    if len(path) == 1:
-        intent &= r
-        if intent == r or intent == union:
-            return None
-    elif r & union != intent or r == intent:
-        return None
-    return intent, union | r
+def _is_nominal(rows: Sequence[int], idx: list[int]) -> bool:
+    # Every pair meets in the same intent I, and no row equals I. The
+    # search in ``enumeration.enumerate_nominal`` grows these cliques.
+    intent = rows[idx[0]] & rows[idx[1]]
+    return all(rows[g] != intent for g in idx) and all(
+        rows[g] & rows[h] == intent for i, g in enumerate(idx) for h in idx[i + 1 :]
+    )
 
 
 def _ordinal_step(rows, path, state, r):
@@ -162,14 +161,15 @@ def _holders(cols, attributes):
     return out
 
 
-# Each hereditary family decides a domain H (|H| >= 2) on rows, one object
-# at a time: ``seed(r, M)`` is the state of the one-object domain with row
-# ``r`` (M is the attribute mask), and ``step(rows, path, state, r)`` the
-# state once an object with row ``r`` joins ``path``; either is None when no
-# motif can follow. H is a motif iff the rule folds along its witness order,
-# and enumeration grows domains with it. I is the AND of the rows, U the OR.
+# Ordinal, interordinal and contranominal domains H (|H| >= 2) are decided
+# on rows, one object at a time: ``seed(r, M)`` is the state of the
+# one-object domain with row ``r`` (M is the attribute mask), and
+# ``step(rows, path, state, r)`` the state once an object with row ``r``
+# joins ``path``; either is None when no motif can follow. H is a motif iff
+# the rule folds along its witness order, and enumeration grows domains
+# with it. I is the AND of the rows, U the OR. Nominal sets have no step
+# rule: theirs is pairwise (``_is_nominal``).
 HEREDITARY_RULES = {
-    ScaleFamily.NOMINAL: (lambda r, full: (r, r), _nominal_step),
     # An ordinal scale has no empty extent, so its chain starts at the full row.
     ScaleFamily.ORDINAL: (lambda r, full: r if r == full else None, _ordinal_step),
     ScaleFamily.INTERORDINAL: (lambda r, full: (r, 0, []), _interordinal_step),
@@ -182,8 +182,7 @@ HEREDITARY_RULES = {
 # Necessary conditions of a step as one object mask: ``candidates(rows,
 # cols, path, state)`` holds every object whose row the step could accept
 # (-1 admits all). Enumeration narrows a node's options with it before
-# stepping; the step still decides each object left. Nominal and ordinal
-# have none: a nominal narrowing cost more than the steps it saved.
+# stepping; the step still decides each object left. Ordinal has none.
 HEREDITARY_CANDIDATES = {
     ScaleFamily.INTERORDINAL: _interordinal_candidates,
     ScaleFamily.CONTRANOMINAL: _contranominal_candidates,
@@ -284,7 +283,6 @@ def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int]:
 
 #: The witness order each hereditary family folds its rule along.
 _WITNESS_ORDERS = {
-    ScaleFamily.NOMINAL: lambda context, idx: idx,
     # Down the chain: by decreasing row size.
     ScaleFamily.ORDINAL: lambda context, idx: sorted(idx, key=lambda g: -context.rows[g].bit_count()),
     ScaleFamily.INTERORDINAL: _interordinal_walk,
@@ -326,6 +324,8 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
     require_clarified(context, idx)
     if n == 1:
         witness = _recognize_size_one(context, idx[0], family)
+    elif family is ScaleFamily.NOMINAL:
+        witness = tuple(idx) if _is_nominal(context.rows, idx) else None
     elif family is ScaleFamily.CROWN:
         witness = _recognize_crown(context, idx)
     else:

@@ -299,10 +299,47 @@ def test_crowns_never_nest():
     assert total > 100
 
 
+@pytest.mark.parametrize(
+    "min_size,max_size",
+    [(lo, hi) for lo in (1, 2, 3) for hi in (1, 2, 3, None) if hi is None or lo <= hi],
+)
+def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
+    # The clique search lists its maximal motifs as it goes; the one-short
+    # rule on a plain list and superset freedom must agree with it.
+    rng = Random(131)
+    contexts = [random_corpus_item(rng) for _ in range(60)]
+    contexts += [full_row_context(rng, 7 + i % 4) for i in range(8)]
+    contexts += [with_shared_column(random_context(rng, 7 + i % 4, 6, 0.35)) for i in range(8)]
+    contexts += [with_shared_column(build_scale(ScaleFamily.NOMINAL, 5))]
+    config = EnumerationConfig(min_size=min_size, max_size=max_size)
+    capped = 0
+    for ctx in contexts:
+        ctx, _ = clarify_objects(ctx)
+        motifs = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
+        maximal = maximal_filter(motifs, ScaleFamily.NOMINAL)
+        assert maximal == maximal_filter(list(motifs), ScaleFamily.NOMINAL), ctx.rows
+        found = domains(motifs)
+        expected = {d for d in found if not any(d != e and set(d) <= set(e) for e in found)}
+        assert domains(maximal) == expected, ctx.rows
+        assert len(maximal) == len(expected)
+        everything = domains(
+            enumerate_family(ctx, ScaleFamily.NOMINAL, EnumerationConfig(min_size=1))
+        )
+        capped += sum(1 for d in expected if any(set(d) < set(e) for e in everything))
+    # A size cap below the largest clique leaves maximal motifs that grow;
+    # singletons, with the full row, never do.
+    assert (capped > 0) == (max_size in (2, 3))
+
+
+def test_enumerate_hereditary_refuses_nominal_sets():
+    with pytest.raises(ValueError, match="no step rule"):
+        enumerate_hereditary(build_scale(ScaleFamily.NOMINAL, 3), ScaleFamily.NOMINAL)
+
+
 def test_unclarified_context_is_rejected():
     ctx = FormalContext(["a", "b"], ["p"], [[1], [1]])
     with pytest.raises(UnclarifiedObjectsError):
-        enumerate_hereditary(ctx, ScaleFamily.NOMINAL)
+        enumerate_family(ctx, ScaleFamily.NOMINAL)
     with pytest.raises(UnclarifiedObjectsError):
         enumerate_crowns(ctx)
 

@@ -11,7 +11,11 @@ the full enumeration order and each witness; it was taken before the
 hereditary search kept its options as object masks. ``motifs-min1`` and
 ``motifs-max3`` list every motif with singletons and with a size cut;
 they were taken before nominal and contranominal sets came out of the
-search in order instead of being sorted into it. The crown tables are
+search in order instead of being sorted into it. ``motifs-top-min1`` and
+``motifs-top-max3`` list the maximal motifs with singletons and with a
+size cut, so they pin the maximal motifs that the nominal clique search
+marks for a one-object domain and at the size bound; they were taken
+before nominal sets were enumerated as cliques. The crown tables are
 ``crown_heavy_context(Random(seed), 12)`` clarified, pinned before crown
 search started from seed triplets. ``concepts`` lists every extent in
 lectic order on all six tables; it was taken while NextClosure still
@@ -42,6 +46,8 @@ COMMANDS = {
     "motifs-all": ["motifs", "--json"],
     "motifs-min1": ["motifs", "--json", "--min-size", "1"],
     "motifs-max3": ["motifs", "--json", "--max-size", "3"],
+    "motifs-top-min1": ["motifs", "--json", "--maximal-only", "--min-size", "1"],
+    "motifs-top-max3": ["motifs", "--json", "--maximal-only", "--max-size", "3"],
     "crowns": ["motifs", "--json", "--families", "crown", "--crown-cap", "12"],
 }
 
@@ -56,6 +62,8 @@ GOLDEN = {
     (1, "motifs-all"): "71e33dbdd0bc460a8634a33e403b1a8ea87f874d924f12db59a1c1f80756e6d0",
     (1, "motifs-min1"): "8fb63138d9c202b5ecb8f8ff15fdbdf8d59b6f13262136b62acc3858e197dfb9",
     (1, "motifs-max3"): "ec2b2987ceaffe526b8683fffd6b116f19efe1cf6ef8190aecb2fcc0c680c08a",
+    (1, "motifs-top-min1"): "66da5447a8a5bc19b3027d8a251e757adec5825600e5f16e1cfebef65293aab1",
+    (1, "motifs-top-max3"): "c85f9952728f126a030ddeeba1f1179450f23695f4513e0ac99ab701af26b3cb",
     (2, "explain"): "c87ea72beb6920f846fc72ca34539c71899868d846bbe606da9073e100e2c315",
     (2, "cover"): "f5d83e3cc1b0f67b84d33890eace3e3d418609e4f575e52e6c73f622d5eff8b3",
     (2, "cover-json"): "63d53091fd4a745782b393f33e5be4f98af9b00c58440ca2e8e4abcccf637692",
@@ -66,6 +74,8 @@ GOLDEN = {
     (2, "motifs-all"): "f01626200495dc7e88580f09878913188c0ef4a651dfb36cfed8aa256e25b445",
     (2, "motifs-min1"): "f95978ae283d36cd00e386408895ab26d1fdaa61739dff2c948aee66166076ff",
     (2, "motifs-max3"): "e817312fbd8d7643ecb60d51449349e6a14b419b8cc63a05e3a3a8d07cbeb493",
+    (2, "motifs-top-min1"): "56286cc88f363734bbdb351e237214e6d5b4212cba25912f3ee68018839e2fa0",
+    (2, "motifs-top-max3"): "903337382e11ebddc2c97708bfe7abaccbbd163365af81e6b4d349a829e3e398",
     (3, "explain"): "030cd6987dc37d84a08d6185a59f1605df9fcd4eae10f79d1b5c9ca38a7444b6",
     (3, "cover"): "eb7351f000a67dcf8211941253bb2cfc602be5a199af2c5c1c4a3e431a0ec1e5",
     (3, "cover-json"): "bdbfbd08a09891bac542167541ac7849fbe23a84d5c49ba9a77834316fc4fdfa",
@@ -76,6 +86,8 @@ GOLDEN = {
     (3, "motifs-all"): "33edd984e56e344ac27dd335ba948be9248b7a593cbb32ef601461b31228dcc2",
     (3, "motifs-min1"): "1623b873ebb8cfed675bc4d5252f8a3f4a559c1f89df76bc91ea77f69ba4496d",
     (3, "motifs-max3"): "a3b72b2ce134609b841c10fd7aeb8f8b66367665a341c8b77c423b973595c8fa",
+    (3, "motifs-top-min1"): "7ba43de05d7f397f6c76e2b8a54eec7a37cc0e2c53039ab8451a1d9cc667abab",
+    (3, "motifs-top-max3"): "5e4e5f6edf36a6857e57bdf4c90c9b760f671d0057ef4b7a2488009fd9d24e94",
     (4, "explain"): "29892766e705d0a181e6d0d1b2cbeff7c955f6665682afb41ff16c13acdbdf77",
     (4, "cover"): "a90dd7083628dbc6b65f58aa18bc6c2011d16ea3f603f32e29fb583ba6315822",
     (4, "cover-json"): "21874588c25b488b20fbba7a7e07ab0a4ad72e0a834e0a5195c5ffa6577c6bef",
@@ -86,6 +98,8 @@ GOLDEN = {
     (4, "motifs-all"): "724ee8c8e32e0c5e169c7eb160f54f484a3fa9793add346e34bcdbf6abf48437",
     (4, "motifs-min1"): "fe860b1da6e289c86c76a8f1a8fa1ef964956231234b828755becd464628955c",
     (4, "motifs-max3"): "86e5730215a0c896bde190a8307d9a0ae3542ca997a680aa287c7187a2d0d8c4",
+    (4, "motifs-top-min1"): "10d38d3bcfd4b760a55d79706425816211ce917013e8c83def5606c0fa49f589",
+    (4, "motifs-top-max3"): "90537c240b075a3fb0f15cb2753257a4014257f566c27af859c734279fb581dc",
 }
 
 
