@@ -6,6 +6,7 @@ attribute sets are plain ints throughout, extents included, and a set of
 extents is one int whose bit ``i`` stands for ``extents()[i]``. The
 extents are the intersections of the columns, and ``intent_ids()`` names
 each by its intent, so any closure is one intent and one lookup.
+``meet_links()`` files each object's incomparable partners by meet.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class FormalContext:
         "cols",
         "_extents",
         "_intent_ids",
+        "_meet_links",
     )
 
     def __init__(
@@ -112,6 +114,7 @@ class FormalContext:
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_extents", None)
         object.__setattr__(self, "_intent_ids", None)
+        object.__setattr__(self, "_meet_links", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FormalContext is immutable")
@@ -194,6 +197,13 @@ class FormalContext:
             object.__setattr__(self, "_intent_ids", ids)
         return self._intent_ids
 
+    def meet_links(self) -> dict[int, dict[int, int]]:
+        """:func:`link_table` of every object, built once: the context is immutable."""
+        if self._meet_links is None:
+            table = link_table(self.rows, self.cols, self.object_mask)
+            object.__setattr__(self, "_meet_links", table)
+        return self._meet_links
+
     # -- derived contexts ------------------------------------------------
 
     def transpose(self) -> "FormalContext":
@@ -201,6 +211,28 @@ class FormalContext:
         return FormalContext._from_rows_and_cols(
             self.attributes, self.objects, self.cols, self.rows
         )
+
+
+def link_table(rows: Sequence[int], cols: Sequence[int], objects: int) -> dict[int, dict]:
+    """For each x of the mask ``objects``, ``{meet: the y in it whose row meets x's in meet}``.
+
+    ``cols`` are the columns of ``rows``. Only incomparable rows link, so
+    neither row contains the other. The nonempty rows outside the columns
+    of x's attributes link with x at 0 in one mask; a meet is computed
+    only for an object that shares an attribute with x.
+    """
+    filled = mask_of(g for g in bits(objects) if rows[g])
+    table = {}
+    for x in bits(objects):
+        rx, near = rows[x], 0
+        for m in bits(rx):
+            near |= cols[m]
+        links = table[x] = {0: filled & ~near} if rx and filled & ~near else {}
+        for y in bits(near & objects & ~(1 << x)):
+            meet = rx & rows[y]
+            if meet != rx and meet != rows[y]:
+                links[meet] = links.get(meet, 0) | 1 << y
+    return table
 
 
 def object_labels(context: FormalContext, clarification: ClarificationMap | None) -> list[str]:

@@ -17,7 +17,8 @@ that are covered in full. Scores compare exactly, by integer
 cross-multiplication, so ties break deterministically: smaller family
 rank first, then the lexicographically smallest sorted domain, then the
 earlier input position. The pool is taken in any order and not sorted;
-the tie key is built only for candidates that share a kept bucket.
+the tie key is built only for candidates of the least family in a kept
+bucket.
 
 Gains never rise as coverage grows, so steps are lazy (Minoux 1978):
 each weight's candidates sit in buckets by a bound on their gain, first
@@ -182,7 +183,9 @@ def greedy_cover(
                     if top * best_weight > best_gain * weight:
                         best, ties = None, 0
                     ties += len(kept)
-                    first = kept[0] if len(kept) == 1 else min(kept, key=tie_key)
+                    # Keys only for the tied motifs of the least family.
+                    least = min(pool[i].family for i in kept)
+                    first = min((i for i in kept if pool[i].family is least), key=tie_key)
                     if best is None or tie_key(first) < tie_key(best):
                         best_gain, best_weight, best = top, weight, first
                     break

@@ -77,6 +77,7 @@ from typing import Callable, Sequence
 
 from .bitsets import bits, mask_of
 from .context import FormalContext
+from .recognition import recognize
 from .scales import ScaleFamily, check_scale_size, column_count
 
 MAX_OBJECTS = 8
@@ -162,28 +163,17 @@ def _cycle_shape(scale: FormalContext) -> list[int] | None:
 
     A scale is crown-shaped when it has at least three objects, every
     column is a pair and the distinct pairs form one cycle through all
-    objects, so relabeled crowns qualify. The order starts at object 0
-    and goes on to its smaller neighbour: ``build_scale(CROWN, n)`` gives
-    0, 1, ..., n - 1. Pairs in which every object has two neighbours
-    form disjoint cycles, so the one through object 0 must hold them all.
+    objects, so relabeled crowns qualify. No column then holds every
+    object, so the pairs are the crown rule's links, and the order is the
+    witness of :func:`recognize`: 0, its smaller neighbour and on, so
+    ``build_scale(CROWN, n)`` gives 0, 1, ..., n - 1. Equal rows lie in
+    the same columns, which no cycle allows: ``None``, not an error.
     """
     n = len(scale.rows)
-    if n < 3 or any(c.bit_count() != 2 for c in scale.cols):
+    if n < 3 or any(c.bit_count() != 2 for c in scale.cols) or len(set(scale.rows)) < n:
         return None
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    for pair in scale.cols:
-        a, b = bits(pair)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    if any(len(m) != 2 for m in neighbours):
-        return None
-    order = [0]
-    previous, current = 0, min(neighbours[0])
-    while current:
-        order.append(current)
-        a, b = neighbours[current]
-        previous, current = current, b if a == previous else a
-    return order if len(order) == n else None
+    crown = recognize(scale, range(n), ScaleFamily.CROWN)
+    return None if crown is None else list(crown.domain)
 
 
 def _orbit_rule(scale: FormalContext) -> Callable[[int], int]:

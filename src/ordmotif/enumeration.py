@@ -6,14 +6,15 @@ is a witness too. So their domains grow depth-first, one object at a
 time. Ordinal, interordinal and contranominal domains grow under the
 family's step rule on rows; each node keeps the objects it may still try
 as one int and narrows it with ``&`` before the rule runs. Nominal sets
-have no step rule: they are the cliques of one graph per meet, whose
-links are found once per context, so a clique carries the objects that
-may still join it and knows from the search whether it is maximal.
-Crowns are not hereditary: H is a crown iff the objects sharing an
-attribute outside H's intent link H into one cycle. Crown enumeration
-runs ``recognition.crown_walks``, the walk ``recognize`` also runs, from
-every seed triplet of an object and two objects above it that it
-overlaps, capped by size, so it finds each cycle once on rows.
+have no step rule: they are the cliques of one graph per meet, read off
+the context's ``meet_links()``, so a clique carries the objects that may
+still join it and knows from the search whether it is maximal. Crowns
+are not hereditary: H is a crown iff the objects sharing an attribute
+outside H's intent link H into one cycle. Crown enumeration runs
+``recognition.crown_walks``, the walk ``recognize`` also runs, on the
+same table, from every seed triplet of an object and two objects above
+it that link with it at a nonempty meet, capped by size, so it finds
+each cycle once.
 
 Every family's motifs are listed by size, then sorted domain. Nominal
 and contranominal sets are emitted in that order; chains, walks and
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .bitsets import bits
 from .context import FormalContext, require_clarified
 from .recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES, Motif, crown_walks, recognize
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
@@ -105,12 +107,8 @@ def enumerate_hereditary(
     require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
     levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
-
     if lo <= 1 <= hi:
-        for g in range(n_objects):
-            motif = recognize(context, (g,), family)
-            if motif is not None:
-                levels[1].append(motif)
+        levels[1] = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
 
     rows, cols = context.rows, context.cols
     seed, step = HEREDITARY_RULES[family]
@@ -168,10 +166,10 @@ def enumerate_nominal(
 
     H (|H| >= 2) is nominal iff every pair of its rows meets in the same
     intent I and no row equals I, so its domains are the cliques of one
-    graph per meet. One pass over the pairs x < y with incomparable rows
-    ORs y into ``links[x][meet]`` and x into ``links[y][meet]``. A clique
-    keeps ``common``, the objects that pair with every member at its
-    meet; it grows by those above its last member, and no step rule runs.
+    graph per meet: ``links[x][meet]`` in the context's ``meet_links()``
+    holds the objects that pair with x at meet. A clique keeps
+    ``common``, the objects that pair with every member at its meet; it
+    grows by those above its last member, and no step rule runs.
     It is maximal among the listed motifs iff ``common`` is empty or it
     has the largest size allowed (the X set of Bron & Kerbosch 1973).
     Singletons have the full row, which no pair holds, and go through
@@ -186,29 +184,20 @@ def enumerate_nominal(
     lo, hi = config.bounds(family, n_objects)
     levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
     tops: list[list[Motif]] = [[] for _ in range(hi + 1)]
-
     if lo <= 1 <= hi:
-        for g in range(n_objects):
-            motif = recognize(context, (g,), family)
-            if motif is not None:
-                levels[1].append(motif)
-                tops[1].append(motif)
+        levels[1] = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
+        tops[1] = levels[1][:]
 
     rows = context.rows
-    links: list[dict[int, int]] = [{} for _ in range(n_objects)]
-    pairs = []
-    for x in range(n_objects):
-        rx, lx = rows[x], links[x]
-        for y in range(x + 1, n_objects):
-            meet = rx & rows[y]
-            if meet != rx and meet != rows[y]:
-                pairs.append((x, y, meet))
-                lx[meet] = lx.get(meet, 0) | 1 << y
-                links[y][meet] = links[y].get(meet, 0) | 1 << x
+    links = context.meet_links()
     stack = []
     if hi >= 2:
-        # Pairs in descending order, so the stack pops them ascending.
-        stack = [((x, y), m, links[x][m] & links[y][m]) for x, y, m in reversed(pairs)]
+        # Pairs x < y in descending order, so the stack pops them ascending.
+        # One object's masks are disjoint across meets: their sum is their OR.
+        for x in reversed(range(n_objects)):
+            for y in reversed(list(bits(sum(links[x].values()) & -(2 << x)))):
+                meet = rows[x] & rows[y]
+                stack.append(((x, y), meet, links[x][meet] & links[y][meet]))
     least = max(lo, 2)
     while stack:
         path, meet, common = stack.pop()
@@ -239,10 +228,10 @@ def enumerate_crowns(
     """All crown motifs up to the size cap.
 
     Each cycle is found once, from its seed triplet: its least object
-    ``x`` and x's two cycle neighbours ``a < b``, both above ``x`` among
-    the objects x overlaps. Its witness is the walk ``[x, a, ..., b]``
-    that ``recognition.crown_walks`` grows from the triplet, the one
-    :func:`recognize` returns.
+    ``x`` and x's two cycle neighbours ``a < b``, both above ``x`` and
+    linked with it in ``meet_links()``. Its witness is the walk
+    ``[x, a, ..., b]`` that ``recognition.crown_walks`` grows from the
+    triplet, the one :func:`recognize` returns.
     """
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
@@ -252,15 +241,15 @@ def enumerate_crowns(
         return []
 
     rows = context.rows
-    overlap = [
-        [b for b in range(n_objects) if b != a and rows[a] & rows[b]] for a in range(n_objects)
-    ]
+    links = context.meet_links()
     crowns: list[Motif] = []
     for x in range(n_objects):
-        ups = [g for g in overlap[x] if g > x]
+        # Crown members are incomparable and neighbours share more than the
+        # intent, so x's neighbours link with x at a nonempty meet.
+        ups = list(bits(sum(ys for meet, ys in links[x].items() if meet) & -(2 << x)))
         for i, a in enumerate(ups):
             for b in ups[i + 1 :]:
-                for walk in crown_walks(rows, overlap, x, a, b, lo, hi):
+                for walk in crown_walks(rows, links, x, a, b, lo, hi):
                     crowns.append(Motif(ScaleFamily.CROWN, walk))
     return _sorted_motifs(crowns)
 

@@ -89,15 +89,10 @@ def parse_burmeister(text: str) -> FormalContext:
                 f"row width {len(raw)} does not match attribute count {n_attributes}",
                 at + i + 1,
             )
-        row = []
-        for ch in raw:
-            if ch == "X":
-                row.append(1)
-            elif ch == ".":
-                row.append(0)
-            else:
-                raise ParseError(f"incidence character {ch!r} is not '.' or 'X'", at + i + 1)
-        incidence.append(row)
+        bad = [ch for ch in raw if ch not in "X."]
+        if bad:
+            raise ParseError(f"incidence character {bad[0]!r} is not '.' or 'X'", at + i + 1)
+        incidence.append([int(ch == "X") for ch in raw])
     try:
         return FormalContext(objects, attributes, incidence)
     except ValueError as exc:
@@ -109,17 +104,10 @@ def to_burmeister(context: FormalContext) -> str:
     for label in (*context.objects, *context.attributes):
         if "".join(label.splitlines()) != label:
             raise ValueError(f"label {label!r} holds a line break; Burmeister cannot store it")
-    out = ["B", ""]
-    out.append(str(len(context.objects)))
-    out.append(str(len(context.attributes)))
-    out.append("")
-    out.extend(context.objects)
-    out.extend(context.attributes)
-    for row in context.rows:
-        out.append(
-            "".join("X" if row >> m & 1 else "." for m in range(len(context.attributes)))
-        )
-    return "\n".join(out) + "\n"
+    width = range(len(context.attributes))
+    rows = ["".join("X" if row >> m & 1 else "." for m in width) for row in context.rows]
+    counts = [str(len(context.objects)), str(len(context.attributes))]
+    return "\n".join(["B", "", *counts, "", *context.objects, *context.attributes, *rows]) + "\n"
 
 
 def parse_csv(text: str) -> FormalContext:

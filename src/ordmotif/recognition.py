@@ -6,17 +6,21 @@ for arbitrary maps; recognition finds a witnessing bijection in
 polynomial time per family, or reports that none exists. Each family's
 rule lives here once and enumeration runs it too: a step function for
 ordinal, interordinal and contranominal domains, and :func:`crown_walks`
-for crowns. The nominal rule is pairwise and checked in O(|H|^2): every
-pair of rows meets in one intent that no row equals. Enumeration grows
-nominal sets as the cliques of one meet under the same rule.
+for crowns, on a link table: the domain's own here, the context's cached
+one in enumeration. The nominal rule is pairwise and checked in
+O(|H|^2): every pair of rows meets in one intent that no row equals.
+Enumeration grows nominal sets as the cliques of one meet under the
+same rule, read off the same cached table.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bitsets import bits, mask_of
-from .context import FormalContext, require_clarified
+from .context import FormalContext, link_table, require_clarified
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 
@@ -190,30 +194,31 @@ HEREDITARY_CANDIDATES = {
 
 
 def crown_walks(
-    rows: Sequence[int], overlap: Sequence[Sequence[int]], x: int, a: int, b: int, lo: int, hi: int
+    rows: Sequence[int], links: dict[int, dict[int, int]], x: int, a: int, b: int, lo: int, hi: int
 ) -> Iterator[tuple[int, ...]]:
     """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects seeded by x, a, b.
 
-    The crown rule, which :func:`recognize` and enumeration both run: a set
-    H of at least three objects with intent I is a crown iff its members
-    linked by sharing something outside I form one cycle through H, and
-    its witness walks from its least object x over x's neighbours a < b.
-    ``overlap[g]`` holds the objects that may follow g; none whose row
-    misses g's ever does. Enumeration needs the walk to branch; recognize
-    first checks that every member has two links, so its walk never does.
+    The crown rule, run by :func:`recognize`, enumeration and the scaling
+    dimension's orbit rule: a set H of at least three objects with intent
+    I is a crown iff its members linked by sharing something outside I
+    form one cycle through H, and its witness walks from its least object
+    x over x's neighbours a < b. ``links`` is a ``context.link_table``.
+    Enumeration needs the walk to branch; recognize first checks that
+    every member has two links, so its walk never does.
 
     A crown's consecutive pairs share an attribute outside its intent and
-    no other pair does. On a triangle the intent is what all three share.
-    On a longer cycle a and b are not consecutive, so the intent is
-    exactly what a and b share: every member holds it, and two members
-    are consecutive iff they share more. A path then grows from
-    ``[x, a]`` by objects above x that hold that intent and are
-    consecutive with its last object only, and closes, without growing
-    further, at the first object consecutive with b. So the linked members
-    are exactly the walk's consecutive ones, and a walk so found needs no
-    system check: a column cut to H is H or a clique of the cycle (an edge
-    at most when |H| >= 4), every edge is a cut column, and edges meet in
-    singletons and the empty set.
+    no other pair does, so no member's row contains another's. On a
+    triangle the intent is what all three share. On a longer cycle a and
+    b are not consecutive, so I is exactly what a and b share: they link
+    at I, x shares more than I with each, and two members are consecutive
+    iff they do not link at I. ``common``, at first ``links[x][I]`` above
+    x, holds the objects linked at I with every path member but the last.
+    A path closes once its last object and b are not linked at I, and
+    otherwise grows by each object of ``common`` not linked with the last
+    at I. So the linked members are exactly the walk's consecutive ones,
+    and a walk so found needs no system check: a column cut to H is H or
+    a clique of the cycle (an edge at most when |H| >= 4), every edge is
+    a cut column, and edges meet in singletons and the empty set.
     """
     ab = rows[a] & rows[b]
     if ab & ~rows[x]:
@@ -222,34 +227,21 @@ def crown_walks(
         if lo <= 3 and rows[x] & rows[a] & ~intent and rows[x] & rows[b] & ~intent:
             yield x, a, b
         return
-    rest = ~ab
-    if hi < 4 or not rows[x] & rows[a] & rest or not rows[x] & rows[b] & rest:
+    if hi < 4 or not links[a].get(ab, 0) >> b & 1 or ab in (rows[x] & rows[a], rows[x] & rows[b]):
         return
-    # An explicit stack of (path, path_mask, inner), so the cap is not
-    # bounded by the recursion limit; ``inner`` ORs the rows strictly
-    # between x and the path's last object.
-    stack = [([x, a], 1 << a | 1 << b, 0)]
+    # An explicit stack, so the cap is not bounded by the recursion limit.
+    stack = [([x, a], links[x].get(ab, 0) & -(2 << x))]
     while stack:
-        path, path_mask, inner = stack.pop()
-        last = path[-1]
-        if rows[last] & rows[b] & rest:
+        path, common = stack.pop()
+        same = links[path[-1]].get(ab, 0)
+        if not same >> b & 1:
             if lo <= len(path) + 1:
                 yield (*path, b)
             continue
         if len(path) + 1 >= hi:
             continue
-        link = rows[last] & rest
-        apart = (rows[x] | inner) & rest
-        next_inner = inner | rows[last]
-        for nxt in overlap[last]:
-            if (
-                nxt > x
-                and rows[nxt] & link
-                and not path_mask >> nxt & 1
-                and not rows[nxt] & apart
-                and rows[nxt] & ab == ab
-            ):
-                stack.append((path + [nxt], path_mask | 1 << nxt, next_inner))
+        for nxt in bits(common & ~same):
+            stack.append((path + [nxt], common & same))
 
 
 def _fold(context: FormalContext, family: ScaleFamily, walk: list[int]) -> tuple[int, ...] | None:
@@ -268,7 +260,7 @@ def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int]:
     # between them, which shrinks strictly as the interval grows. So the
     # member sharing fewest attributes with any member is an end, the one
     # sharing fewest with that end is the other end, and the walk is the
-    # domain by decreasing overlap with an end. Any other domain gets some
+    # domain by decreasing share with an end. Any other domain gets some
     # order, and the fold rejects it. Reversal maps intervals to intervals,
     # so starting from the lower end loses nothing.
     rows = context.rows
@@ -291,19 +283,19 @@ _WITNESS_ORDERS = {
 
 
 def _recognize_crown(context: FormalContext, idx: list[int]) -> tuple[int, ...] | None:
-    # Links are pairs sharing something outside I. H is no cycle unless each
-    # member has two; then no walk step has two objects to choose from, so
-    # the walk from x closes through all of H, or stops, in O(|H|^2).
+    # Links are pairs sharing something outside I: on the domain's own link
+    # table, the members not linked at I (a row equal to I counts them all,
+    # and the walk rejects it). H is no cycle unless each member has two;
+    # then no walk step has two objects to choose from, so the walk from x
+    # closes through all of H, or stops, in O(|H|^2).
     rows = context.rows
-    intent = context.attribute_mask
-    for g in idx:
-        intent &= rows[g]
-    links = [[h for h in idx if h != g and rows[g] & rows[h] & ~intent] for g in idx]
-    if any(len(ends) != 2 for ends in links):
+    domain = mask_of(idx)
+    links = link_table(rows, context.cols, domain)
+    intent = reduce(and_, (rows[g] for g in idx))
+    ends = [domain ^ 1 << g ^ links[g].get(intent, 0) for g in idx]
+    if any(e.bit_count() != 2 for e in ends):
         return None
-    a, b = links[0]
-    n = len(idx)
-    return next(crown_walks(rows, [idx] * len(rows), idx[0], a, b, n, n), None)
+    return next(crown_walks(rows, links, idx[0], *bits(ends[0]), len(idx), len(idx)), None)
 
 
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:

@@ -166,6 +166,42 @@ def with_shared_column(context: FormalContext) -> FormalContext:
     return FormalContext.from_rows(context.objects, (*context.attributes, "shared"), rows)
 
 
+def link_table_oracle(rows: list[int]) -> list[dict[int, int]]:
+    """Per object x, its meets with every incomparable row, from all ordered pairs."""
+    table = []
+    for x, rx in enumerate(rows):
+        links: dict[int, int] = {}
+        for y, ry in enumerate(rows):
+            meet = rx & ry
+            if meet != rx and meet != ry:
+                links[meet] = links.get(meet, 0) | 1 << y
+        table.append(links)
+    return table
+
+
+def cycle_order_oracle(scale: FormalContext) -> list[int] | None:
+    """The cycle through every object that the scale's distinct pair columns form.
+
+    Read by following neighbours from object 0 towards the smaller one;
+    ``None`` unless there are at least three objects, every column is a
+    pair and each object lies in exactly two distinct pairs of one cycle.
+    """
+    n = len(scale.objects)
+    pairs = [[g for g in range(n) if c >> g & 1] for c in set(scale.cols)]
+    if n < 3 or any(len(pair) != 2 for pair in pairs):
+        return None
+    neighbours = [[b if a == g else a for a, b in pairs if g in (a, b)] for g in range(n)]
+    if any(len(ends) != 2 for ends in neighbours):
+        return None
+    order = [0, min(neighbours[0])]
+    while len(order) < n:
+        step = [h for h in neighbours[order[-1]] if h != order[-2]][0]
+        if step == 0:
+            return None
+        order.append(step)
+    return order
+
+
 def random_corpus_item(rng: Random) -> FormalContext:
     """One context drawn as in the oracle-equivalence corpus."""
     n_objects = rng.randint(1, 6)

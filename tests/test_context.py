@@ -10,16 +10,19 @@ from ordmotif import (
     clarify_objects,
 )
 from ordmotif.bitsets import mask_of
-from ordmotif.context import require_clarified
+from ordmotif.context import link_table, require_clarified
 from ordmotif.covering import greedy_cover
 from ordmotif.enumeration import enumerate_motifs
 
 from oracles import (
     brute_force_extents,
+    crown_heavy_context,
     induced_subcontext,
     lectic_less,
+    link_table_oracle,
     random_context,
     random_corpus_item,
+    with_shared_column,
 )
 
 K = FormalContext(
@@ -228,3 +231,30 @@ def test_clarification_preserves_extent_count():
         ctx = random_context(rng, rng.randint(2, 6), rng.randint(1, 4), 0.5)
         clarified, _ = clarify_objects(ctx)
         assert len(clarified.extents()) == len(ctx.extents())
+
+
+def test_link_table_matches_the_pair_oracle():
+    # Raw tables keep equal and empty rows, which link to nothing they
+    # contain or are contained in; crown-heavy tables link along cycles.
+    # A table over some objects is the full one cut to them.
+    rng = Random(3301)
+    raws = [random_corpus_item(rng) for _ in range(80)]
+    for _ in range(40):
+        raws.append(random_context(rng, rng.randint(1, 24), rng.randint(1, 12), rng.uniform(0.1, 0.6)))
+    raws += [crown_heavy_context(rng, 4 + i % 9) for i in range(40)]
+    raws += [with_shared_column(random_context(rng, 8, 5, 0.35)) for _ in range(10)]
+    for raw in raws:
+        for ctx in (raw, clarify_objects(raw)[0]):
+            table = ctx.meet_links()
+            oracle = link_table_oracle(list(ctx.rows))
+            assert [table[x] for x in range(len(ctx.objects))] == oracle, ctx.rows
+            assert list(table) == list(range(len(ctx.objects)))
+            assert ctx.meet_links() is table
+            objects = rng.getrandbits(len(ctx.objects))
+            cut = {
+                x: {meet: ys & objects for meet, ys in oracle[x].items() if ys & objects}
+                for x in range(len(ctx.objects))
+                if objects >> x & 1
+            }
+            assert link_table(ctx.rows, ctx.cols, objects) == cut, (ctx.rows, objects)
+    assert FormalContext.from_rows([], [], []).meet_links() == {}

@@ -16,6 +16,7 @@ from ordmotif.scales import FAMILY_MIN_SIZE
 
 from oracles import (
     coverages_oracle,
+    cycle_order_oracle,
     dimension_oracle,
     full_row_context,
     least_cover_oracle,
@@ -574,6 +575,47 @@ def test_cycle_shape_reads_the_order_of_any_crown():
     # contranominal:3 is the 3-crown.
     assert dimension._cycle_shape(build_scale(ScaleFamily.CONTRANOMINAL, 3)) == [0, 1, 2]
     assert dimension._cycle_shape(build_scale(ScaleFamily.CONTRANOMINAL, 4)) is None
+
+
+def test_cycle_shape_on_random_pair_column_scales():
+    # Random pairs, some scales with two objects whose only column is their
+    # own pair (so equal rows), and relabeled crowns with a repeated column.
+    # Repeated rows answer None and never raise UnclarifiedObjectsError.
+    rng = Random(4099)
+    shaped = repeated = 0
+    for trial in range(3000):
+        n = rng.randint(1, 8)
+        pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 10))] if n >= 2 else []
+        if trial % 3 == 1 and n >= 4:
+            u, v = rng.sample(range(n), 2)
+            pairs = [p for p in pairs if u not in p and v not in p] + [[u, v]]
+        if trial % 3 == 2 and n >= 3:
+            crown = build_scale(ScaleFamily.CROWN, n)
+            labels = rng.sample(range(n), n)
+            pairs = [[labels[g], labels[(g + 1) % n]] for g in range(n)]
+            pairs += pairs[: rng.randint(0, 1)]
+            rng.shuffle(pairs)
+        cols = [1 << a | 1 << b for a, b in pairs]
+        scale = FormalContext.from_rows(
+            [f"g{g}" for g in range(n)],
+            [f"m{j}" for j in range(len(cols))],
+            [sum((c >> g & 1) << j for j, c in enumerate(cols)) for g in range(n)],
+        )
+        order = dimension._cycle_shape(scale)
+        assert order == cycle_order_oracle(scale), (n, pairs)
+        if len(set(scale.rows)) < n:
+            repeated += 1
+            assert order is None
+        if trial % 3 == 2 and n >= 3:
+            # build_scale(CROWN, n)'s order 0, 1, ..., n - 1 carried over
+            # by the relabeling, from object 0 towards its smaller neighbour.
+            start = labels.index(0)
+            forward = [labels[(start + i) % n] for i in range(n)]
+            backward = [labels[(start - i) % n] for i in range(n)]
+            assert order == min(forward, backward, key=lambda o: o[1])
+            assert dimension._cycle_shape(crown) == list(range(n))
+        shaped += order is not None
+    assert shaped > 500 and repeated > 300
 
 
 def test_orbit_rule_matches_the_exhaustive_search_on_relabeled_scales():

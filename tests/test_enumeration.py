@@ -17,6 +17,7 @@ from ordmotif import (
     recognize,
 )
 from ordmotif import enumeration
+from ordmotif.context import link_table
 from ordmotif.enumeration import (
     enumerate_crowns,
     enumerate_family,
@@ -150,6 +151,27 @@ def test_each_crown_is_built_once(monkeypatch):
         assert len(built) == len(crowns)
         total += len(crowns)
     assert total > 100
+
+
+def test_one_enumeration_builds_the_link_table_once(monkeypatch):
+    # Nominal cliques and crown walks read one cached table; recognition
+    # builds its own only for a crown domain, which enumeration never asks.
+    calls = []
+
+    def counting(rows, cols, objects):
+        calls.append(objects)
+        return link_table(rows, cols, objects)
+
+    monkeypatch.setattr("ordmotif.context.link_table", counting)
+    monkeypatch.setattr("ordmotif.recognition.link_table", counting)
+    rng = Random(211)
+    for i in range(12):
+        ctx, _ = clarify_objects(crown_heavy_context(rng, 7 + i % 5))
+        calls.clear()
+        inventory = enumerate_motifs(ctx, EnumerationConfig(min_size=1, crown_size_cap=12))
+        assert calls == [ctx.object_mask]
+        assert len(inventory.by_family) == 5
+        assert ctx.meet_links() is ctx.meet_links() and len(calls) == 1
 
 
 def test_crown_search_stops_at_pairs_sharing_only_a_common_column():

@@ -20,6 +20,9 @@ before nominal sets were enumerated as cliques. The crown tables are
 search started from seed triplets. ``concepts`` lists every extent in
 lectic order on all six tables; it was taken while NextClosure still
 built the extents, before they became the intersections of the columns.
+The spices-scale table is ``random_context(Random(3), 37, 56, 0.19)``
+clarified, 37 objects and 494 extents, pinned before crowns were walked
+on the context's meet-link table.
 To regenerate after a deliberate output change, print ``_digest(...)``
 for every case below and paste the results.
 """
@@ -156,3 +159,27 @@ def test_crown_motifs_are_pinned(capsys, tmp_path, seed):
 def test_crown_table_extents_are_pinned(capsys, tmp_path, seed):
     path = _crown_table(tmp_path, seed)
     assert _digest(capsys, "concepts", path) == CROWN_CONCEPTS_GOLDEN[seed]
+
+
+# Four commands on the spices-scale table: every motif, the explanation,
+# the greedy to full coverage and the normalized greedy over every motif.
+SPICES_GOLDEN = {
+    "motifs-all": "457482712dc959e40f036152af059f185d2e20c545801b1d93cc38483638b86c",
+    "explain": "a9ca50ae776ab0c0082f396d9f39201107c4f3873223b96549994a6b4ac9c416",
+    "cover": "808cbcf81fad1e2316e76ae0852d3cd6616376f31a00d93ce7a5cd030dd58f9e",
+    "cover-nested": "70d705da79480a3ef545faaec2887ac8ab9eda5186de55dad946a5e2fb0ccf98",
+}
+
+
+@pytest.fixture(scope="module")
+def spices_path(tmp_path_factory):
+    context, _ = clarify_objects(random_context(Random(3), 37, 56, 0.19))
+    assert (len(context.objects), len(context.extents())) == (37, 494)
+    path = tmp_path_factory.mktemp("spices") / "spices.cxt"
+    path.write_text(to_burmeister(context), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(SPICES_GOLDEN))
+def test_spices_scale_output_is_pinned(capsys, spices_path, command):
+    assert _digest(capsys, command, spices_path) == SPICES_GOLDEN[command]
