@@ -198,9 +198,9 @@ class FormalContext:
         return self._intent_ids
 
     def meet_links(self) -> dict[int, dict[int, int]]:
-        """:func:`link_table` of every object, built once: the context is immutable."""
+        """:func:`link_table` of the rows, built on first use and kept: the context is immutable."""
         if self._meet_links is None:
-            table = link_table(self.rows, self.cols, self.object_mask)
+            table = link_table(self.rows, self.cols)
             object.__setattr__(self, "_meet_links", table)
         return self._meet_links
 
@@ -213,22 +213,22 @@ class FormalContext:
         )
 
 
-def link_table(rows: Sequence[int], cols: Sequence[int], objects: int) -> dict[int, dict]:
-    """For each x of the mask ``objects``, ``{meet: the y in it whose row meets x's in meet}``.
+def link_table(rows: Sequence[int], cols: Sequence[int]) -> dict[int, dict]:
+    """For each object x, ``{meet: the objects whose row meets x's in meet}``.
 
     ``cols`` are the columns of ``rows``. Only incomparable rows link, so
     neither row contains the other. The nonempty rows outside the columns
     of x's attributes link with x at 0 in one mask; a meet is computed
     only for an object that shares an attribute with x.
     """
-    filled = mask_of(g for g in bits(objects) if rows[g])
+    filled = mask_of(g for g, r in enumerate(rows) if r)
     table = {}
-    for x in bits(objects):
-        rx, near = rows[x], 0
+    for x, rx in enumerate(rows):
+        near = 0
         for m in bits(rx):
             near |= cols[m]
         links = table[x] = {0: filled & ~near} if rx and filled & ~near else {}
-        for y in bits(near & objects & ~(1 << x)):
+        for y in bits(near & ~(1 << x)):
             meet = rx & rows[y]
             if meet != rx and meet != rows[y]:
                 links[meet] = links.get(meet, 0) | 1 << y

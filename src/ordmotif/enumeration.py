@@ -249,7 +249,7 @@ def enumerate_crowns(
         ups = list(bits(sum(ys for meet, ys in links[x].items() if meet) & -(2 << x)))
         for i, a in enumerate(ups):
             for b in ups[i + 1 :]:
-                for walk in crown_walks(rows, links, x, a, b, lo, hi):
+                for walk in crown_walks(rows, links, context.object_mask, x, a, b, lo, hi):
                     crowns.append(Motif(ScaleFamily.CROWN, walk))
     return _sorted_motifs(crowns)
 

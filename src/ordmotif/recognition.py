@@ -6,11 +6,11 @@ for arbitrary maps; recognition finds a witnessing bijection in
 polynomial time per family, or reports that none exists. Each family's
 rule lives here once and enumeration runs it too: a step function for
 ordinal, interordinal and contranominal domains, and :func:`crown_walks`
-for crowns, on a link table: the domain's own here, the context's cached
-one in enumeration. The nominal rule is pairwise and checked in
-O(|H|^2): every pair of rows meets in one intent that no row equals.
-Enumeration grows nominal sets as the cliques of one meet under the
-same rule, read off the same cached table.
+for crowns, on the context's cached link table ``meet_links()``: cut to
+the domain here, whole in enumeration. The nominal rule is pairwise and
+checked in O(|H|^2): every pair of rows meets in one intent that no row
+equals. Enumeration grows nominal sets as the cliques of one meet under
+the same rule, read off the same cached table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bitsets import bits, mask_of
-from .context import FormalContext, link_table, require_clarified
+from .context import FormalContext, require_clarified
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 
@@ -49,7 +49,7 @@ def preimage(class_masks: Sequence[int], scale_extent: int) -> int:
     """Objects a map sends into ``scale_extent``.
 
     ``class_masks[s]`` holds the objects mapped to scale object ``s``. This
-    serves arbitrary maps; a witness's preimages come from ``scale_preimages``.
+    serves arbitrary maps; the basis ANDs a witness's rows per scale extent.
     """
     out = 0
     for s in bits(scale_extent):
@@ -194,7 +194,7 @@ HEREDITARY_CANDIDATES = {
 
 
 def crown_walks(
-    rows: Sequence[int], links: dict[int, dict[int, int]], x: int, a: int, b: int, lo: int, hi: int
+    rows: Sequence[int], links: dict, objects: int, x: int, a: int, b: int, lo: int, hi: int
 ) -> Iterator[tuple[int, ...]]:
     """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects seeded by x, a, b.
 
@@ -202,7 +202,7 @@ def crown_walks(
     dimension's orbit rule: a set H of at least three objects with intent
     I is a crown iff its members linked by sharing something outside I
     form one cycle through H, and its witness walks from its least object
-    x over x's neighbours a < b. ``links`` is a ``context.link_table``.
+    x over x's neighbours a < b. ``links`` is the context's ``meet_links()``.
     Enumeration needs the walk to branch; recognize first checks that
     every member has two links, so its walk never does.
 
@@ -212,7 +212,8 @@ def crown_walks(
     b are not consecutive, so I is exactly what a and b share: they link
     at I, x shares more than I with each, and two members are consecutive
     iff they do not link at I. ``common``, at first ``links[x][I]`` above
-    x, holds the objects linked at I with every path member but the last.
+    x in the mask ``objects``, holds the objects the walk may use linked
+    at I with every path member but the last.
     A path closes once its last object and b are not linked at I, and
     otherwise grows by each object of ``common`` not linked with the last
     at I. So the linked members are exactly the walk's consecutive ones,
@@ -230,7 +231,7 @@ def crown_walks(
     if hi < 4 or not links[a].get(ab, 0) >> b & 1 or ab in (rows[x] & rows[a], rows[x] & rows[b]):
         return
     # An explicit stack, so the cap is not bounded by the recursion limit.
-    stack = [([x, a], links[x].get(ab, 0) & -(2 << x))]
+    stack = [([x, a], links[x].get(ab, 0) & objects & -(2 << x))]
     while stack:
         path, common = stack.pop()
         same = links[path[-1]].get(ab, 0)
@@ -283,19 +284,19 @@ _WITNESS_ORDERS = {
 
 
 def _recognize_crown(context: FormalContext, idx: list[int]) -> tuple[int, ...] | None:
-    # Links are pairs sharing something outside I: on the domain's own link
-    # table, the members not linked at I (a row equal to I counts them all,
-    # and the walk rejects it). H is no cycle unless each member has two;
-    # then no walk step has two objects to choose from, so the walk from x
-    # closes through all of H, or stops, in O(|H|^2).
+    # Links are pairs sharing something outside I: on the context's cached
+    # table cut to the domain, the members not linked at I (a row equal to
+    # I counts them all, and the walk rejects it). H is no cycle unless each
+    # member has two; then no walk step has two objects to choose from, so
+    # the walk from x closes through all of H, or stops, in O(|H|^2).
     rows = context.rows
     domain = mask_of(idx)
-    links = link_table(rows, context.cols, domain)
+    links = context.meet_links()
     intent = reduce(and_, (rows[g] for g in idx))
-    ends = [domain ^ 1 << g ^ links[g].get(intent, 0) for g in idx]
+    ends = [domain & ~(1 << g | links[g].get(intent, 0)) for g in idx]
     if any(e.bit_count() != 2 for e in ends):
         return None
-    return next(crown_walks(rows, links, idx[0], *bits(ends[0]), len(idx), len(idx)), None)
+    return next(crown_walks(rows, links, domain, idx[0], *bits(ends[0]), len(idx), len(idx)), None)
 
 
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:
@@ -303,7 +304,9 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
 
     Returns ``None`` when no bijection makes the induced subcontext's extent
     system match the scale's. The subcontext must have pairwise distinct
-    object rows; :class:`UnclarifiedObjectsError` is raised otherwise.
+    object rows; :class:`UnclarifiedObjectsError` is raised otherwise. A
+    crown domain reads the context's ``meet_links()``, so the first crown
+    call on a fresh context builds the whole table once.
     """
     idx = sorted(set(domain))
     if not idx:

@@ -7,15 +7,16 @@ The five families live on the ground set [n] = {1, ..., n}:
 * interordinal   ([n], [n], <=) | ([n], [n], >=)
 * contranominal  ([n], [n], !=)
 * crown          ([n], [n], J) with a J b iff a = b, b = a + 1, or (a, b) = (n, 1)
+
+``scale_extents`` writes each family's extents over scale-object bits for
+the basis; ``covering.covered_extents`` writes them over rows, inline.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import reduce
-from itertools import accumulate, repeat
-from operator import and_, or_
-from typing import Sequence
+from itertools import accumulate
+from operator import or_
 
 from .context import FormalContext
 
@@ -95,81 +96,25 @@ def column_count(family: ScaleFamily, n: int) -> int:
     return 2 * n if family is ScaleFamily.INTERORDINAL else n
 
 
-# The extents of ``build_scale(family, len(atoms))``, each written as a
-# join: scale object ``i + 1`` stands for ``atoms[i]``, an extent is the
-# join of its objects' atoms, and the empty extent is ``bottom``. Object
-# masks join by ``|`` from 0, intents by ``&`` from every attribute.
-
-
-def _ordinal_shapes(atoms: list[int], join, bottom: int) -> list[int]:
-    # the prefixes
-    return list(accumulate(atoms, join))
-
-
-def _interordinal_shapes(atoms: list[int], join, bottom: int) -> list[int]:
-    # the intervals, and the empty set once there are two objects
-    intervals = [p for i in range(len(atoms)) for p in accumulate(atoms[i:], join)]
-    return intervals if len(atoms) == 1 else [bottom, *intervals]
-
-
-def _contranominal_shapes(atoms: list[int], join, bottom: int) -> list[int]:
-    # every subset, by doubling: subset k is at index k
-    subsets = [bottom]
-    for a in atoms:
-        subsets += list(map(join, subsets, repeat(a)))
-    return subsets
-
-
-def _nominal_shapes(atoms: list[int], join, bottom: int) -> list[int]:
-    # the empty set, the singletons and the whole domain
-    whole = reduce(join, atoms)
-    return [whole] if len(atoms) == 1 else [bottom, *atoms, whole]
-
-
-def _crown_shapes(atoms: list[int], join, bottom: int) -> list[int]:
-    # the empty set, the whole domain, the singletons and the cycle pairs
-    pairs = map(join, atoms, atoms[1:] + atoms[:1])
-    return [bottom, reduce(join, atoms), *atoms, *pairs]
-
-
-_EXTENT_SHAPES = {
-    ScaleFamily.NOMINAL: _nominal_shapes,
-    ScaleFamily.ORDINAL: _ordinal_shapes,
-    ScaleFamily.INTERORDINAL: _interordinal_shapes,
-    ScaleFamily.CONTRANOMINAL: _contranominal_shapes,
-    ScaleFamily.CROWN: _crown_shapes,
-}
-
-
-def scale_preimages(family: ScaleFamily, witness: Sequence[int]) -> list[int]:
-    """Preimages of the extents of ``build_scale(family, len(witness))``.
-
-    The map sends object ``witness[i]`` to scale object ``i + 1``; each
-    preimage is the OR of its objects' bits, and the empty preimage is 0.
-    """
-    check_scale_size(family, len(witness))
-    return _EXTENT_SHAPES[family]([1 << g for g in witness], or_, 0)
-
-
-def preimage_intents(
-    context: FormalContext, family: ScaleFamily, witness: Sequence[int]
-) -> list[int]:
-    """Intents of :func:`scale_preimages`, in the same order.
-
-    The intent of a nonempty object set is the AND of its rows and the
-    intent of the empty set is every attribute, so each intent is the same
-    shape as its preimage, over rows instead of object bits.
-    """
-    check_scale_size(family, len(witness))
-    rows = context.rows
-    return _EXTENT_SHAPES[family]([rows[g] for g in witness], and_, context.attribute_mask)
-
-
 def scale_extents(family: ScaleFamily, n: int) -> list[int]:
-    """Extent system of ``build_scale(family, n)``: the preimages under the identity.
+    """Extent system of ``build_scale(family, n)``; bit i stands for scale object i + 1.
 
-    Bit i of each mask stands for scale object i + 1, in the order of
-    :func:`scale_preimages`; for contranominal scales mask k is at index k.
+    Ordinal: the prefixes. Interordinal: the empty set from two objects on,
+    then the intervals. Contranominal: every subset, subset k at index k.
+    Nominal: the empty set, the singletons and the whole set (just the
+    whole set at n = 1). Crown: the empty and whole sets, the singletons
+    and the cycle pairs.
     """
-    return scale_preimages(family, range(n))
-
+    check_scale_size(family, n)
+    atoms = [1 << i for i in range(n)]
+    whole = (1 << n) - 1
+    if family is ScaleFamily.ORDINAL:
+        return list(accumulate(atoms, or_))
+    if family is ScaleFamily.INTERORDINAL:
+        intervals = [p for i in range(n) for p in accumulate(atoms[i:], or_)]
+        return intervals if n == 1 else [0, *intervals]
+    if family is ScaleFamily.CONTRANOMINAL:
+        return list(range(1 << n))
+    if family is ScaleFamily.NOMINAL:
+        return [whole] if n == 1 else [0, *atoms, whole]
+    return [0, whole, *atoms, *map(or_, atoms, atoms[1:] + atoms[:1])]

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from random import Random
 
 import pytest
@@ -17,8 +19,10 @@ from ordmotif import (
     greedy_cover,
     recognize,
 )
+from ordmotif.bitsets import bits
 from ordmotif.covering import covered_extents
-from ordmotif.scales import FAMILY_MIN_SIZE, preimage_intents, scale_preimages
+from ordmotif.recognition import preimage
+from ordmotif.scales import FAMILY_MIN_SIZE
 
 from oracles import (
     brute_force_extents,
@@ -77,26 +81,36 @@ def test_covered_extents_are_the_closures_of_the_preimages():
         pool = enumerate_motifs(ctx, config).all_motifs()
         for m, cover in zip(pool, covered_extents(ctx, pool), strict=True):
             expected = set()
-            for p in scale_preimages(m.family, m.domain):
+            for p in _preimages(m):
                 expected.add(min((e for e in extents if e & p == p), key=int.bit_count))
             assert extent_set(ctx, cover) == expected, (ctx.rows, m)
             seen.discard((m.family, m.size == 1))
     assert not seen
 
 
-def _cover_from_preimage_intents(ctx, motif):
+def _preimages(motif):
+    # Each brute-force extent of the built scale, relabeled through the
+    # witness: scale object i + 1 stands for motif.domain[i].
+    class_masks = [1 << g for g in motif.domain]
+    scale_ext = brute_force_extents(build_scale(motif.family, motif.size))
+    return [preimage(class_masks, e) for e in scale_ext]
+
+
+def _cover_from_preimages(ctx, motif):
+    # The preimage's intent is the AND of its rows, every attribute for
+    # the empty one, and intent_ids() names its closure.
     ids = ctx.intent_ids()
     cover = 0
-    for intent in preimage_intents(ctx, motif.family, motif.domain):
-        cover |= 1 << ids[intent]
+    for p in _preimages(motif):
+        cover |= 1 << ids[reduce(and_, (ctx.rows[g] for g in bits(p)), ctx.attribute_mask)]
     return cover
 
 
 def test_pool_kernel_is_pinned_to_the_preimage_intents():
-    # covered_extents writes each family's intents out in closed form, and
-    # preimage_intents, which the basis reads, joins the same shapes. Every
-    # AND of rows is an intent, so the two must agree on any witness of
-    # distinct objects, recognized or not.
+    # covered_extents writes each family's intents out in closed form; the
+    # oracle relabels the brute-force extents of the built scale and ANDs
+    # their rows. Every AND of rows is an intent, so the two must agree on
+    # any witness of distinct objects, recognized or not.
     rng = Random(139)
     contexts = [
         FormalContext.from_rows(["g"], [], [0]),
@@ -115,7 +129,7 @@ def test_pool_kernel_is_pinned_to_the_preimage_intents():
         covers = covered_extents(ctx, pool)
         assert len(covers) == len(pool)
         for m, cover in zip(pool, covers):
-            assert cover == _cover_from_preimage_intents(ctx, m), (ctx.rows, m)
+            assert cover == _cover_from_preimages(ctx, m), (ctx.rows, m)
             checked.add((m.family, m.size))
     assert checked == {(f, n) for f in ScaleFamily for n in range(FAMILY_MIN_SIZE[f], 8)}
     for bad in (Motif(ScaleFamily.CROWN, (0, 1)), Motif(ScaleFamily.NOMINAL, ())):
@@ -139,7 +153,7 @@ def test_pool_kernel_counts_one_extent_per_scale_extent():
             ctx = FormalContext.from_rows([f"g{i}" for i in order], scale.attributes, rows)
             m = Motif(f, tuple(order.index(i) for i in range(n)))
             (cover,) = covered_extents(ctx, [m])
-            assert cover == _cover_from_preimage_intents(ctx, m), (f, n, rows)
+            assert cover == _cover_from_preimages(ctx, m), (f, n, rows)
             assert cover.bit_count() == expected_extent_count(f, n), (f, n, rows)
 
 

@@ -14,6 +14,7 @@ from ordmotif import (
     build_scale,
     clarify_objects,
     enumerate_motifs,
+    greedy_cover,
     recognize,
 )
 from ordmotif import enumeration
@@ -154,24 +155,29 @@ def test_each_crown_is_built_once(monkeypatch):
 
 
 def test_one_enumeration_builds_the_link_table_once(monkeypatch):
-    # Nominal cliques and crown walks read one cached table; recognition
-    # builds its own only for a crown domain, which enumeration never asks.
+    # Nominal cliques and crown walks read one cached table, and so does
+    # crown recognition, cut to the domain: a greedy cover asks it once per
+    # pick and builds nothing more.
     calls = []
 
-    def counting(rows, cols, objects):
-        calls.append(objects)
-        return link_table(rows, cols, objects)
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return link_table(rows, cols)
 
     monkeypatch.setattr("ordmotif.context.link_table", counting)
-    monkeypatch.setattr("ordmotif.recognition.link_table", counting)
     rng = Random(211)
+    crown_picks = 0
     for i in range(12):
         ctx, _ = clarify_objects(crown_heavy_context(rng, 7 + i % 5))
         calls.clear()
         inventory = enumerate_motifs(ctx, EnumerationConfig(min_size=1, crown_size_cap=12))
-        assert calls == [ctx.object_mask]
+        assert calls == [len(ctx.objects)]
         assert len(inventory.by_family) == 5
+        steps = greedy_cover(ctx, inventory.all_motifs(), 1_000_000)
+        assert steps and calls == [len(ctx.objects)]
+        crown_picks += sum(ScaleFamily.CROWN in step.families for step in steps)
         assert ctx.meet_links() is ctx.meet_links() and len(calls) == 1
+    assert crown_picks
 
 
 def test_crown_search_stops_at_pairs_sharing_only_a_common_column():

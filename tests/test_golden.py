@@ -22,7 +22,9 @@ lectic order on all six tables; it was taken while NextClosure still
 built the extents, before they became the intersections of the columns.
 The spices-scale table is ``random_context(Random(3), 37, 56, 0.19)``
 clarified, 37 objects and 494 extents, pinned before crowns were walked
-on the context's meet-link table.
+on the context's meet-link table. The basis of it and of the crown
+tables was pinned before the basis read its columns off ``scale_extents``
+with no second shape form.
 To regenerate after a deliberate output change, print ``_digest(...)``
 for every case below and paste the results.
 """
@@ -161,13 +163,28 @@ def test_crown_table_extents_are_pinned(capsys, tmp_path, seed):
     assert _digest(capsys, "concepts", path) == CROWN_CONCEPTS_GOLDEN[seed]
 
 
-# Four commands on the spices-scale table: every motif, the explanation,
-# the greedy to full coverage and the normalized greedy over every motif.
+# The basis of the same two tables.
+CROWN_BASIS_GOLDEN = {
+    8: "4626df27d25a4a223d5999e6c0817ac576077091dd0084ccd1f31a02a4a979e2",
+    11: "083c95996279a06d0d76a64dd4f96fad1776fa4540aa24c6dab99a3ed092a797",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CROWN_BASIS_GOLDEN))
+def test_crown_table_basis_is_pinned(capsys, tmp_path, seed):
+    path = _crown_table(tmp_path, seed)
+    assert _digest(capsys, "basis", path) == CROWN_BASIS_GOLDEN[seed]
+
+
+# Five commands on the spices-scale table: every motif, the explanation,
+# the greedy to full coverage, the normalized greedy over every motif and
+# the basis.
 SPICES_GOLDEN = {
     "motifs-all": "457482712dc959e40f036152af059f185d2e20c545801b1d93cc38483638b86c",
     "explain": "a9ca50ae776ab0c0082f396d9f39201107c4f3873223b96549994a6b4ac9c416",
     "cover": "808cbcf81fad1e2316e76ae0852d3cd6616376f31a00d93ce7a5cd030dd58f9e",
     "cover-nested": "70d705da79480a3ef545faaec2887ac8ab9eda5186de55dad946a5e2fb0ccf98",
+    "basis": "1a69505c945f745072c2fa83915e8f700746b8cbaa2304f8d01f30c19faebd04",
 }
 
 

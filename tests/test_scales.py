@@ -1,5 +1,4 @@
 import time
-from random import Random
 
 import pytest
 
@@ -9,12 +8,10 @@ from ordmotif import (
     build_scale,
     scale_extents,
 )
-from ordmotif.recognition import preimage
 from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.scales import (
     FAMILY_MIN_SIZE,
     column_count,
-    scale_preimages,
 )
 
 from oracles import (
@@ -115,20 +112,8 @@ def test_scale_extents_closed_form_matches_brute_force():
             got = scale_extents(f, n)
             assert len(got) == len(set(got))
             assert set(got) == expected
-
-
-def test_scale_preimages_match_the_two_step_reference():
-    rng = Random(131)
-    for f in ALL:
-        for n in sizes(f):
-            scale_ext = brute_force_extents(build_scale(f, n))
-            assert scale_extents(f, n) == scale_preimages(f, range(n))
-            for _ in range(5):
-                witness = rng.sample(range(20), n)
-                got = scale_preimages(f, witness)
-                assert len(got) == len(set(got)) == expected_extent_count(f, n)
-                class_masks = [1 << g for g in witness]
-                assert set(got) == {preimage(class_masks, e) for e in scale_ext}
+    for n in range(1, 9):
+        assert scale_extents(ScaleFamily.CONTRANOMINAL, n) == list(range(2**n))
 
 
 def test_expected_extent_count_matches_built_scale():
