@@ -226,8 +226,9 @@ def cmd_explain(args: argparse.Namespace) -> Result:
                 "family": str(e.motif.family),
                 "families_rendered": [str(f) for f in e.families_rendered],
                 "domain": [labels[g] for g in e.motif.domain],
+                "tie_count": s.tie_count,
             }
-            for e in doc.entries
+            for e, s in zip(doc.entries, steps)
         ],
     }
     return payload, doc.to_text() + "\n"

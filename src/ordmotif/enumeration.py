@@ -8,7 +8,10 @@ family's step rule on rows; each node keeps the objects it may still try
 as one int and narrows it with ``&`` before the rule runs. Nominal sets
 have no step rule: they are the cliques of one graph per meet, read off
 the context's ``meet_links()``, so a clique carries the objects that may
-still join it and knows from the search whether it is maximal. Crowns
+still join it. The maximal ones are the maximal cliques, which a
+pivoting Bron-Kerbosch search lists without the cliques inside them;
+``MotifInventory`` enumerates a family's full list only when asked, so
+the default maximal pool lists no other nominal set. Crowns
 are not hereditary: H is a crown iff the objects sharing an attribute
 outside H's intent link H into one cycle. Crown enumeration runs
 ``recognition.crown_walks``, the walk ``recognize`` also runs, on the
@@ -17,13 +20,14 @@ it that link with it at a nonempty meet, capped by size, so it finds
 each cycle once.
 
 Every family's motifs are listed by size, then sorted domain. Nominal
-and contranominal sets are emitted in that order; chains, walks and
-crowns, whose witnesses are not ascending, are sorted into it.
+and contranominal sets are emitted in that order; chains, walks,
+crowns and maximal cliques, which are not found in it, are sorted into
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .bitsets import bits
@@ -149,20 +153,10 @@ def enumerate_hereditary(
     return _sorted_motifs(motifs) if walks else motifs
 
 
-class _Searched(list):
-    """A family's motifs in enumeration order, with the maximal ones the search found.
-
-    :func:`maximal_filter` returns ``maximal`` for such a list instead of
-    running the one-short rule; any plain list is filtered.
-    """
-
-    __slots__ = ("maximal",)
-
-
 def enumerate_nominal(
     context: FormalContext, config: EnumerationConfig | None = None
 ) -> list[Motif]:
-    """All nominal motif domains within the size bounds, maximal ones marked.
+    """All nominal motif domains within the size bounds.
 
     H (|H| >= 2) is nominal iff every pair of its rows meets in the same
     intent I and no row equals I, so its domains are the cliques of one
@@ -170,12 +164,11 @@ def enumerate_nominal(
     holds the objects that pair with x at meet. A clique keeps
     ``common``, the objects that pair with every member at its meet; it
     grows by those above its last member, and no step rule runs.
-    It is maximal among the listed motifs iff ``common`` is empty or it
-    has the largest size allowed (the X set of Bron & Kerbosch 1973).
     Singletons have the full row, which no pair holds, and go through
     :func:`recognize`. As in :func:`enumerate_hereditary`, the stack pops
     ascending sets in lexicographic order, and listed size by size they
-    need no sort.
+    need no sort. :func:`maximal_nominal` finds the maximal ones without
+    this list.
     """
     family = ScaleFamily.NOMINAL
     config = config or EnumerationConfig()
@@ -183,10 +176,8 @@ def enumerate_nominal(
     require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
     levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
-    tops: list[list[Motif]] = [[] for _ in range(hi + 1)]
     if lo <= 1 <= hi:
         levels[1] = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
-        tops[1] = levels[1][:]
 
     rows = context.rows
     links = context.meet_links()
@@ -203,10 +194,7 @@ def enumerate_nominal(
         path, meet, common = stack.pop()
         size = len(path)
         if size >= least:
-            motif = Motif(family, path)
-            levels[size].append(motif)
-            if not common or size == hi:
-                tops[size].append(motif)
+            levels[size].append(Motif(family, path))
         if size == hi:
             continue
         grown = common & -(2 << path[-1])
@@ -214,12 +202,84 @@ def enumerate_nominal(
             y = grown.bit_length() - 1
             grown ^= 1 << y
             stack.append((path + (y,), meet, common & links[y][meet]))
-    motifs = _Searched()
-    motifs.maximal = []
-    for level, top in zip(levels, tops):
+    motifs: list[Motif] = []
+    for level in levels:
         motifs += level
-        motifs.maximal += top
     return motifs
+
+
+def maximal_nominal(
+    context: FormalContext, config: EnumerationConfig | None = None
+) -> list[Motif]:
+    """The maximal nominal motifs, found without listing the others.
+
+    Two nominal sets sharing a pair share its meet, so a set of two or more
+    objects is maximal iff it is a maximal clique of its meet's graph (see
+    :func:`enumerate_nominal`). Bron & Kerbosch (1973) with Tomita et al.'s
+    pivot (2006) lists those without visiting the cliques inside them, one
+    search per object x and meet (Eppstein et al. 2010): the candidates P
+    are ``links[x][meet]`` above x and the excluded X those below, so each
+    clique is found from its least member. A node branches on the members
+    of P that the pivot, the member of P | X with most links into P, does
+    not link with; a node with at most one candidate needs no pivot. A
+    listed singleton has the full row, which no pair holds, so it is
+    maximal too. A ``max_size`` below the object count is a ``ValueError``:
+    sets at the bound then count as maximal though they grow, which
+    :func:`maximal_filter` on the full list decides.
+    """
+    family = ScaleFamily.NOMINAL
+    config = config or EnumerationConfig()
+    n_objects = len(context.objects)
+    require_clarified(context, range(n_objects))
+    lo, hi = config.bounds(family, n_objects)
+    if hi < n_objects:
+        raise ValueError(f"max size {hi} cuts below {n_objects} objects; filter the full list")
+    found = []
+    if lo <= 1 <= hi:
+        found = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
+
+    links = context.meet_links()
+    # One seed per object x and meet with a candidate above x: x's links
+    # are nonempty, so {x} alone is never maximal.
+    stack = [
+        ((x,), meet, ys & -(2 << x), ys & ((1 << x) - 1))
+        for x in range(n_objects)
+        for meet, ys in links[x].items()
+        if ys >> x
+    ]
+    cliques = []
+    while stack:
+        clique, meet, p, xs = stack.pop()
+        if not p & (p - 1):
+            # No candidate, or one: no pivot is needed.
+            if p:
+                if not xs & links[p.bit_length() - 1][meet]:
+                    cliques.append(clique + (p.bit_length() - 1,))
+            elif not xs:
+                cliques.append(clique)
+            continue
+        most = -1
+        pool = p | xs
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            covered = p & links[low.bit_length() - 1][meet]
+            if covered.bit_count() > most:
+                most, skip = covered.bit_count(), covered
+        branch = p & ~skip
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            y = low.bit_length() - 1
+            near = links[y][meet]
+            stack.append((clique + (y,), meet, p & near, xs & near))
+            p ^= low
+            xs |= low
+    # Branching follows the pivots, not object order: sort each clique, then
+    # the list by domain and, stably, by size.
+    domains = sorted(tuple(sorted(c)) for c in cliques if len(c) >= lo)
+    domains.sort(key=len)
+    return found + [Motif(family, domain) for domain in domains]
 
 
 def enumerate_crowns(
@@ -257,6 +317,7 @@ def enumerate_crowns(
 def enumerate_family(
     context: FormalContext, family: ScaleFamily, config: EnumerationConfig | None = None
 ) -> list[Motif]:
+    """The family's full list within the size bounds, in (size, sorted domain) order."""
     if family is ScaleFamily.NOMINAL:
         return enumerate_nominal(context, config)
     if family is ScaleFamily.CROWN:
@@ -273,12 +334,7 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
     crown C that are not cycle neighbours share only C's intent, which the
     intent of a subset H of C contains, so H links only along C's cycle
     edges, and with a member of C missing those form paths, not one cycle.
-    A list from :func:`enumerate_nominal` holds its maximal motifs already.
     """
-    if isinstance(motifs, _Searched):
-        if motifs and motifs[0].family is not family:
-            raise ValueError(f"expected only {family} motifs, found {motifs[0].family}")
-        return list(motifs.maximal)
     pool = list(motifs)
     for m in pool:
         if m.family is not family:
@@ -291,42 +347,68 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
     return [m for m, mask in zip(pool, masks) if mask not in extended]
 
 
-@dataclass
 class MotifInventory:
-    """Per-family enumeration results.
+    """Per-family motifs of one context, each list enumerated when first asked for.
 
-    A family's maximal sub-list is filtered the first time it is asked
-    for and kept (nominal's comes from the search); inventories compare
-    by their enumeration results alone.
+    A family's full list is enumerated, and kept, only when ``by_family``,
+    ``all_motifs(maximal_only=False)`` or ``motif_stats`` asks for it. Its
+    maximal list is kept too: nominal's comes from
+    :func:`maximal_nominal` unless ``max_size`` cuts below the object
+    count, and every other one from :func:`maximal_filter` on the full
+    list. So the default maximal pool lists no nominal clique but the
+    maximal ones. Inventories compare by their enumeration results alone.
     """
 
-    by_family: dict[ScaleFamily, list[Motif]]
-    _maximal: dict[ScaleFamily, list[Motif]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, context: FormalContext, config: EnumerationConfig | None = None):
+        self.context = context
+        self.config = config or EnumerationConfig()
+        self._full: dict[ScaleFamily, list[Motif]] = {}
+        self._maximal: dict[ScaleFamily, list[Motif]] = {}
+
+    def _full_list(self, family: ScaleFamily) -> list[Motif]:
+        if family not in self._full:
+            self._full[family] = enumerate_family(self.context, family, self.config)
+        return self._full[family]
+
+    @property
+    def by_family(self) -> dict[ScaleFamily, list[Motif]]:
+        """Every selected family's full list, in the order ``config`` names them."""
+        return {family: self._full_list(family) for family in self.config.families}
 
     def maximal(self, family: ScaleFamily) -> list[Motif]:
         """The family's motifs with no proper superset domain among them."""
         if family not in self._maximal:
-            self._maximal[family] = maximal_filter(self.by_family[family], family)
+            n_objects = len(self.context.objects)
+            uncut = self.config.bounds(family, n_objects)[1] == n_objects
+            if family is ScaleFamily.NOMINAL and uncut:
+                self._maximal[family] = maximal_nominal(self.context, self.config)
+            else:
+                self._maximal[family] = maximal_filter(self._full_list(family), family)
         return self._maximal[family]
 
     def all_motifs(self, maximal_only: bool = False) -> list[Motif]:
+        pick = self.maximal if maximal_only else self._full_list
         out: list[Motif] = []
         for family in ScaleFamily:
-            if family in self.by_family:
-                out.extend(self.maximal(family) if maximal_only else self.by_family[family])
+            if family in self.config.families:
+                out.extend(pick(family))
         return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MotifInventory):
+            return NotImplemented
+        return self.by_family == other.by_family
 
 
 def enumerate_motifs(
     context: FormalContext, config: EnumerationConfig | None = None
 ) -> MotifInventory:
-    """Run the full enumeration for every family selected by ``config``."""
-    config = config or EnumerationConfig()
-    return MotifInventory(
-        {family: enumerate_family(context, family, config) for family in config.families}
-    )
+    """The inventory of every family selected by ``config``; lists come on demand.
+
+    The context must be clarified, which is checked here, before any list is.
+    """
+    require_clarified(context, range(len(context.objects)))
+    return MotifInventory(context, config)
 
 
 def motif_stats(inventory: MotifInventory) -> dict[ScaleFamily, tuple[int, int, int]]:

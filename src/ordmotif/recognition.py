@@ -133,10 +133,19 @@ def _interordinal_candidates(rows, cols, path, state):
     # The step needs rows[path[0]] & rows[path[-1]] & ~r and tails[-1] & r
     # nonzero: no row passes once the ends share nothing, and a row that
     # passes holds an attribute of the newest tail (none yet at one object).
+    # It also needs r & gap zero, and gap holds what the next-to-last member
+    # x has and the last member y lacks, so a row that passes holds none of
+    # that. With it the gap test never rejects: a candidate z was accepted
+    # beside y, after x, so rows[z] & rows[p] lies in rows[x] for every
+    # earlier member p; holding nothing of rows[x] & ~rows[y] puts
+    # rows[z] & rows[x], and so rows[z] & rows[p], inside rows[y], which is
+    # what the new part of gap, union & ~rows[y], asks.
     if not rows[path[0]] & rows[path[-1]]:
         return 0
     tails = state[2]
-    return _holders(cols, tails[-1]) if tails else -1
+    if not tails:
+        return -1
+    return _holders(cols, tails[-1]) & ~_holders(cols, rows[path[-2]] & ~rows[path[-1]])
 
 
 def _contranominal_step(rows, path, state, r):

@@ -250,6 +250,19 @@ def test_explain_json_entries(capsys, b3_path):
     assert entry["text"].count("\n") == 1
 
 
+def test_explain_json_reports_the_tie_counts_of_cover(capsys, tmp_path):
+    # explain --json gives each entry the tie_count cover --json gives its step.
+    context, _ = clarify_objects(random_context(Random(5), 12, 9, 0.35))
+    path = tmp_path / "t.cxt"
+    path.write_text(to_burmeister(context), encoding="utf-8")
+    argv = [str(path), "--json", "--k", "1000000"]
+    entries = run_json(capsys, ["explain", *argv])["entries"]
+    steps = run_json(capsys, ["cover", *argv])["steps"]
+    assert [e["domain"] for e in entries] == [s["domain"] for s in steps]
+    assert [e["tie_count"] for e in entries] == [s["tie_count"] for s in steps]
+    assert max(s["tie_count"] for s in steps) > 1
+
+
 def test_basis_round_trips_through_burmeister(capsys, tmp_path, b3_path):
     out_path = tmp_path / "basis.cxt"
     assert main(["basis", str(b3_path), "--output", str(out_path)]) == 0

@@ -23,7 +23,9 @@ from ordmotif.enumeration import (
     enumerate_crowns,
     enumerate_family,
     enumerate_hereditary,
+    enumerate_nominal,
     maximal_filter,
+    maximal_nominal,
     motif_stats,
 )
 from ordmotif.recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES
@@ -155,9 +157,10 @@ def test_each_crown_is_built_once(monkeypatch):
 
 
 def test_one_enumeration_builds_the_link_table_once(monkeypatch):
-    # Nominal cliques and crown walks read one cached table, and so does
-    # crown recognition, cut to the domain: a greedy cover asks it once per
-    # pick and builds nothing more.
+    # Nominal cliques, the maximal clique search and crown walks read one
+    # cached table, and so does crown recognition, cut to the domain: a
+    # greedy cover asks it once per pick and builds nothing more. The
+    # inventory enumerates on demand, so it builds nothing until asked.
     calls = []
 
     def counting(rows, cols):
@@ -171,8 +174,10 @@ def test_one_enumeration_builds_the_link_table_once(monkeypatch):
         ctx, _ = clarify_objects(crown_heavy_context(rng, 7 + i % 5))
         calls.clear()
         inventory = enumerate_motifs(ctx, EnumerationConfig(min_size=1, crown_size_cap=12))
-        assert calls == [len(ctx.objects)]
+        assert calls == []
         assert len(inventory.by_family) == 5
+        assert calls == [len(ctx.objects)]
+        assert inventory.all_motifs(maximal_only=True) and calls == [len(ctx.objects)]
         steps = greedy_cover(ctx, inventory.all_motifs(), 1_000_000)
         assert steps and calls == [len(ctx.objects)]
         crown_picks += sum(ScaleFamily.CROWN in step.families for step in steps)
@@ -332,20 +337,24 @@ def test_crowns_never_nest():
     [(lo, hi) for lo in (1, 2, 3) for hi in (1, 2, 3, None) if hi is None or lo <= hi],
 )
 def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
-    # The clique search lists its maximal motifs as it goes; the one-short
-    # rule on a plain list and superset freedom must agree with it.
+    # The inventory's maximal nominal list comes from the pivoting clique
+    # search unless a size cut applies; the one-short rule on the full list
+    # and superset freedom must agree with it.
     rng = Random(131)
     contexts = [random_corpus_item(rng) for _ in range(60)]
     contexts += [full_row_context(rng, 7 + i % 4) for i in range(8)]
     contexts += [with_shared_column(random_context(rng, 7 + i % 4, 6, 0.35)) for i in range(8)]
     contexts += [with_shared_column(build_scale(ScaleFamily.NOMINAL, 5))]
     config = EnumerationConfig(min_size=min_size, max_size=max_size)
-    capped = 0
+    capped = searched = 0
     for ctx in contexts:
         ctx, _ = clarify_objects(ctx)
         motifs = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
-        maximal = maximal_filter(motifs, ScaleFamily.NOMINAL)
-        assert maximal == maximal_filter(list(motifs), ScaleFamily.NOMINAL), ctx.rows
+        maximal = enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
+        assert maximal == maximal_filter(motifs, ScaleFamily.NOMINAL), ctx.rows
+        if max_size is None or max_size >= len(ctx.objects):
+            assert maximal == maximal_nominal(ctx, config), ctx.rows
+            searched += 1
         found = domains(motifs)
         expected = {d for d in found if not any(d != e and set(d) <= set(e) for e in found)}
         assert domains(maximal) == expected, ctx.rows
@@ -357,6 +366,53 @@ def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
     # A size cap below the largest clique leaves maximal motifs that grow;
     # singletons, with the full row, never do.
     assert (capped > 0) == (max_size in (2, 3))
+    assert searched > 0
+
+
+def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
+    # With no size cut, the maximal pool runs the pivoting search alone;
+    # the full nominal list is enumerated only when the stats ask for it,
+    # and the stats come out as the one-short rule on the full list gives.
+    calls = []
+
+    def counting(context, config=None):
+        calls.append(config)
+        return enumerate_nominal(context, config)
+
+    monkeypatch.setattr("ordmotif.enumeration.enumerate_nominal", counting)
+    rng = Random(137)
+    contexts = [random_corpus_item(rng) for _ in range(20)]
+    contexts += [random_context(rng, 14, 10, 0.3) for _ in range(4)]
+    for raw in contexts:
+        ctx, _ = clarify_objects(raw)
+        for config in (EnumerationConfig(), EnumerationConfig(min_size=1)):
+            calls.clear()
+            inventory = enumerate_motifs(ctx, config)
+            pool = inventory.all_motifs(maximal_only=True)
+            assert calls == []
+            nominal = [m for m in pool if m.family is ScaleFamily.NOMINAL]
+            assert nominal == inventory.maximal(ScaleFamily.NOMINAL)
+            stats = motif_stats(inventory)
+            assert calls == [config]
+            full = enumerate_nominal(ctx, config)
+            assert stats[ScaleFamily.NOMINAL] == (
+                len(full),
+                len(maximal_filter(full, ScaleFamily.NOMINAL)),
+                max((m.size for m in full), default=0),
+            )
+        # A cut below the object count filters the full list instead.
+        calls.clear()
+        cut = EnumerationConfig(max_size=len(ctx.objects) - 1)
+        enumerate_motifs(ctx, cut).maximal(ScaleFamily.NOMINAL)
+        assert calls == [cut]
+
+
+def test_maximal_nominal_refuses_a_size_cut():
+    ctx = build_scale(ScaleFamily.NOMINAL, 4)
+    assert [m.domain for m in maximal_nominal(ctx)] == [(0, 1, 2, 3)]
+    assert maximal_nominal(ctx, EnumerationConfig(max_size=4)) == maximal_nominal(ctx)
+    with pytest.raises(ValueError, match="cuts below"):
+        maximal_nominal(ctx, EnumerationConfig(max_size=3))
 
 
 def test_enumerate_hereditary_refuses_nominal_sets():

@@ -24,7 +24,9 @@ The spices-scale table is ``random_context(Random(3), 37, 56, 0.19)``
 clarified, 37 objects and 494 extents, pinned before crowns were walked
 on the context's meet-link table. The basis of it and of the crown
 tables was pinned before the basis read its columns off ``scale_extents``
-with no second shape form.
+with no second shape form. Its maximal motifs (``motifs``) were pinned
+before the maximal nominal list came from a pivoting maximal-clique
+search instead of the full clique list.
 To regenerate after a deliberate output change, print ``_digest(...)``
 for every case below and paste the results.
 """
@@ -176,11 +178,12 @@ def test_crown_table_basis_is_pinned(capsys, tmp_path, seed):
     assert _digest(capsys, "basis", path) == CROWN_BASIS_GOLDEN[seed]
 
 
-# Five commands on the spices-scale table: every motif, the explanation,
-# the greedy to full coverage, the normalized greedy over every motif and
-# the basis.
+# Six commands on the spices-scale table: every motif, the maximal ones,
+# the explanation, the greedy to full coverage, the normalized greedy over
+# every motif and the basis.
 SPICES_GOLDEN = {
     "motifs-all": "457482712dc959e40f036152af059f185d2e20c545801b1d93cc38483638b86c",
+    "motifs": "e77c2d475cdc8fbeea299da118f875a46f7a0859e160dcac00a0de78826c1357",
     "explain": "a9ca50ae776ab0c0082f396d9f39201107c4f3873223b96549994a6b4ac9c416",
     "cover": "808cbcf81fad1e2316e76ae0852d3cd6616376f31a00d93ce7a5cd030dd58f9e",
     "cover-nested": "70d705da79480a3ef545faaec2887ac8ab9eda5186de55dad946a5e2fb0ccf98",
