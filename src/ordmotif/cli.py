@@ -145,9 +145,13 @@ def cmd_motifs(args: argparse.Namespace) -> Result:
     }
     if args.json:
         labels = object_labels(context, clarification)
+        # The searches emit in their own order; only this listing sorts.
         payload["motifs"] = [
             {"family": str(m.family), "domain": [labels[g] for g in m.domain]}
-            for m in inventory.all_motifs(maximal_only=args.maximal_only)
+            for m in sorted(
+                inventory.all_motifs(maximal_only=args.maximal_only),
+                key=lambda m: (m.family, len(m.domain), sorted(m.domain)),
+            )
         ]
     return payload, _stats_table(payload["stats"])
 

@@ -1,5 +1,7 @@
 """Exhaustive motif enumeration over a clarified context.
 
+:func:`enumerate_family` checks the context, bounds the sizes and lists
+singletons through ``recognize``; the family's search lists the rest.
 Nominal, ordinal, interordinal and contranominal motifs are hereditary
 along their witnesses: every prefix of a witness of two or more objects
 is a witness too. So their domains grow depth-first, one object at a
@@ -17,12 +19,9 @@ outside H's intent link H into one cycle. Crown enumeration runs
 ``recognition.crown_walks``, the walk ``recognize`` also runs, on the
 same table, from every seed triplet of an object and two objects above
 it that link with it at a nonempty meet, capped by size, so it finds
-each cycle once.
-
-Every family's motifs are listed by size, then sorted domain. Nominal
-and contranominal sets are emitted in that order; chains, walks,
-crowns and maximal cliques, which are not found in it, are sorted into
-it.
+each cycle once. Every list comes in its search's order, deterministic
+but not sorted: covering does not depend on it, and the ``motifs``
+listing of the command line sorts its own.
 """
 
 from __future__ import annotations
@@ -76,18 +75,13 @@ class EnumerationConfig:
         return lo, hi
 
 
-def _sorted_motifs(motifs: list[Motif]) -> list[Motif]:
-    # Every family lists its motifs by size, then sorted domain. Every domain
-    # is found once, so for ordinal, interordinal and crown witnesses, which
-    # are not ascending, one sort orders them; sets are emitted in order.
-    motifs.sort(key=lambda m: (len(m.domain), sorted(m.domain)))
-    return motifs
+def _singletons(context: FormalContext, family: ScaleFamily) -> list[Motif]:
+    # A one-object domain obeys its own rule, which ``recognize`` decides.
+    return [m for g in range(len(context.objects)) if (m := recognize(context, (g,), family))]
 
 
-def enumerate_hereditary(
-    context: FormalContext, family: ScaleFamily, config: EnumerationConfig | None = None
-) -> list[Motif]:
-    """All motif domains of a hereditary family within the size bounds.
+def _grow(context: FormalContext, family: ScaleFamily, lo: int, hi: int) -> list[Motif]:
+    """The domains of ``lo..hi`` objects (``lo >= 2``) of a family with a step rule.
 
     Paths grow under ``recognition.HEREDITARY_RULES`` and are their own
     witnesses: contranominal sets in ascending object order, ordinal
@@ -97,40 +91,27 @@ def enumerate_hereditary(
     accepted (for sets only those above the new object), since dropping
     any object but the first from a witness leaves a witness.
     ``recognition.HEREDITARY_CANDIDATES`` narrows that mask with column
-    ORs and ANDs, and the step rule decides every object left.
-    Singletons obey another rule and go through :func:`recognize`.
-    The stack pops seeds and children in ascending object order, so set
-    paths come out in lexicographic order and, listed size by size, need
-    no sort; chains and walks are sorted afterwards. Nominal sets have
-    no step rule (see :func:`enumerate_nominal`), nor do crowns.
+    ORs and ANDs, and the step rule decides every object left. The stack
+    pops seeds and children in ascending object order, so paths come out
+    in depth-first lexicographic order.
     """
-    if family not in HEREDITARY_RULES:
-        raise ValueError(f"{family} has no step rule; see enumerate_family")
-    config = config or EnumerationConfig()
     n_objects = len(context.objects)
-    require_clarified(context, range(n_objects))
-    lo, hi = config.bounds(family, n_objects)
-    levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
-    if lo <= 1 <= hi:
-        levels[1] = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
-
     rows, cols = context.rows, context.cols
     seed, step = HEREDITARY_RULES[family]
     candidates = HEREDITARY_CANDIDATES.get(family)
     walks = family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
+    interordinal = family is ScaleFamily.INTERORDINAL
     everyone = (1 << n_objects) - 1
     stack = []
     for g in reversed(range(n_objects)):
         state = seed(rows[g], context.attribute_mask)
         if state is not None:
             stack.append(([g], state, everyone ^ 1 << g if walks else everyone & -(2 << g)))
-    least = max(lo, 2)
+    motifs = []
     while stack:
         path, state, options = stack.pop()
-        if len(path) >= least and (
-            family is not ScaleFamily.INTERORDINAL or path[0] < path[-1]
-        ):
-            levels[len(path)].append(Motif(family, tuple(path)))
+        if len(path) >= lo and (not interordinal or path[0] < path[-1]):
+            motifs.append(Motif(family, tuple(path)))
         if len(path) >= hi:
             continue
         if candidates is not None:
@@ -147,54 +128,38 @@ def enumerate_hereditary(
                 after |= low
         for x, s in reversed(grown):
             stack.append((path + [x], s, after ^ 1 << x if walks else after & -(2 << x)))
-    motifs: list[Motif] = []
-    for level in levels:
-        motifs += level
-    return _sorted_motifs(motifs) if walks else motifs
+    return motifs
 
 
-def enumerate_nominal(
-    context: FormalContext, config: EnumerationConfig | None = None
-) -> list[Motif]:
-    """All nominal motif domains within the size bounds.
+def _cliques(context: FormalContext, lo: int, hi: int) -> list[Motif]:
+    """The nominal domains of ``lo..hi`` objects (``lo >= 2``).
 
     H (|H| >= 2) is nominal iff every pair of its rows meets in the same
     intent I and no row equals I, so its domains are the cliques of one
     graph per meet: ``links[x][meet]`` in the context's ``meet_links()``
     holds the objects that pair with x at meet. A clique keeps
     ``common``, the objects that pair with every member at its meet; it
-    grows by those above its last member, and no step rule runs.
-    Singletons have the full row, which no pair holds, and go through
-    :func:`recognize`. As in :func:`enumerate_hereditary`, the stack pops
-    ascending sets in lexicographic order, and listed size by size they
-    need no sort. :func:`maximal_nominal` finds the maximal ones without
-    this list.
+    grows by those above its last member, and no step rule runs. As in
+    :func:`_grow`, ascending sets come out in depth-first lexicographic
+    order. :func:`_maximal_cliques` finds the maximal ones without this
+    list.
     """
     family = ScaleFamily.NOMINAL
-    config = config or EnumerationConfig()
-    n_objects = len(context.objects)
-    require_clarified(context, range(n_objects))
-    lo, hi = config.bounds(family, n_objects)
-    levels: list[list[Motif]] = [[] for _ in range(hi + 1)]
-    if lo <= 1 <= hi:
-        levels[1] = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
-
     rows = context.rows
     links = context.meet_links()
     stack = []
-    if hi >= 2:
-        # Pairs x < y in descending order, so the stack pops them ascending.
-        # One object's masks are disjoint across meets: their sum is their OR.
-        for x in reversed(range(n_objects)):
-            for y in reversed(list(bits(sum(links[x].values()) & -(2 << x)))):
-                meet = rows[x] & rows[y]
-                stack.append(((x, y), meet, links[x][meet] & links[y][meet]))
-    least = max(lo, 2)
+    # Pairs x < y in descending order, so the stack pops them ascending.
+    # One object's masks are disjoint across meets: their sum is their OR.
+    for x in reversed(range(len(rows))):
+        for y in reversed(list(bits(sum(links[x].values()) & -(2 << x)))):
+            meet = rows[x] & rows[y]
+            stack.append(((x, y), meet, links[x][meet] & links[y][meet]))
+    motifs = []
     while stack:
         path, meet, common = stack.pop()
         size = len(path)
-        if size >= least:
-            levels[size].append(Motif(family, path))
+        if size >= lo:
+            motifs.append(Motif(family, path))
         if size == hi:
             continue
         grown = common & -(2 << path[-1])
@@ -202,49 +167,31 @@ def enumerate_nominal(
             y = grown.bit_length() - 1
             grown ^= 1 << y
             stack.append((path + (y,), meet, common & links[y][meet]))
-    motifs: list[Motif] = []
-    for level in levels:
-        motifs += level
     return motifs
 
 
-def maximal_nominal(
-    context: FormalContext, config: EnumerationConfig | None = None
-) -> list[Motif]:
-    """The maximal nominal motifs, found without listing the others.
+def _maximal_cliques(context: FormalContext, lo: int) -> list[Motif]:
+    """The maximal nominal domains of ``lo`` (``>= 2``) or more objects, found alone.
 
     Two nominal sets sharing a pair share its meet, so a set of two or more
     objects is maximal iff it is a maximal clique of its meet's graph (see
-    :func:`enumerate_nominal`). Bron & Kerbosch (1973) with Tomita et al.'s
+    :func:`_cliques`). Bron & Kerbosch (1973) with Tomita et al.'s
     pivot (2006) lists those without visiting the cliques inside them, one
     search per object x and meet (Eppstein et al. 2010): the candidates P
     are ``links[x][meet]`` above x and the excluded X those below, so each
     clique is found from its least member. A node branches on the members
     of P that the pivot, the member of P | X with most links into P, does
-    not link with; a node with at most one candidate needs no pivot. A
-    listed singleton has the full row, which no pair holds, so it is
-    maximal too. A ``max_size`` below the object count is a ``ValueError``:
-    sets at the bound then count as maximal though they grow, which
-    :func:`maximal_filter` on the full list decides.
+    not link with; a node with at most one candidate needs no pivot. Under
+    a size cut, sets at the bound count as maximal though they grow, so
+    only an uncut inventory runs this search.
     """
-    family = ScaleFamily.NOMINAL
-    config = config or EnumerationConfig()
-    n_objects = len(context.objects)
-    require_clarified(context, range(n_objects))
-    lo, hi = config.bounds(family, n_objects)
-    if hi < n_objects:
-        raise ValueError(f"max size {hi} cuts below {n_objects} objects; filter the full list")
-    found = []
-    if lo <= 1 <= hi:
-        found = [m for g in range(n_objects) if (m := recognize(context, (g,), family))]
-
     links = context.meet_links()
     # One seed per object x and meet with a candidate above x: x's links
     # are nonempty, so {x} alone is never maximal.
     stack = [
         ((x,), meet, ys & -(2 << x), ys & ((1 << x) - 1))
-        for x in range(n_objects)
-        for meet, ys in links[x].items()
+        for x, x_links in links.items()
+        for meet, ys in x_links.items()
         if ys >> x
     ]
     cliques = []
@@ -275,54 +222,54 @@ def maximal_nominal(
             stack.append((clique + (y,), meet, p & near, xs & near))
             p ^= low
             xs |= low
-    # Branching follows the pivots, not object order: sort each clique, then
-    # the list by domain and, stably, by size.
-    domains = sorted(tuple(sorted(c)) for c in cliques if len(c) >= lo)
-    domains.sort(key=len)
-    return found + [Motif(family, domain) for domain in domains]
+    family = ScaleFamily.NOMINAL
+    # Branching follows the pivots, not object order, and a nominal
+    # witness is ascending.
+    return [Motif(family, tuple(sorted(c))) for c in cliques if len(c) >= lo]
 
 
-def enumerate_crowns(
-    context: FormalContext, config: EnumerationConfig | None = None
-) -> list[Motif]:
-    """All crown motifs up to the size cap.
+def _crowns(context: FormalContext, lo: int, hi: int) -> list[Motif]:
+    """The crowns of ``lo..hi`` objects (``lo >= 3``).
 
     Each cycle is found once, from its seed triplet: its least object
     ``x`` and x's two cycle neighbours ``a < b``, both above ``x`` and
     linked with it in ``meet_links()``. Its witness is the walk
     ``[x, a, ..., b]`` that ``recognition.crown_walks`` grows from the
-    triplet, the one :func:`recognize` returns.
+    triplet, the one :func:`recognize` returns. Crowns come out grouped
+    by their least object.
     """
-    config = config or EnumerationConfig()
-    n_objects = len(context.objects)
-    require_clarified(context, range(n_objects))
-    lo, hi = config.bounds(ScaleFamily.CROWN, n_objects)
-    if hi < 3 or n_objects < 3:
-        return []
-
+    family = ScaleFamily.CROWN
     rows = context.rows
     links = context.meet_links()
-    crowns: list[Motif] = []
-    for x in range(n_objects):
+    crowns = []
+    for x in range(len(context.objects)):
         # Crown members are incomparable and neighbours share more than the
         # intent, so x's neighbours link with x at a nonempty meet.
         ups = list(bits(sum(ys for meet, ys in links[x].items() if meet) & -(2 << x)))
         for i, a in enumerate(ups):
             for b in ups[i + 1 :]:
                 for walk in crown_walks(rows, links, context.object_mask, x, a, b, lo, hi):
-                    crowns.append(Motif(ScaleFamily.CROWN, walk))
-    return _sorted_motifs(crowns)
+                    crowns.append(Motif(family, walk))
+    return crowns
 
 
 def enumerate_family(
     context: FormalContext, family: ScaleFamily, config: EnumerationConfig | None = None
 ) -> list[Motif]:
-    """The family's full list within the size bounds, in (size, sorted domain) order."""
+    """The family's full list within the size bounds: singletons, then its search's order."""
+    config = config or EnumerationConfig()
+    n_objects = len(context.objects)
+    require_clarified(context, range(n_objects))
+    lo, hi = config.bounds(family, n_objects)
+    motifs = _singletons(context, family) if lo <= 1 <= hi else []
+    lo = max(lo, 2)
+    if lo > hi:
+        return motifs
     if family is ScaleFamily.NOMINAL:
-        return enumerate_nominal(context, config)
+        return motifs + _cliques(context, lo, hi)
     if family is ScaleFamily.CROWN:
-        return enumerate_crowns(context, config)
-    return enumerate_hereditary(context, family, config)
+        return motifs + _crowns(context, lo, hi)
+    return motifs + _grow(context, family, lo, hi)
 
 
 def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
@@ -348,18 +295,19 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
 
 
 class MotifInventory:
-    """Per-family motifs of one context, each list enumerated when first asked for.
+    """Per-family motifs of one clarified context, each list enumerated when first asked for.
 
     A family's full list is enumerated, and kept, only when ``by_family``,
     ``all_motifs(maximal_only=False)`` or ``motif_stats`` asks for it. Its
-    maximal list is kept too: nominal's comes from
-    :func:`maximal_nominal` unless ``max_size`` cuts below the object
-    count, and every other one from :func:`maximal_filter` on the full
-    list. So the default maximal pool lists no nominal clique but the
-    maximal ones. Inventories compare by their enumeration results alone.
+    maximal list is kept too: nominal's comes from the pivoting clique
+    search unless ``max_size`` cuts below the object count, and every
+    other one from :func:`maximal_filter` on the full list. So the default
+    maximal pool lists no nominal clique but the maximal ones.
+    Inventories compare by their enumeration results alone.
     """
 
     def __init__(self, context: FormalContext, config: EnumerationConfig | None = None):
+        require_clarified(context, range(len(context.objects)))
         self.context = context
         self.config = config or EnumerationConfig()
         self._full: dict[ScaleFamily, list[Motif]] = {}
@@ -379,9 +327,12 @@ class MotifInventory:
         """The family's motifs with no proper superset domain among them."""
         if family not in self._maximal:
             n_objects = len(self.context.objects)
-            uncut = self.config.bounds(family, n_objects)[1] == n_objects
-            if family is ScaleFamily.NOMINAL and uncut:
-                self._maximal[family] = maximal_nominal(self.context, self.config)
+            lo, hi = self.config.bounds(family, n_objects)
+            if family is ScaleFamily.NOMINAL and hi == n_objects:
+                # A listed singleton has the full row, which no pair holds,
+                # so it is maximal too.
+                found = _singletons(self.context, family) if lo <= 1 else []
+                self._maximal[family] = found + _maximal_cliques(self.context, max(lo, 2))
             else:
                 self._maximal[family] = maximal_filter(self._full_list(family), family)
         return self._maximal[family]
@@ -407,7 +358,6 @@ def enumerate_motifs(
 
     The context must be clarified, which is checked here, before any list is.
     """
-    require_clarified(context, range(len(context.objects)))
     return MotifInventory(context, config)
 
 

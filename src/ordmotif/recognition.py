@@ -102,7 +102,7 @@ def _recognize_size_one(context: FormalContext, g: int, family: ScaleFamily) -> 
 
 def _is_nominal(rows: Sequence[int], idx: list[int]) -> bool:
     # Every pair meets in the same intent I, and no row equals I. The
-    # search in ``enumeration.enumerate_nominal`` grows these cliques.
+    # clique search of ``enumeration.enumerate_family`` grows these sets.
     intent = rows[idx[0]] & rows[idx[1]]
     return all(rows[g] != intent for g in idx) and all(
         rows[g] & rows[h] == intent for i, g in enumerate(idx) for h in idx[i + 1 :]

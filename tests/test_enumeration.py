@@ -1,4 +1,5 @@
 import inspect
+import json
 import sys
 import time
 from itertools import combinations
@@ -18,16 +19,10 @@ from ordmotif import (
     recognize,
 )
 from ordmotif import enumeration
+from ordmotif.cli import main
 from ordmotif.context import link_table
-from ordmotif.enumeration import (
-    enumerate_crowns,
-    enumerate_family,
-    enumerate_hereditary,
-    enumerate_nominal,
-    maximal_filter,
-    maximal_nominal,
-    motif_stats,
-)
+from ordmotif.enumeration import enumerate_family, maximal_filter, motif_stats
+from ordmotif.io import to_burmeister
 from ordmotif.recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES
 
 from oracles import (
@@ -42,10 +37,16 @@ from oracles import (
 
 ALL = list(ScaleFamily)
 HEREDITARY = [f for f in ALL if f is not ScaleFamily.CROWN]
+CROWN = ScaleFamily.CROWN
 
 
 def domains(motifs):
     return {tuple(sorted(m.domain)) for m in motifs}
+
+
+def by_size(motifs):
+    # Searches emit in their own order; oracles list by size, then sorted domain.
+    return sorted(motifs, key=lambda m: (len(m.domain), sorted(m.domain)))
 
 
 def test_boolean_four_contranominal_enumeration():
@@ -71,12 +72,12 @@ def test_chain_has_no_nominal_pairs():
 
 def test_chain_has_no_crowns():
     o6 = build_scale(ScaleFamily.ORDINAL, 6)
-    assert enumerate_crowns(o6) == []
+    assert enumerate_family(o6, CROWN) == []
 
 
 def test_crown_five_contains_exactly_itself():
     c5 = build_scale(ScaleFamily.CROWN, 5)
-    motifs = enumerate_crowns(c5)
+    motifs = enumerate_family(c5, CROWN)
     assert domains(motifs) == {(0, 1, 2, 3, 4)}
     assert subsets_oracle(c5, ScaleFamily.CROWN, 3, 5) == {(0, 1, 2, 3, 4)}
 
@@ -85,7 +86,7 @@ def test_crown_size_cap_hides_large_crowns():
     c6 = build_scale(ScaleFamily.CROWN, 6)
     capped = EnumerationConfig(families=(ScaleFamily.CROWN,), crown_size_cap=5)
     assert enumerate_family(c6, ScaleFamily.CROWN, capped) == []
-    assert domains(enumerate_crowns(c6)) == {tuple(range(6))}
+    assert domains(enumerate_family(c6, CROWN)) == {tuple(range(6))}
 
 
 def test_crown_search_depth_does_not_follow_the_crown_size():
@@ -94,7 +95,7 @@ def test_crown_search_depth_does_not_follow_the_crown_size():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
-        motifs = enumerate_crowns(c100, config)
+        motifs = enumerate_family(c100, CROWN, config)
     finally:
         sys.setrecursionlimit(limit)
     assert [m.size for m in motifs] == [100]
@@ -103,7 +104,7 @@ def test_crown_search_depth_does_not_follow_the_crown_size():
 def test_crown_search_equals_recognition_over_all_subsets():
     # Enumeration runs the crown walk once per seed triplet over the whole
     # context, recognition once per domain on that domain alone; both must
-    # find the same crowns with the same witnesses, in the same order.
+    # find the same crowns with the same witnesses.
     rng = Random(79)
     raws = [
         crown_heavy_context(rng, 7 + i % 4) if i % 2 else random_context(rng, 7 + i % 4, 7, 0.35)
@@ -120,7 +121,8 @@ def test_crown_search_equals_recognition_over_all_subsets():
             for domain in combinations(range(n), size)
             if (motif := recognize(ctx, domain, ScaleFamily.CROWN)) is not None
         ]
-        assert enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=max(n, 3))) == want
+        config = EnumerationConfig(crown_size_cap=max(n, 3))
+        assert by_size(enumerate_family(ctx, CROWN, config)) == want
         sizes.update(m.size for m in want)
         # Any size bounds cut the same list.
         for _ in range(13):
@@ -130,7 +132,8 @@ def test_crown_search_equals_recognition_over_all_subsets():
             config = EnumerationConfig(min_size=min_size, max_size=max_size, crown_size_cap=cap)
             low = max(3, min_size or 0)
             high = min(cap, n if max_size is None else max_size)
-            assert enumerate_crowns(ctx, config) == [m for m in want if low <= m.size <= high]
+            got = by_size(enumerate_family(ctx, CROWN, config))
+            assert got == [m for m in want if low <= m.size <= high]
     assert {3, 4, 5, 6} <= sizes
 
 
@@ -150,7 +153,7 @@ def test_each_crown_is_built_once(monkeypatch):
     for i in range(30):
         ctx, _ = clarify_objects(crown_heavy_context(rng, 8 + i % 5))
         built.clear()
-        crowns = enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=12))
+        crowns = enumerate_family(ctx, CROWN, EnumerationConfig(crown_size_cap=12))
         assert len(built) == len(crowns)
         total += len(crowns)
     assert total > 100
@@ -189,7 +192,7 @@ def test_crown_search_stops_at_pairs_sharing_only_a_common_column():
     # Every pair of objects overlaps, but only in the column all of them hold.
     ctx = with_shared_column(build_scale(ScaleFamily.NOMINAL, 14))
     started = time.perf_counter()
-    assert enumerate_crowns(ctx) == []
+    assert enumerate_family(ctx, CROWN) == []
     assert time.perf_counter() - started < 2
 
 
@@ -229,7 +232,7 @@ def test_full_row_contexts_match_the_subset_oracle():
             for domain in combinations(range(n), size)
             if (motif := recognize(ctx, domain, ScaleFamily.ORDINAL)) is not None
         ]
-        assert enumerate_family(ctx, ScaleFamily.ORDINAL, config) == want
+        assert by_size(enumerate_family(ctx, ScaleFamily.ORDINAL, config)) == want
         ordinal_sizes.update(m.size for m in want)
     assert max(ordinal_sizes) >= 4
 
@@ -323,7 +326,7 @@ def test_crowns_never_nest():
     total = 0
     for raw in raws:
         ctx, _ = clarify_objects(raw)
-        crowns = enumerate_crowns(ctx, EnumerationConfig(crown_size_cap=12))
+        crowns = enumerate_family(ctx, CROWN, EnumerationConfig(crown_size_cap=12))
         masks = {m.domain_mask for m in crowns}
         for mask in masks:
             assert not any(other != mask and other & mask == mask for other in masks)
@@ -351,10 +354,8 @@ def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
         ctx, _ = clarify_objects(ctx)
         motifs = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
         maximal = enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
-        assert maximal == maximal_filter(motifs, ScaleFamily.NOMINAL), ctx.rows
-        if max_size is None or max_size >= len(ctx.objects):
-            assert maximal == maximal_nominal(ctx, config), ctx.rows
-            searched += 1
+        assert by_size(maximal) == by_size(maximal_filter(motifs, ScaleFamily.NOMINAL)), ctx.rows
+        searched += max_size is None or max_size >= len(ctx.objects)
         found = domains(motifs)
         expected = {d for d in found if not any(d != e and set(d) <= set(e) for e in found)}
         assert domains(maximal) == expected, ctx.rows
@@ -373,13 +374,15 @@ def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
     # With no size cut, the maximal pool runs the pivoting search alone;
     # the full nominal list is enumerated only when the stats ask for it,
     # and the stats come out as the one-short rule on the full list gives.
+    # The clique search runs only where pairs fit under the size bound.
     calls = []
+    cliques = enumeration._cliques
 
-    def counting(context, config=None):
-        calls.append(config)
-        return enumerate_nominal(context, config)
+    def counting(context, lo, hi):
+        calls.append(hi)
+        return cliques(context, lo, hi)
 
-    monkeypatch.setattr("ordmotif.enumeration.enumerate_nominal", counting)
+    monkeypatch.setattr(enumeration, "_cliques", counting)
     rng = Random(137)
     contexts = [random_corpus_item(rng) for _ in range(20)]
     contexts += [random_context(rng, 14, 10, 0.3) for _ in range(4)]
@@ -393,8 +396,8 @@ def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
             nominal = [m for m in pool if m.family is ScaleFamily.NOMINAL]
             assert nominal == inventory.maximal(ScaleFamily.NOMINAL)
             stats = motif_stats(inventory)
-            assert calls == [config]
-            full = enumerate_nominal(ctx, config)
+            assert calls == [len(ctx.objects)] * (len(ctx.objects) >= 2)
+            full = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
             assert stats[ScaleFamily.NOMINAL] == (
                 len(full),
                 len(maximal_filter(full, ScaleFamily.NOMINAL)),
@@ -404,20 +407,21 @@ def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
         calls.clear()
         cut = EnumerationConfig(max_size=len(ctx.objects) - 1)
         enumerate_motifs(ctx, cut).maximal(ScaleFamily.NOMINAL)
-        assert calls == [cut]
+        assert calls == [cut.max_size] * (cut.max_size >= 2)
 
 
 def test_maximal_nominal_refuses_a_size_cut():
+    # The clique search decides maximality with no bound; under a cut, sets
+    # at the bound count as maximal, which the filter on the full list decides.
     ctx = build_scale(ScaleFamily.NOMINAL, 4)
-    assert [m.domain for m in maximal_nominal(ctx)] == [(0, 1, 2, 3)]
-    assert maximal_nominal(ctx, EnumerationConfig(max_size=4)) == maximal_nominal(ctx)
-    with pytest.raises(ValueError, match="cuts below"):
-        maximal_nominal(ctx, EnumerationConfig(max_size=3))
 
+    def maximal(max_size):
+        config = EnumerationConfig(max_size=max_size)
+        return enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
 
-def test_enumerate_hereditary_refuses_nominal_sets():
-    with pytest.raises(ValueError, match="no step rule"):
-        enumerate_hereditary(build_scale(ScaleFamily.NOMINAL, 3), ScaleFamily.NOMINAL)
+    assert [m.domain for m in maximal(None)] == [(0, 1, 2, 3)]
+    assert maximal(4) == maximal(None)
+    assert domains(maximal(3)) == set(combinations(range(4), 3))
 
 
 def test_unclarified_context_is_rejected():
@@ -425,7 +429,9 @@ def test_unclarified_context_is_rejected():
     with pytest.raises(UnclarifiedObjectsError):
         enumerate_family(ctx, ScaleFamily.NOMINAL)
     with pytest.raises(UnclarifiedObjectsError):
-        enumerate_crowns(ctx)
+        enumerate_family(ctx, CROWN)
+    with pytest.raises(UnclarifiedObjectsError):
+        enumerate_motifs(ctx)
 
 
 def test_singletons_when_minimum_allows():
@@ -449,10 +455,6 @@ def test_config_validation():
         EnumerationConfig(crown_size_cap=2)
     with pytest.raises(ValueError, match="no scale family"):
         EnumerationConfig(families=())
-    with pytest.raises(ValueError):
-        enumerate_hereditary(
-            build_scale(ScaleFamily.NOMINAL, 2), ScaleFamily.CROWN
-        )
 
 
 def test_size_bounds_are_respected():
@@ -494,24 +496,36 @@ def test_min_and_max_size_one_yield_singletons_only():
 @pytest.mark.parametrize(
     "min_size,max_size", [(None, None), (1, None), (1, 1), (1, 2), (None, 3), (3, 5)]
 )
-def test_every_family_lists_motifs_by_size_then_sorted_domain(min_size, max_size):
-    # Nominal and contranominal sets come out of the search in this order
-    # with no sort; the covering tie-break and the CLI output rely on it.
+def test_every_family_lists_motifs_by_size_then_sorted_domain(
+    min_size, max_size, tmp_path, capsys
+):
+    # The searches emit in their own order; the motifs listing sorts it by
+    # family rank, size, then sorted domain, each witness kept as found.
     rng = Random(107)
     contexts = [random_context(rng, 9, 7, rng.uniform(0.3, 0.7)) for _ in range(6)]
     contexts += [full_row_context(rng, 8) for _ in range(4)]
     contexts += [crown_heavy_context(rng, 10) for _ in range(4)]
-    config = EnumerationConfig(min_size=min_size, max_size=max_size, crown_size_cap=6)
+    flags = ["--crown-cap", "6"]
+    flags += ["--min-size", str(min_size)] * (min_size is not None)
+    flags += ["--max-size", str(max_size)] * (max_size is not None)
+    path = tmp_path / "context.cxt"
     sizes: dict[ScaleFamily, set[int]] = {f: set() for f in ALL}
     for ctx in contexts:
         ctx, _ = clarify_objects(ctx)
-        for f in ALL:
-            motifs = enumerate_family(ctx, f, config)
-            assert motifs == sorted(motifs, key=lambda m: (len(m.domain), sorted(m.domain))), (
-                ctx.rows,
-                f,
-            )
-            sizes[f].update(m.size for m in motifs)
+        path.write_text(to_burmeister(ctx), encoding="utf-8")
+        index = {label: g for g, label in enumerate(ctx.objects)}
+        for maximal_only in (False, True):
+            argv = ["motifs", str(path), "--json", *flags]
+            assert main(argv + ["--maximal-only"] * maximal_only) == 0
+            listing = [
+                (ScaleFamily.from_name(m["family"]), tuple(index[g] for g in m["domain"]))
+                for m in json.loads(capsys.readouterr().out)["motifs"]
+            ]
+            keys = [(f, len(d), sorted(d)) for f, d in listing]
+            assert keys == sorted(keys), ctx.rows
+            assert len({(f, tuple(sorted(d))) for f, d in listing}) == len(listing), ctx.rows
+            for f, d in listing:
+                sizes[f].add(len(d))
     # The sets span several sizes, so the order is tested across levels.
     lo = min_size or 2
     hi = 4 if max_size is None else min(max_size, 4)
@@ -560,7 +574,7 @@ def test_candidate_masks_drop_only_objects_the_step_rejects(monkeypatch):
     ]
     for ctx in contexts:
         for family in HEREDITARY_CANDIDATES:
-            enumerate_hereditary(ctx, family)
+            enumerate_family(ctx, family)
     assert all(count > 1000 for count in dropped.values()), dropped
 
 
@@ -578,7 +592,7 @@ def test_candidate_masks_keep_step_rule_calls_down(monkeypatch):
             return step(rows, path, state, r)
 
         monkeypatch.setitem(HEREDITARY_RULES, family, (seed, counting))
-    found = {family: len(enumerate_hereditary(ctx, family)) for family in calls}
+    found = {family: len(enumerate_family(ctx, family)) for family in calls}
     assert found[ScaleFamily.INTERORDINAL] > 500 and found[ScaleFamily.CONTRANOMINAL] > 200
     assert calls[ScaleFamily.INTERORDINAL] < 6000, calls
     assert calls[ScaleFamily.CONTRANOMINAL] < 1200, calls

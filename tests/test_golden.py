@@ -7,8 +7,10 @@ the printed motifs, witnesses, tie counts, coverings or basis columns
 shows here. ``cover-nested`` runs the normalized greedy over every motif
 to full coverage; it was taken before the greedy re-scored only its top
 gain bucket. ``motifs-all`` lists every motif of every family, so it pins
-the full enumeration order and each witness; it was taken before the
-hereditary search kept its options as object masks. ``motifs-min1`` and
+the listing's order (family, size, sorted domain) and each witness; it
+was taken before the hereditary search kept its options as object masks,
+and still holds since only the listing sorts and the searches emit in
+their own order. ``motifs-min1`` and
 ``motifs-max3`` list every motif with singletons and with a size cut;
 they were taken before nominal and contranominal sets came out of the
 search in order instead of being sorted into it. ``motifs-top-min1`` and
