@@ -10,12 +10,11 @@ family's step rule on rows; each node keeps the objects it may still try
 as one int and narrows it with ``&`` before the rule runs. Nominal sets
 have no step rule: they are the cliques of one graph per meet, read off
 the context's ``meet_links()``, so a clique carries the objects that may
-still join it. The maximal ones are the maximal cliques, which a
-pivoting Bron-Kerbosch search lists without the cliques inside them;
-``MotifInventory`` enumerates a family's full list only when asked, so
-the default maximal pool lists no other nominal set. Crowns
-are not hereditary: H is a crown iff the objects sharing an attribute
-outside H's intent link H into one cycle. Crown enumeration runs
+still join it. One Bron-Kerbosch search lists every clique or only the
+maximal ones, those no object extends within the size bound, with
+Tomita's pivot when no size cuts. Crowns are not hereditary: H is a
+crown iff the objects sharing an attribute outside H's intent link H
+into one cycle. Crown enumeration runs
 ``recognition.crown_walks``, the walk ``recognize`` also runs, on the
 same table, from every seed triplet of an object and two objects above
 it that link with it at a nonempty meet, capped by size, so it finds
@@ -131,63 +130,30 @@ def _grow(context: FormalContext, family: ScaleFamily, lo: int, hi: int) -> list
     return motifs
 
 
-def _cliques(context: FormalContext, lo: int, hi: int) -> list[Motif]:
-    """The nominal domains of ``lo..hi`` objects (``lo >= 2``).
+def _cliques(context: FormalContext, lo: int, hi: int, maximal: bool) -> list[Motif]:
+    """The nominal domains of ``lo..hi`` objects (``lo >= 2``), or the maximal ones.
 
     H (|H| >= 2) is nominal iff every pair of its rows meets in the same
     intent I and no row equals I, so its domains are the cliques of one
     graph per meet: ``links[x][meet]`` in the context's ``meet_links()``
-    holds the objects that pair with x at meet. A clique keeps
-    ``common``, the objects that pair with every member at its meet; it
-    grows by those above its last member, and no step rule runs. As in
-    :func:`_grow`, ascending sets come out in depth-first lexicographic
-    order. :func:`_maximal_cliques` finds the maximal ones without this
-    list.
-    """
-    family = ScaleFamily.NOMINAL
-    rows = context.rows
-    links = context.meet_links()
-    stack = []
-    # Pairs x < y in descending order, so the stack pops them ascending.
-    # One object's masks are disjoint across meets: their sum is their OR.
-    for x in reversed(range(len(rows))):
-        for y in reversed(list(bits(sum(links[x].values()) & -(2 << x)))):
-            meet = rows[x] & rows[y]
-            stack.append(((x, y), meet, links[x][meet] & links[y][meet]))
-    motifs = []
-    while stack:
-        path, meet, common = stack.pop()
-        size = len(path)
-        if size >= lo:
-            motifs.append(Motif(family, path))
-        if size == hi:
-            continue
-        grown = common & -(2 << path[-1])
-        while grown:
-            y = grown.bit_length() - 1
-            grown ^= 1 << y
-            stack.append((path + (y,), meet, common & links[y][meet]))
-    return motifs
-
-
-def _maximal_cliques(context: FormalContext, lo: int) -> list[Motif]:
-    """The maximal nominal domains of ``lo`` (``>= 2``) or more objects, found alone.
-
-    Two nominal sets sharing a pair share its meet, so a set of two or more
-    objects is maximal iff it is a maximal clique of its meet's graph (see
-    :func:`_cliques`). Bron & Kerbosch (1973) with Tomita et al.'s
-    pivot (2006) lists those without visiting the cliques inside them, one
-    search per object x and meet (Eppstein et al. 2010): the candidates P
-    are ``links[x][meet]`` above x and the excluded X those below, so each
-    clique is found from its least member. A node branches on the members
-    of P that the pivot, the member of P | X with most links into P, does
-    not link with; a node with at most one candidate needs no pivot. Under
-    a size cut, sets at the bound count as maximal though they grow, so
-    only an uncut inventory runs this search.
+    holds the objects that pair with x at meet. Bron & Kerbosch (1973)
+    runs one search per object x and meet (Eppstein et al. 2010). A node
+    holds its clique, the candidates P not yet branched on and the
+    excluded X, from P = ``links[x][meet]`` above x and X those below, so
+    each clique is found once, from its least member, and P | X holds
+    every object linked with each member at the meet. Without ``maximal``
+    every clique is listed. With it, one is listed at ``hi`` objects or
+    when P | X is empty: below the bound no object extends it, the
+    one-short rule of :func:`maximal_filter`. With no cut (``hi`` the
+    object count) it branches only on the members of P that Tomita et
+    al.'s pivot (2006), the member of P | X with most links into P, does
+    not link with, so no clique inside a maximal one is visited; under a
+    cut that would skip the cliques at the bound.
     """
     links = context.meet_links()
-    # One seed per object x and meet with a candidate above x: x's links
-    # are nonempty, so {x} alone is never maximal.
+    pivot = maximal and hi == len(context.objects)
+    # Each clique is found from its least member x, so a seed needs a
+    # candidate above x.
     stack = [
         ((x,), meet, ys & -(2 << x), ys & ((1 << x) - 1))
         for x, x_links in links.items()
@@ -197,23 +163,28 @@ def _maximal_cliques(context: FormalContext, lo: int) -> list[Motif]:
     cliques = []
     while stack:
         clique, meet, p, xs = stack.pop()
-        if not p & (p - 1):
-            # No candidate, or one: no pivot is needed.
-            if p:
-                if not xs & links[p.bit_length() - 1][meet]:
-                    cliques.append(clique + (p.bit_length() - 1,))
-            elif not xs:
-                cliques.append(clique)
+        size = len(clique)
+        if size >= lo and (not maximal or size == hi or not p | xs):
+            cliques.append(clique)
+        if size == hi or not p:
             continue
-        most = -1
-        pool = p | xs
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            covered = p & links[low.bit_length() - 1][meet]
-            if covered.bit_count() > most:
-                most, skip = covered.bit_count(), covered
-        branch = p & ~skip
+        if not p & (p - 1):
+            # One candidate: its child has none, so only X can extend it.
+            y = p.bit_length() - 1
+            if size + 1 >= lo and (not maximal or size + 1 == hi or not xs & links[y][meet]):
+                cliques.append(clique + (y,))
+            continue
+        branch = p
+        if pivot:
+            most = -1
+            pool = p | xs
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                covered = p & links[low.bit_length() - 1][meet]
+                if covered.bit_count() > most:
+                    most, skip = covered.bit_count(), covered
+            branch = p & ~skip
         while branch:
             low = branch & -branch
             branch ^= low
@@ -222,10 +193,10 @@ def _maximal_cliques(context: FormalContext, lo: int) -> list[Motif]:
             stack.append((clique + (y,), meet, p & near, xs & near))
             p ^= low
             xs |= low
+    # Pivots branch out of object order, and a nominal witness is
+    # ascending; without a pivot each clique grows upward.
     family = ScaleFamily.NOMINAL
-    # Branching follows the pivots, not object order, and a nominal
-    # witness is ascending.
-    return [Motif(family, tuple(sorted(c))) for c in cliques if len(c) >= lo]
+    return [Motif(family, tuple(sorted(c)) if pivot else c) for c in cliques]
 
 
 def _crowns(context: FormalContext, lo: int, hi: int) -> list[Motif]:
@@ -266,7 +237,7 @@ def enumerate_family(
     if lo > hi:
         return motifs
     if family is ScaleFamily.NOMINAL:
-        return motifs + _cliques(context, lo, hi)
+        return motifs + _cliques(context, lo, hi, maximal=False)
     if family is ScaleFamily.CROWN:
         return motifs + _crowns(context, lo, hi)
     return motifs + _grow(context, family, lo, hi)
@@ -299,11 +270,10 @@ class MotifInventory:
 
     A family's full list is enumerated, and kept, only when ``by_family``,
     ``all_motifs(maximal_only=False)`` or ``motif_stats`` asks for it. Its
-    maximal list is kept too: nominal's comes from the pivoting clique
-    search unless ``max_size`` cuts below the object count, and every
-    other one from :func:`maximal_filter` on the full list. So the default
-    maximal pool lists no nominal clique but the maximal ones.
-    Inventories compare by their enumeration results alone.
+    maximal list is kept too: nominal's comes from the maximal clique
+    search at every size bound, and every other one from
+    :func:`maximal_filter` on the full list. So a maximal pool lists no
+    nominal clique but the maximal ones.
     """
 
     def __init__(self, context: FormalContext, config: EnumerationConfig | None = None):
@@ -326,13 +296,14 @@ class MotifInventory:
     def maximal(self, family: ScaleFamily) -> list[Motif]:
         """The family's motifs with no proper superset domain among them."""
         if family not in self._maximal:
-            n_objects = len(self.context.objects)
-            lo, hi = self.config.bounds(family, n_objects)
-            if family is ScaleFamily.NOMINAL and hi == n_objects:
+            if family is ScaleFamily.NOMINAL:
+                lo, hi = self.config.bounds(family, len(self.context.objects))
                 # A listed singleton has the full row, which no pair holds,
                 # so it is maximal too.
-                found = _singletons(self.context, family) if lo <= 1 else []
-                self._maximal[family] = found + _maximal_cliques(self.context, max(lo, 2))
+                found = _singletons(self.context, family) if lo <= 1 <= hi else []
+                if max(lo, 2) <= hi:
+                    found += _cliques(self.context, max(lo, 2), hi, maximal=True)
+                self._maximal[family] = found
             else:
                 self._maximal[family] = maximal_filter(self._full_list(family), family)
         return self._maximal[family]
@@ -344,11 +315,6 @@ class MotifInventory:
             if family in self.config.families:
                 out.extend(pick(family))
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MotifInventory):
-            return NotImplemented
-        return self.by_family == other.by_family
 
 
 def enumerate_motifs(

@@ -211,7 +211,9 @@ def test_crown_search_runs_on_rows_alone(monkeypatch):
         assert any(inv.by_family[f] for inv in expected), f
     monkeypatch.setattr(FormalContext, "object_closure", forbidden)
     monkeypatch.setattr("ordmotif.enumeration.recognize", forbidden)
-    assert [enumerate_motifs(ctx) for ctx in contexts] == expected
+    assert [enumerate_motifs(ctx).by_family for ctx in contexts] == [
+        inv.by_family for inv in expected
+    ]
 
 
 def test_full_row_contexts_match_the_subset_oracle():
@@ -340,8 +342,8 @@ def test_crowns_never_nest():
     [(lo, hi) for lo in (1, 2, 3) for hi in (1, 2, 3, None) if hi is None or lo <= hi],
 )
 def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
-    # The inventory's maximal nominal list comes from the pivoting clique
-    # search unless a size cut applies; the one-short rule on the full list
+    # The inventory's maximal nominal list comes from the clique search in
+    # maximal mode at every size bound; the one-short rule on the full list
     # and superset freedom must agree with it.
     rng = Random(131)
     contexts = [random_corpus_item(rng) for _ in range(60)]
@@ -370,17 +372,48 @@ def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
     assert searched > 0
 
 
+@pytest.mark.parametrize(
+    "min_size,max_size",
+    [(lo, hi) for lo in (1, 2, 3) for hi in (1, 2, 3, 4, None) if hi is None or lo <= hi],
+)
+def test_maximal_nominal_list_matches_the_subset_oracle(min_size, max_size):
+    # The one-short rule on the oracle's nominal domains within the bounds,
+    # against the clique search in maximal mode. The shared-column nominal
+    # scales are cliques of up to 6 objects, so they grow past every cut.
+    rng = Random(139)
+    contexts = [random_corpus_item(rng) for _ in range(30)]
+    contexts += [full_row_context(rng, 6 + i % 2) for i in range(4)]
+    contexts += [with_shared_column(build_scale(ScaleFamily.NOMINAL, n)) for n in (4, 5, 6)]
+    config = EnumerationConfig(min_size=min_size, max_size=max_size)
+    cut = 0
+    for ctx in contexts:
+        ctx, _ = clarify_objects(ctx)
+        n = len(ctx.objects)
+        hi = n if max_size is None else max_size
+        found = subsets_oracle(ctx, ScaleFamily.NOMINAL, min_size, hi)
+        expected = {
+            d for d in found if not any(tuple(sorted(d + (g,))) in found for g in range(n))
+        }
+        maximal = enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
+        assert len(maximal) == len(expected), ctx.rows
+        assert domains(maximal) == expected, ctx.rows
+        everything = subsets_oracle(ctx, ScaleFamily.NOMINAL, 1, n)
+        cut += sum(1 for d in expected if any(set(d) < set(e) for e in everything))
+    assert (cut > 0) == (max_size is not None and max_size >= 2)
+
+
 def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
-    # With no size cut, the maximal pool runs the pivoting search alone;
-    # the full nominal list is enumerated only when the stats ask for it,
-    # and the stats come out as the one-short rule on the full list gives.
-    # The clique search runs only where pairs fit under the size bound.
+    # A maximal pool runs the clique search once, in maximal mode, at every
+    # size bound, and enumerates no full nominal list; that list comes only
+    # when the stats ask for it, and the stats come out as the one-short
+    # rule on the full list gives. The search runs only where pairs fit
+    # under the size bound.
     calls = []
     cliques = enumeration._cliques
 
-    def counting(context, lo, hi):
-        calls.append(hi)
-        return cliques(context, lo, hi)
+    def counting(context, lo, hi, maximal):
+        calls.append((hi, maximal))
+        return cliques(context, lo, hi, maximal)
 
     monkeypatch.setattr(enumeration, "_cliques", counting)
     rng = Random(137)
@@ -388,31 +421,36 @@ def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
     contexts += [random_context(rng, 14, 10, 0.3) for _ in range(4)]
     for raw in contexts:
         ctx, _ = clarify_objects(raw)
-        for config in (EnumerationConfig(), EnumerationConfig(min_size=1)):
+        n = len(ctx.objects)
+        configs = (
+            EnumerationConfig(),
+            EnumerationConfig(min_size=1),
+            EnumerationConfig(max_size=max(n - 1, 1)),
+            EnumerationConfig(min_size=1, max_size=max(n - 1, 1)),
+        )
+        for config in configs:
+            _, hi = config.bounds(ScaleFamily.NOMINAL, n)
             calls.clear()
             inventory = enumerate_motifs(ctx, config)
             pool = inventory.all_motifs(maximal_only=True)
-            assert calls == []
+            assert calls == [(hi, True)] * (hi >= 2)
             nominal = [m for m in pool if m.family is ScaleFamily.NOMINAL]
             assert nominal == inventory.maximal(ScaleFamily.NOMINAL)
+            calls.clear()
             stats = motif_stats(inventory)
-            assert calls == [len(ctx.objects)] * (len(ctx.objects) >= 2)
+            assert calls == [(hi, False)] * (hi >= 2)
             full = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
             assert stats[ScaleFamily.NOMINAL] == (
                 len(full),
                 len(maximal_filter(full, ScaleFamily.NOMINAL)),
                 max((m.size for m in full), default=0),
             )
-        # A cut below the object count filters the full list instead.
-        calls.clear()
-        cut = EnumerationConfig(max_size=len(ctx.objects) - 1)
-        enumerate_motifs(ctx, cut).maximal(ScaleFamily.NOMINAL)
-        assert calls == [cut.max_size] * (cut.max_size >= 2)
 
 
 def test_maximal_nominal_refuses_a_size_cut():
-    # The clique search decides maximality with no bound; under a cut, sets
-    # at the bound count as maximal, which the filter on the full list decides.
+    # Nothing refuses a cut: under one, sets at the bound count as maximal
+    # though they grow, and the clique search lists them in maximal mode,
+    # without the pivot that would skip them.
     ctx = build_scale(ScaleFamily.NOMINAL, 4)
 
     def maximal(max_size):
