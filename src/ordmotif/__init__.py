@@ -14,7 +14,7 @@ from .context import (
 )
 from .covering import CoveringStep, HeuristicKind, greedy_cover
 from .dimension import scaling_dimension
-from .enumeration import EnumerationConfig, MotifInventory, enumerate_motifs
+from .enumeration import EnumerationConfig, enumerate_motifs
 from .explain import ExplanationDoc, explain_covering
 from .io import ParseError, load_context
 from .recognition import Motif, recognize, verify_full, verify_scale_measure
@@ -35,7 +35,6 @@ __all__ = [
     "verify_full",
     "verify_scale_measure",
     "EnumerationConfig",
-    "MotifInventory",
     "enumerate_motifs",
     "HeuristicKind",
     "CoveringStep",

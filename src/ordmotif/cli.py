@@ -26,8 +26,9 @@ from .dimension import check_scale_specs, scaling_dimension
 from .enumeration import (
     DEFAULT_CROWN_SIZE_CAP,
     EnumerationConfig,
+    enumerate_family,
     enumerate_motifs,
-    motif_stats,
+    maximal_filter,
 )
 from .explain import explain_covering
 from .io import ParseError, load_context, to_burmeister
@@ -98,8 +99,7 @@ def _config(args: argparse.Namespace) -> EnumerationConfig:
 
 
 def _enumerate(args: argparse.Namespace, context: FormalContext) -> list[Motif]:
-    inventory = enumerate_motifs(context, _config(args))
-    return inventory.all_motifs(maximal_only=not args.all_motifs)
+    return enumerate_motifs(context, _config(args), maximal_only=not args.all_motifs)
 
 
 def _lines(lines: list[str]) -> str:
@@ -135,25 +135,24 @@ def _stats_table(stats: dict[str, dict[str, int]]) -> str:
 
 def cmd_motifs(args: argparse.Namespace) -> Result:
     context, clarification = _load(args)
-    inventory = enumerate_motifs(context, _config(args))
-    payload: dict = {
-        "command": "motifs",
-        "stats": {
-            str(f): {"total": t, "maximal": mx, "largest": lg}
-            for f, (t, mx, lg) in motif_stats(inventory).items()
-        },
-    }
+    config = _config(args)
+    stats = {}
+    listed: list[Motif] = []
+    for family in config.families:
+        motifs = enumerate_family(context, family, config)
+        maximal = maximal_filter(motifs, family)
+        largest = max((m.size for m in motifs), default=0)
+        stats[str(family)] = {"total": len(motifs), "maximal": len(maximal), "largest": largest}
+        listed += maximal if args.maximal_only else motifs
+    payload: dict = {"command": "motifs", "stats": stats}
     if args.json:
         labels = object_labels(context, clarification)
         # The searches emit in their own order; only this listing sorts.
         payload["motifs"] = [
             {"family": str(m.family), "domain": [labels[g] for g in m.domain]}
-            for m in sorted(
-                inventory.all_motifs(maximal_only=args.maximal_only),
-                key=lambda m: (m.family, len(m.domain), sorted(m.domain)),
-            )
+            for m in sorted(listed, key=lambda m: (m.family, len(m.domain), sorted(m.domain)))
         ]
-    return payload, _stats_table(payload["stats"])
+    return payload, _stats_table(stats)
 
 
 def _run_cover(

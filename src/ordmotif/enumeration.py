@@ -2,6 +2,10 @@
 
 :func:`enumerate_family` checks the context, bounds the sizes and lists
 singletons through ``recognize``; the family's search lists the rest.
+With ``maximal`` it lists only the motifs no listed domain contains:
+nominal's from the clique search, every other family's through
+:func:`maximal_filter`. :func:`enumerate_motifs` joins the selected
+families' lists, full or maximal, in family rank order.
 Nominal, ordinal, interordinal and contranominal motifs are hereditary
 along their witnesses: every prefix of a witness of two or more objects
 is a witness too. So their domains grow depth-first, one object at a
@@ -225,22 +229,34 @@ def _crowns(context: FormalContext, lo: int, hi: int) -> list[Motif]:
 
 
 def enumerate_family(
-    context: FormalContext, family: ScaleFamily, config: EnumerationConfig | None = None
+    context: FormalContext,
+    family: ScaleFamily,
+    config: EnumerationConfig | None = None,
+    maximal: bool = False,
 ) -> list[Motif]:
-    """The family's full list within the size bounds: singletons, then its search's order."""
+    """The family's list within the size bounds: singletons, then its search's order.
+
+    With ``maximal``, only the motifs with no proper superset domain in
+    the full list. Nominal's come from the clique search in maximal mode; a listed
+    singleton has the full row, which no pair holds, so it is maximal
+    too. Every other family's are :func:`maximal_filter` of its full list.
+    """
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
     require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
     motifs = _singletons(context, family) if lo <= 1 <= hi else []
     lo = max(lo, 2)
-    if lo > hi:
-        return motifs
-    if family is ScaleFamily.NOMINAL:
-        return motifs + _cliques(context, lo, hi, maximal=False)
-    if family is ScaleFamily.CROWN:
-        return motifs + _crowns(context, lo, hi)
-    return motifs + _grow(context, family, lo, hi)
+    if lo <= hi:
+        if family is ScaleFamily.NOMINAL:
+            motifs += _cliques(context, lo, hi, maximal)
+        elif family is ScaleFamily.CROWN:
+            motifs += _crowns(context, lo, hi)
+        else:
+            motifs += _grow(context, family, lo, hi)
+    if maximal and family is not ScaleFamily.NOMINAL:
+        return maximal_filter(motifs, family)
+    return motifs
 
 
 def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
@@ -265,72 +281,18 @@ def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:
     return [m for m, mask in zip(pool, masks) if mask not in extended]
 
 
-class MotifInventory:
-    """Per-family motifs of one clarified context, each list enumerated when first asked for.
-
-    A family's full list is enumerated, and kept, only when ``by_family``,
-    ``all_motifs(maximal_only=False)`` or ``motif_stats`` asks for it. Its
-    maximal list is kept too: nominal's comes from the maximal clique
-    search at every size bound, and every other one from
-    :func:`maximal_filter` on the full list. So a maximal pool lists no
-    nominal clique but the maximal ones.
-    """
-
-    def __init__(self, context: FormalContext, config: EnumerationConfig | None = None):
-        require_clarified(context, range(len(context.objects)))
-        self.context = context
-        self.config = config or EnumerationConfig()
-        self._full: dict[ScaleFamily, list[Motif]] = {}
-        self._maximal: dict[ScaleFamily, list[Motif]] = {}
-
-    def _full_list(self, family: ScaleFamily) -> list[Motif]:
-        if family not in self._full:
-            self._full[family] = enumerate_family(self.context, family, self.config)
-        return self._full[family]
-
-    @property
-    def by_family(self) -> dict[ScaleFamily, list[Motif]]:
-        """Every selected family's full list, in the order ``config`` names them."""
-        return {family: self._full_list(family) for family in self.config.families}
-
-    def maximal(self, family: ScaleFamily) -> list[Motif]:
-        """The family's motifs with no proper superset domain among them."""
-        if family not in self._maximal:
-            if family is ScaleFamily.NOMINAL:
-                lo, hi = self.config.bounds(family, len(self.context.objects))
-                # A listed singleton has the full row, which no pair holds,
-                # so it is maximal too.
-                found = _singletons(self.context, family) if lo <= 1 <= hi else []
-                if max(lo, 2) <= hi:
-                    found += _cliques(self.context, max(lo, 2), hi, maximal=True)
-                self._maximal[family] = found
-            else:
-                self._maximal[family] = maximal_filter(self._full_list(family), family)
-        return self._maximal[family]
-
-    def all_motifs(self, maximal_only: bool = False) -> list[Motif]:
-        pick = self.maximal if maximal_only else self._full_list
-        out: list[Motif] = []
-        for family in ScaleFamily:
-            if family in self.config.families:
-                out.extend(pick(family))
-        return out
-
-
 def enumerate_motifs(
-    context: FormalContext, config: EnumerationConfig | None = None
-) -> MotifInventory:
-    """The inventory of every family selected by ``config``; lists come on demand.
+    context: FormalContext, config: EnumerationConfig | None = None, maximal_only: bool = False
+) -> list[Motif]:
+    """Every family's list that ``config`` selects, joined in family rank order.
 
-    The context must be clarified, which is checked here, before any list is.
+    With ``maximal_only``, each family's maximal motifs instead, as
+    :func:`enumerate_family` gives them.
     """
-    return MotifInventory(context, config)
-
-
-def motif_stats(inventory: MotifInventory) -> dict[ScaleFamily, tuple[int, int, int]]:
-    """Per family: total count, maximal count, largest domain size (0 if none)."""
-    out = {}
-    for family, motifs in inventory.by_family.items():
-        largest = max((m.size for m in motifs), default=0)
-        out[family] = (len(motifs), len(inventory.maximal(family)), largest)
-    return out
+    config = config or EnumerationConfig()
+    return [
+        m
+        for family in ScaleFamily
+        if family in config.families
+        for m in enumerate_family(context, family, config, maximal_only)
+    ]

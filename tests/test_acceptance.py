@@ -6,6 +6,7 @@ file; without it that criterion reports as skipped and the others stand
 alone.
 """
 
+import json
 import os
 import re
 import time
@@ -34,7 +35,8 @@ from ordmotif import (
     verify_scale_measure,
 )
 from ordmotif.covering import covered_extents
-from ordmotif.enumeration import enumerate_family, motif_stats
+from ordmotif.cli import main
+from ordmotif.enumeration import enumerate_family
 from ordmotif.explain import TEMPLATES, render_motif
 
 from oracles import (
@@ -123,8 +125,8 @@ def test_criterion_3_heredity_and_coverage_counts():
     motifs_checked = 0
     for ctx in corpus(CORPUS_SEED, CORPUS_SIZE):
         extents = set(ctx.extents())
-        inventory = enumerate_motifs(ctx, config)
-        for family, motifs in inventory.by_family.items():
+        for family in ALL:
+            motifs = enumerate_family(ctx, family, config)
             found = {tuple(sorted(m.domain)) for m in motifs}
             for m in motifs:
                 motifs_checked += 1
@@ -151,18 +153,18 @@ def test_criterion_3_heredity_and_coverage_counts():
     not SPICES_PATH.exists(),
     reason=f"spices planner dataset not available at {SPICES_PATH}",
 )
-def test_criterion_4_spices_reproduction():
+def test_criterion_4_spices_reproduction(capsys):
     context = load_context(SPICES_PATH).transpose()
     context, _ = clarify_objects(context)
     assert len(context.extents()) == 531
 
-    inventory = enumerate_motifs(context, EnumerationConfig())
-    stats = motif_stats(inventory)
-    assert [stats[f][0] for f in ALL] == [2342, 37, 4643, 2910, 2145]
-    assert [stats[f][1] for f in ALL] == [527, 37, 2550, 1498, 2145]
-    assert [stats[f][2] for f in ALL] == [9, 1, 5, 5, 6]
+    assert main(["motifs", str(SPICES_PATH), "--transpose", "--clarify", "--json"]) == 0
+    stats = [json.loads(capsys.readouterr().out)["stats"][str(f)] for f in ALL]
+    assert [s["total"] for s in stats] == [2342, 37, 4643, 2910, 2145]
+    assert [s["maximal"] for s in stats] == [527, 37, 2550, 1498, 2145]
+    assert [s["largest"] for s in stats] == [9, 1, 5, 5, 6]
 
-    pool = inventory.all_motifs(maximal_only=True)
+    pool = enumerate_motifs(context, EnumerationConfig(), maximal_only=True)
     for heuristic, expected in (
         (HeuristicKind.STANDARD, 195),
         (HeuristicKind.NORMALIZED, 125),
@@ -193,7 +195,7 @@ def test_criterion_5_basis_property():
         ctx, _ = clarify_objects(
             random_context(rng, rng.randint(2, 6), rng.randint(2, 6), rng.uniform(0.3, 0.7))
         )
-        motifs = enumerate_motifs(ctx, config).all_motifs()
+        motifs = enumerate_motifs(ctx, config)
         try:
             basis = build_basis(ctx, motifs)
         except IncompleteCoveringError:
@@ -290,7 +292,7 @@ def test_criterion_7_explanation_goldens():
     rendered = 0
     for _ in range(20):
         ctx, clar = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))
-        steps = greedy_cover(ctx, enumerate_motifs(ctx, config).all_motifs(), 6)
+        steps = greedy_cover(ctx, enumerate_motifs(ctx, config), 6)
         doc = explain_covering(ctx, steps, clarification=clar)
         for entry in doc.entries:
             for family, paragraph in zip(

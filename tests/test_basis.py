@@ -94,7 +94,7 @@ def test_basis_columns_match_the_oracle_order():
     built = 0
     for _ in range(120):
         ctx, _ = clarify_objects(random_corpus_item(rng))
-        motifs = enumerate_motifs(ctx, config).all_motifs()
+        motifs = enumerate_motifs(ctx, config)
         try:
             basis = build_basis(ctx, motifs)
         except IncompleteCoveringError:
@@ -111,7 +111,7 @@ def test_basis_round_trips_through_burmeister():
     for _ in range(120):
         ctx, _ = clarify_objects(random_corpus_item(rng))
         try:
-            basis = build_basis(ctx, enumerate_motifs(ctx, config).all_motifs())
+            basis = build_basis(ctx, enumerate_motifs(ctx, config))
         except IncompleteCoveringError:
             continue
         built += 1
@@ -125,7 +125,7 @@ def test_basis_preserves_extents_on_random_contexts():
     built = 0
     for _ in range(80):
         ctx, _ = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))
-        motifs = enumerate_motifs(ctx, config).all_motifs()
+        motifs = enumerate_motifs(ctx, config)
         try:
             basis = build_basis(ctx, motifs)
         except IncompleteCoveringError:
@@ -141,7 +141,7 @@ def test_local_full_measures_agree_between_context_and_basis():
     checked = 0
     for _ in range(60):
         ctx, _ = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))
-        motifs = enumerate_motifs(ctx, config).all_motifs()
+        motifs = enumerate_motifs(ctx, config)
         try:
             basis = build_basis(ctx, motifs)
         except IncompleteCoveringError:

@@ -162,9 +162,8 @@ def test_csv_side_files_match_the_steps(capsys, tmp_path):
     for _ in range(50):
         context, _ = clarify_objects(random_corpus_item(rng))
         path.write_text(to_burmeister(context), encoding="utf-8")
-        inventory = enumerate_motifs(context)
         for all_motifs in (False, True):
-            pool = inventory.all_motifs(maximal_only=not all_motifs)
+            pool = enumerate_motifs(context, maximal_only=not all_motifs)
             for heuristic in HeuristicKind:
                 argv = ["cover", str(path), "--k", "100", "--heuristic", heuristic.value]
                 argv += ["--coverage-csv", str(coverage), "--ratios-csv", str(ratios)]
@@ -632,18 +631,18 @@ def test_empty_family_list_fails_cleanly(capsys, b3_path):
 
 
 def test_repeated_family_is_enumerated_once(capsys, monkeypatch, b3_path):
-    from ordmotif import enumeration
+    from ordmotif import cli
 
     assert main(["motifs", str(b3_path), "--families", "nominal"]) == 0
     once = capsys.readouterr().out
     calls = []
-    original = enumeration.enumerate_family
+    original = cli.enumerate_family
 
-    def counting(context, family, config=None):
+    def counting(context, family, config=None, maximal=False):
         calls.append(family)
-        return original(context, family, config)
+        return original(context, family, config, maximal)
 
-    monkeypatch.setattr(enumeration, "enumerate_family", counting)
+    monkeypatch.setattr(cli, "enumerate_family", counting)
     assert main(["motifs", str(b3_path), "--families", "nominal,nominal"]) == 0
     assert calls == [ScaleFamily.NOMINAL]
     assert capsys.readouterr().out == once

@@ -90,7 +90,7 @@ def test_object_closure_derives_each_set_once(monkeypatch):
         derived.clear()
         # Enumeration runs on rows; covering looks its closures up in the
         # intent table, which derives each extent's intent once.
-        pool = enumerate_motifs(ctx).all_motifs()
+        pool = enumerate_motifs(ctx)
         greedy_cover(ctx, pool, len(pool))
         assert all(n == 1 for n in derived.values())
         total += len(derived)

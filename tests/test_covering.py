@@ -54,12 +54,10 @@ def test_covered_extent_count_matches_expected_exactly():
     for _ in range(60):
         ctx, _ = clarify_objects(random_context(rng, 6, 5, rng.uniform(0.3, 0.7)))
         extents = set(ctx.extents())
-        inventory = enumerate_motifs(ctx)
-        for motifs in inventory.by_family.values():
-            for m in motifs:
-                covered = extent_set(ctx, covered_extents(ctx, [m])[0])
-                assert len(covered) == expected_extent_count(m.family, m.size)
-                assert covered <= extents
+        for m in enumerate_motifs(ctx):
+            covered = extent_set(ctx, covered_extents(ctx, [m])[0])
+            assert len(covered) == expected_extent_count(m.family, m.size)
+            assert covered <= extents
 
 
 def test_covered_extents_are_the_closures_of_the_preimages():
@@ -78,7 +76,7 @@ def test_covered_extents_are_the_closures_of_the_preimages():
             raw = full_row_context(rng, 6 + i % 3)
         ctx, _ = clarify_objects(raw)
         extents = brute_force_extents(ctx)
-        pool = enumerate_motifs(ctx, config).all_motifs()
+        pool = enumerate_motifs(ctx, config)
         for m, cover in zip(pool, covered_extents(ctx, pool), strict=True):
             expected = set()
             for p in _preimages(m):
@@ -166,7 +164,7 @@ def test_greedy_cover_and_basis_ask_no_closure(monkeypatch):
     for i in range(30):
         raw = random_corpus_item(rng) if i % 2 else crown_heavy_context(rng, 7)
         ctx, _ = clarify_objects(raw)
-        pool = enumerate_motifs(ctx, EnumerationConfig(min_size=1)).all_motifs()
+        pool = enumerate_motifs(ctx, EnumerationConfig(min_size=1))
         ctx.extents()
         with monkeypatch.context() as patch:
             patch.setattr(FormalContext, "object_closure", forbidden)
@@ -252,7 +250,7 @@ def test_pool_order_does_not_change_the_steps():
     for i in range(24):
         table = crown_heavy_context(rng, 8) if i % 2 else random_context(rng, 8, 6, 0.5)
         ctx, _ = clarify_objects(table)
-        pool = enumerate_motifs(ctx, EnumerationConfig(min_size=1)).all_motifs()
+        pool = enumerate_motifs(ctx, EnumerationConfig(min_size=1))
         pool += [
             _second_witness(m)
             for m in pool
@@ -293,7 +291,7 @@ def test_standard_gains_are_nonincreasing():
     rng = Random(89)
     for _ in range(40):
         ctx, _ = clarify_objects(random_context(rng, 6, 5, rng.uniform(0.3, 0.7)))
-        pool = enumerate_motifs(ctx).all_motifs(maximal_only=True)
+        pool = enumerate_motifs(ctx, maximal_only=True)
         steps = greedy_cover(ctx, pool, 10)
         gains = [s.new_extents for s in steps]
         assert gains == sorted(gains, reverse=True)
@@ -305,7 +303,7 @@ def test_cumulative_equals_union_of_covered_sets():
     rng = Random(97)
     for _ in range(30):
         ctx, _ = clarify_objects(random_context(rng, 6, 5, rng.uniform(0.3, 0.7)))
-        pool = enumerate_motifs(ctx).all_motifs(maximal_only=True)
+        pool = enumerate_motifs(ctx, maximal_only=True)
         steps = greedy_cover(ctx, pool, 5)
         union: set[int] = set()
         for s in steps:
@@ -322,7 +320,7 @@ def test_normalized_scores_drop_after_the_first_pick():
     checked = 0
     for _ in range(40):
         ctx, _ = clarify_objects(random_context(rng, 6, 5, rng.uniform(0.3, 0.7)))
-        pool = enumerate_motifs(ctx).all_motifs(maximal_only=True)
+        pool = enumerate_motifs(ctx, maximal_only=True)
         steps = greedy_cover(ctx, pool, 8, HeuristicKind.NORMALIZED)
         if not steps or steps[0].motif.family is ScaleFamily.ORDINAL:
             continue
@@ -350,8 +348,7 @@ def test_greedy_matches_the_reference_greedy_at_every_step():
     compared = 0
     for _ in range(150):
         ctx, _ = clarify_objects(random_corpus_item(rng))
-        inventory = enumerate_motifs(ctx)
-        for pool in (inventory.all_motifs(maximal_only=True), inventory.all_motifs()):
+        for pool in (enumerate_motifs(ctx, maximal_only=True), enumerate_motifs(ctx)):
             for heuristic in HeuristicKind:
                 steps = greedy_cover(ctx, pool, len(pool), heuristic)
                 got = [(s.motif, s.new_extents, s.cumulative, s.tie_count) for s in steps]
@@ -368,8 +365,7 @@ def test_greedy_matches_the_reference_greedy_past_full_coverage():
     for i in range(60):
         raw = random_corpus_item(rng) if i % 2 else crown_heavy_context(rng, 6)
         ctx, _ = clarify_objects(raw)
-        inventory = enumerate_motifs(ctx)
-        pool = inventory.all_motifs() + inventory.all_motifs(maximal_only=True)
+        pool = enumerate_motifs(ctx) + enumerate_motifs(ctx, maximal_only=True)
         for heuristic in HeuristicKind:
             steps = greedy_cover(ctx, pool, 2 * len(pool) + 3, heuristic)
             got = [(s.motif, s.new_extents, s.cumulative, s.tie_count) for s in steps]
@@ -386,8 +382,7 @@ def test_greedy_matches_the_reference_greedy_on_larger_tables():
     compared = 0
     for i in range(30):
         ctx, _ = clarify_objects(random_context(rng, rng.randint(8, 10), rng.randint(6, 9), 0.4))
-        inventory = enumerate_motifs(ctx)
-        for pool in (inventory.all_motifs(maximal_only=True), inventory.all_motifs()):
+        for pool in (enumerate_motifs(ctx, maximal_only=True), enumerate_motifs(ctx)):
             shuffled = rng.sample(pool, len(pool))
             runs = [(pool, heuristic) for heuristic in HeuristicKind]
             runs.append((shuffled, list(HeuristicKind)[i % 2]))
@@ -402,7 +397,7 @@ def test_greedy_matches_the_reference_greedy_on_larger_tables():
 def test_greedy_is_deterministic():
     rng = Random(107)
     ctx, _ = clarify_objects(random_context(rng, 6, 6, 0.5))
-    pool = enumerate_motifs(ctx).all_motifs(maximal_only=True)
+    pool = enumerate_motifs(ctx, maximal_only=True)
     first = greedy_cover(ctx, pool, 6)
     again = greedy_cover(ctx, list(reversed(pool)), 6)
     assert [s.motif for s in first] == [s.motif for s in again]

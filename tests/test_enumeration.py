@@ -21,7 +21,7 @@ from ordmotif import (
 from ordmotif import enumeration
 from ordmotif.cli import main
 from ordmotif.context import link_table
-from ordmotif.enumeration import enumerate_family, maximal_filter, motif_stats
+from ordmotif.enumeration import DEFAULT_CROWN_SIZE_CAP, enumerate_family, maximal_filter
 from ordmotif.io import to_burmeister
 from ordmotif.recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES
 
@@ -49,7 +49,18 @@ def by_size(motifs):
     return sorted(motifs, key=lambda m: (len(m.domain), sorted(m.domain)))
 
 
-def test_boolean_four_contranominal_enumeration():
+def motifs_stats(path, capsys, ctx, config):
+    # The ``motifs --json`` stats of a clarified context under ``config``.
+    path.write_text(to_burmeister(ctx), encoding="utf-8")
+    argv = ["motifs", str(path), "--json", "--families", ",".join(map(str, config.families))]
+    argv += ["--crown-cap", str(config.crown_size_cap)]
+    argv += ["--min-size", str(config.min_size)] * (config.min_size is not None)
+    argv += ["--max-size", str(config.max_size)] * (config.max_size is not None)
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["stats"]
+
+
+def test_boolean_four_contranominal_enumeration(tmp_path, capsys):
     b4 = build_scale(ScaleFamily.CONTRANOMINAL, 4)
     motifs = enumerate_family(b4, ScaleFamily.CONTRANOMINAL)
     expected = {
@@ -59,10 +70,9 @@ def test_boolean_four_contranominal_enumeration():
     }
     assert domains(motifs) == expected
     assert len(motifs) == 11
-    inv = enumerate_motifs(
-        b4, EnumerationConfig(families=(ScaleFamily.CONTRANOMINAL,))
-    )
-    assert motif_stats(inv)[ScaleFamily.CONTRANOMINAL] == (11, 1, 4)
+    config = EnumerationConfig(families=(ScaleFamily.CONTRANOMINAL,))
+    stats = motifs_stats(tmp_path / "b4.cxt", capsys, b4, config)
+    assert stats == {"contranominal": {"total": 11, "maximal": 1, "largest": 4}}
 
 
 def test_chain_has_no_nominal_pairs():
@@ -162,8 +172,8 @@ def test_each_crown_is_built_once(monkeypatch):
 def test_one_enumeration_builds_the_link_table_once(monkeypatch):
     # Nominal cliques, the maximal clique search and crown walks read one
     # cached table, and so does crown recognition, cut to the domain: a
-    # greedy cover asks it once per pick and builds nothing more. The
-    # inventory enumerates on demand, so it builds nothing until asked.
+    # greedy cover asks it once per pick and builds nothing more.
+    # Clarifying builds none; the first enumeration builds it.
     calls = []
 
     def counting(rows, cols):
@@ -173,15 +183,17 @@ def test_one_enumeration_builds_the_link_table_once(monkeypatch):
     monkeypatch.setattr("ordmotif.context.link_table", counting)
     rng = Random(211)
     crown_picks = 0
+    config = EnumerationConfig(min_size=1, crown_size_cap=12)
     for i in range(12):
-        ctx, _ = clarify_objects(crown_heavy_context(rng, 7 + i % 5))
+        raw = crown_heavy_context(rng, 7 + i % 5)
         calls.clear()
-        inventory = enumerate_motifs(ctx, EnumerationConfig(min_size=1, crown_size_cap=12))
+        ctx, _ = clarify_objects(raw)
         assert calls == []
-        assert len(inventory.by_family) == 5
+        motifs = enumerate_motifs(ctx, config)
+        assert len(motifs) == sum(len(enumerate_family(ctx, f, config)) for f in ALL)
         assert calls == [len(ctx.objects)]
-        assert inventory.all_motifs(maximal_only=True) and calls == [len(ctx.objects)]
-        steps = greedy_cover(ctx, inventory.all_motifs(), 1_000_000)
+        assert enumerate_motifs(ctx, config, maximal_only=True) and calls == [len(ctx.objects)]
+        steps = greedy_cover(ctx, motifs, 1_000_000)
         assert steps and calls == [len(ctx.objects)]
         crown_picks += sum(ScaleFamily.CROWN in step.families for step in steps)
         assert ctx.meet_links() is ctx.meet_links() and len(calls) == 1
@@ -208,12 +220,10 @@ def test_crown_search_runs_on_rows_alone(monkeypatch):
     contexts += [build_scale(f, 7) for f in ALL]
     expected = [enumerate_motifs(ctx) for ctx in contexts]
     for f in ALL:
-        assert any(inv.by_family[f] for inv in expected), f
+        assert any(m.family is f for pool in expected for m in pool), f
     monkeypatch.setattr(FormalContext, "object_closure", forbidden)
     monkeypatch.setattr("ordmotif.enumeration.recognize", forbidden)
-    assert [enumerate_motifs(ctx).by_family for ctx in contexts] == [
-        inv.by_family for inv in expected
-    ]
+    assert [enumerate_motifs(ctx) for ctx in contexts] == expected
 
 
 def test_full_row_contexts_match_the_subset_oracle():
@@ -257,8 +267,8 @@ def test_enumerated_motifs_are_valid_and_unique():
     rng = Random(59)
     for _ in range(40):
         ctx, _ = clarify_objects(random_context(rng, 6, 5, rng.uniform(0.3, 0.7)))
-        inventory = enumerate_motifs(ctx)
-        for family, motifs in inventory.by_family.items():
+        for family in ALL:
+            motifs = enumerate_family(ctx, family)
             assert len(domains(motifs)) == len(motifs)
             for m in motifs:
                 assert m.family is family
@@ -338,38 +348,65 @@ def test_crowns_never_nest():
 
 
 @pytest.mark.parametrize(
-    "min_size,max_size",
-    [(lo, hi) for lo in (1, 2, 3) for hi in (1, 2, 3, None) if hi is None or lo <= hi],
+    "min_size,max_size,crown_cap",
+    [
+        pytest.param(lo, hi, DEFAULT_CROWN_SIZE_CAP, id=f"{lo}-{hi}")
+        for lo in (1, 2, 3)
+        for hi in (1, 2, 3, None)
+        if hi is None or lo <= hi
+    ]
+    + [pytest.param(2, None, 4, id="2-None-cap4")],
 )
-def test_nominal_search_marks_the_maximal_motifs(min_size, max_size):
-    # The inventory's maximal nominal list comes from the clique search in
-    # maximal mode at every size bound; the one-short rule on the full list
-    # and superset freedom must agree with it.
+def test_nominal_search_marks_the_maximal_motifs(min_size, max_size, crown_cap):
+    # Every family's maximal list, nominal's from the clique search in
+    # maximal mode at every size bound and the others' from the one-short
+    # rule, must equal that rule on the full list and superset freedom.
+    # The ``motifs`` command counts it with ``maximal_filter``, so both
+    # must agree; and a maximal pool joins the lists in family rank order.
     rng = Random(131)
     contexts = [random_corpus_item(rng) for _ in range(60)]
     contexts += [full_row_context(rng, 7 + i % 4) for i in range(8)]
     contexts += [with_shared_column(random_context(rng, 7 + i % 4, 6, 0.35)) for i in range(8)]
     contexts += [with_shared_column(build_scale(ScaleFamily.NOMINAL, 5))]
-    config = EnumerationConfig(min_size=min_size, max_size=max_size)
+    contexts += [crown_heavy_context(rng, 7 + i % 3) for i in range(4)]
+    config = EnumerationConfig(
+        families=tuple(reversed(ALL)),
+        min_size=min_size,
+        max_size=max_size,
+        crown_size_cap=crown_cap,
+    )
     capped = searched = 0
+    found_any = dict.fromkeys(ALL, 0)
     for ctx in contexts:
         ctx, _ = clarify_objects(ctx)
-        motifs = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
-        maximal = enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
-        assert by_size(maximal) == by_size(maximal_filter(motifs, ScaleFamily.NOMINAL)), ctx.rows
+        lists = {}
+        for family in ALL:
+            motifs = enumerate_family(ctx, family, config)
+            maximal = enumerate_family(ctx, family, config, maximal=True)
+            lists[family] = maximal
+            assert by_size(maximal) == by_size(maximal_filter(motifs, family)), (ctx.rows, family)
+            found = domains(motifs)
+            expected = {d for d in found if not any(d != e and set(d) <= set(e) for e in found)}
+            assert domains(maximal) == expected, (ctx.rows, family)
+            assert len(maximal) == len(expected)
+            found_any[family] += len(maximal)
+            if family is ScaleFamily.NOMINAL:
+                everything = domains(enumerate_family(ctx, family, EnumerationConfig(min_size=1)))
+                capped += sum(1 for d in expected if any(set(d) < set(e) for e in everything))
+        # Rank order, whatever order ``config`` names the families in.
+        assert enumerate_motifs(ctx, config, True) == [m for f in ALL for m in lists[f]]
+        assert enumerate_motifs(ctx, config) == [
+            m for f in ALL for m in enumerate_family(ctx, f, config)
+        ]
         searched += max_size is None or max_size >= len(ctx.objects)
-        found = domains(motifs)
-        expected = {d for d in found if not any(d != e and set(d) <= set(e) for e in found)}
-        assert domains(maximal) == expected, ctx.rows
-        assert len(maximal) == len(expected)
-        everything = domains(
-            enumerate_family(ctx, ScaleFamily.NOMINAL, EnumerationConfig(min_size=1))
-        )
-        capped += sum(1 for d in expected if any(set(d) < set(e) for e in everything))
-    # A size cap below the largest clique leaves maximal motifs that grow;
-    # singletons, with the full row, never do.
+    # A size cap below the largest clique leaves maximal nominal motifs
+    # that grow; singletons, with the full row, never do.
     assert (capped > 0) == (max_size in (2, 3))
     assert searched > 0
+    # Ordinal motifs of two objects or more need a full row, which few
+    # tables here hold, and crowns at least three objects.
+    big_enough = [f for f in ALL if max_size is None or max_size >= 3 or f is not CROWN]
+    assert all(found_any[f] for f in big_enough), found_any
 
 
 @pytest.mark.parametrize(
@@ -394,7 +431,7 @@ def test_maximal_nominal_list_matches_the_subset_oracle(min_size, max_size):
         expected = {
             d for d in found if not any(tuple(sorted(d + (g,))) in found for g in range(n))
         }
-        maximal = enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
+        maximal = enumerate_family(ctx, ScaleFamily.NOMINAL, config, maximal=True)
         assert len(maximal) == len(expected), ctx.rows
         assert domains(maximal) == expected, ctx.rows
         everything = subsets_oracle(ctx, ScaleFamily.NOMINAL, 1, n)
@@ -402,12 +439,12 @@ def test_maximal_nominal_list_matches_the_subset_oracle(min_size, max_size):
     assert (cut > 0) == (max_size is not None and max_size >= 2)
 
 
-def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
+def test_maximal_pool_lists_no_nominal_clique(monkeypatch, tmp_path, capsys):
     # A maximal pool runs the clique search once, in maximal mode, at every
-    # size bound, and enumerates no full nominal list; that list comes only
-    # when the stats ask for it, and the stats come out as the one-short
-    # rule on the full list gives. The search runs only where pairs fit
-    # under the size bound.
+    # size bound, and enumerates no full nominal list. The ``motifs``
+    # command runs it once, in full mode, and its stats come out as the
+    # one-short rule on the full list gives. The search runs only where
+    # pairs fit under the size bound.
     calls = []
     cliques = enumeration._cliques
 
@@ -431,20 +468,19 @@ def test_maximal_pool_lists_no_nominal_clique(monkeypatch):
         for config in configs:
             _, hi = config.bounds(ScaleFamily.NOMINAL, n)
             calls.clear()
-            inventory = enumerate_motifs(ctx, config)
-            pool = inventory.all_motifs(maximal_only=True)
+            pool = enumerate_motifs(ctx, config, maximal_only=True)
             assert calls == [(hi, True)] * (hi >= 2)
             nominal = [m for m in pool if m.family is ScaleFamily.NOMINAL]
-            assert nominal == inventory.maximal(ScaleFamily.NOMINAL)
+            assert nominal == enumerate_family(ctx, ScaleFamily.NOMINAL, config, maximal=True)
             calls.clear()
-            stats = motif_stats(inventory)
+            stats = motifs_stats(tmp_path / "context.cxt", capsys, ctx, config)
             assert calls == [(hi, False)] * (hi >= 2)
             full = enumerate_family(ctx, ScaleFamily.NOMINAL, config)
-            assert stats[ScaleFamily.NOMINAL] == (
-                len(full),
-                len(maximal_filter(full, ScaleFamily.NOMINAL)),
-                max((m.size for m in full), default=0),
-            )
+            assert stats["nominal"] == {
+                "total": len(full),
+                "maximal": len(maximal_filter(full, ScaleFamily.NOMINAL)),
+                "largest": max((m.size for m in full), default=0),
+            }
 
 
 def test_maximal_nominal_refuses_a_size_cut():
@@ -455,7 +491,7 @@ def test_maximal_nominal_refuses_a_size_cut():
 
     def maximal(max_size):
         config = EnumerationConfig(max_size=max_size)
-        return enumerate_motifs(ctx, config).maximal(ScaleFamily.NOMINAL)
+        return enumerate_family(ctx, ScaleFamily.NOMINAL, config, maximal=True)
 
     assert [m.domain for m in maximal(None)] == [(0, 1, 2, 3)]
     assert maximal(4) == maximal(None)

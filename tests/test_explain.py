@@ -137,7 +137,7 @@ def test_rendered_sentences_match_their_templates():
         ctx, clar = clarify_objects(
             random_context(rng, 5, 5, rng.uniform(0.3, 0.7))
         )
-        steps = greedy_cover(ctx, enumerate_motifs(ctx, config).all_motifs(), 6)
+        steps = greedy_cover(ctx, enumerate_motifs(ctx, config), 6)
         doc = explain_covering(ctx, steps, clarification=clar)
         for entry in doc.entries:
             paragraphs = entry.text.split("\n")
@@ -151,7 +151,7 @@ def test_rendered_sentences_match_their_templates():
 def test_entries_follow_selection_order():
     ctx = build_scale(ScaleFamily.INTERORDINAL, 3)
     steps = greedy_cover(
-        ctx, enumerate_motifs(ctx, EnumerationConfig()).all_motifs(), 5
+        ctx, enumerate_motifs(ctx, EnumerationConfig()), 5
     )
     doc = explain_covering(ctx, steps)
     assert [e.motif for e in doc.entries] == [s.motif for s in steps]
