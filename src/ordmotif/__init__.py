@@ -6,30 +6,23 @@ complete covering into a basis context, and render the result as text.
 """
 
 from .basis import IncompleteCoveringError, build_basis
-from .context import (
-    ClarificationMap,
-    FormalContext,
-    UnclarifiedObjectsError,
-    clarify_objects,
-)
+from .context import FormalContext, UnclarifiedObjectsError, clarify_objects
 from .covering import CoveringStep, HeuristicKind, greedy_cover
 from .dimension import scaling_dimension
 from .enumeration import EnumerationConfig, enumerate_motifs
-from .explain import ExplanationDoc, explain_covering
+from .explain import explain_covering, number_entries
 from .io import ParseError, load_context
 from .recognition import Motif, recognize, verify_full, verify_scale_measure
-from .scales import ScaleFamily, build_scale, scale_extents
+from .scales import ScaleFamily, build_scale
 
 __all__ = [
     "FormalContext",
-    "ClarificationMap",
     "clarify_objects",
     "UnclarifiedObjectsError",
     "ParseError",
     "load_context",
     "ScaleFamily",
     "build_scale",
-    "scale_extents",
     "Motif",
     "recognize",
     "verify_full",
@@ -39,8 +32,8 @@ __all__ = [
     "HeuristicKind",
     "CoveringStep",
     "greedy_cover",
-    "ExplanationDoc",
     "explain_covering",
+    "number_entries",
     "IncompleteCoveringError",
     "build_basis",
     "scaling_dimension",

@@ -1,9 +1,10 @@
 """Rebuilding a context from a complete motif covering.
 
 Each motif contributes one column over the original objects per extent
-of its scale (``scales.scale_extents``): the closure of its preimage
-under the witness, read off ``FormalContext.intent_ids()`` at the AND of
-the witness rows in the extent (every attribute for the empty one).
+of its built scale (``build_scale(...).extents()``): the closure of its
+preimage under the witness, read off ``FormalContext.intent_ids()`` at
+the AND of the witness rows in the extent (every attribute for the empty
+one).
 Columns for attribute extents keep the attribute's label; the remaining
 scale extents get starred labels. Attribute columns alone would not
 suffice: the closure of an intersection of preimages can be strictly
@@ -26,7 +27,7 @@ from typing import Sequence
 from .bitsets import bits
 from .context import FormalContext
 from .recognition import Motif
-from .scales import build_scale, scale_extents
+from .scales import build_scale
 
 
 class IncompleteCoveringError(ValueError):
@@ -46,7 +47,7 @@ def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContex
     columns: list[int] = []
     for number, motif in enumerate(motifs, start=1):
         scale = build_scale(motif.family, motif.size)
-        extras = sorted(set(scale_extents(motif.family, motif.size)) - set(scale.cols))
+        extras = sorted(set(scale.extents()) - set(scale.cols))
         labels.extend(f"{number}:{label}" for label in scale.attributes)
         labels.extend(f"{number}:*{j}" for j in range(1, len(extras) + 1))
         for e in (*scale.cols, *extras):

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .basis import IncompleteCoveringError, build_basis
 from .bitsets import bits
-from .context import ClarificationMap, FormalContext, clarify_objects, object_labels
+from .context import FormalContext, clarify_objects
 from .covering import CoveringStep, HeuristicKind, greedy_cover
 from .dimension import check_scale_specs, scaling_dimension
 from .enumeration import (
@@ -30,7 +30,7 @@ from .enumeration import (
     enumerate_motifs,
     maximal_filter,
 )
-from .explain import explain_covering
+from .explain import explain_covering, number_entries
 from .io import ParseError, load_context, to_burmeister
 from .recognition import Motif
 from .scales import ScaleFamily, build_scale
@@ -83,14 +83,15 @@ def _add_cover_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load(args: argparse.Namespace) -> tuple[FormalContext, Optional[ClarificationMap]]:
+def _load(args: argparse.Namespace) -> tuple[FormalContext, list[str]]:
+    """The context and its object names; a clarified object shows its merged labels "x/y"."""
     context = load_context(args.path)
     if args.transpose:
         context = context.transpose()
-    clarification = None
-    if args.clarify:
-        context, clarification = clarify_objects(context)
-    return context, clarification
+    if not args.clarify:
+        return context, list(context.objects)
+    context, groups = clarify_objects(context)
+    return context, ["/".join(group) for group in groups]
 
 
 def _config(args: argparse.Namespace) -> EnumerationConfig:
@@ -107,12 +108,11 @@ def _lines(lines: list[str]) -> str:
 
 
 def cmd_concepts(args: argparse.Namespace) -> Result:
-    context, clarification = _load(args)
+    context, labels = _load(args)
     extents = context.extents()
     payload: dict = {"command": "concepts", "count": len(extents)}
     lines = [f"{len(extents)} extents"]
     if args.list:
-        labels = object_labels(context, clarification)
         payload["extents"] = [[labels[g] for g in bits(e)] for e in extents]
         lines += ["{" + ", ".join(names) + "}" for names in payload["extents"]]
     return payload, _lines(lines)
@@ -134,7 +134,7 @@ def _stats_table(stats: dict[str, dict[str, int]]) -> str:
 
 
 def cmd_motifs(args: argparse.Namespace) -> Result:
-    context, clarification = _load(args)
+    context, labels = _load(args)
     config = _config(args)
     stats = {}
     listed: list[Motif] = []
@@ -146,7 +146,6 @@ def cmd_motifs(args: argparse.Namespace) -> Result:
         listed += maximal if args.maximal_only else motifs
     payload: dict = {"command": "motifs", "stats": stats}
     if args.json:
-        labels = object_labels(context, clarification)
         # The searches emit in their own order; only this listing sorts.
         payload["motifs"] = [
             {"family": str(m.family), "domain": [labels[g] for g in m.domain]}
@@ -155,13 +154,11 @@ def cmd_motifs(args: argparse.Namespace) -> Result:
     return payload, _stats_table(stats)
 
 
-def _run_cover(
-    args: argparse.Namespace,
-) -> tuple[FormalContext, Optional[ClarificationMap], list[CoveringStep]]:
-    context, clarification = _load(args)
+def _run_cover(args: argparse.Namespace) -> tuple[FormalContext, list[str], list[CoveringStep]]:
+    context, labels = _load(args)
     motifs = _enumerate(args, context)
     steps = greedy_cover(context, motifs, args.k, HeuristicKind(args.heuristic))
-    return context, clarification, steps
+    return context, labels, steps
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -172,8 +169,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_cover(args: argparse.Namespace) -> Result:
-    context, clarification, steps = _run_cover(args)
-    labels = object_labels(context, clarification)
+    context, labels, steps = _run_cover(args)
     total = len(context.extents())
     picks = [
         {
@@ -217,24 +213,23 @@ def cmd_cover(args: argparse.Namespace) -> Result:
 
 
 def cmd_explain(args: argparse.Namespace) -> Result:
-    context, clarification, steps = _run_cover(args)
-    doc = explain_covering(context, steps, clarification=clarification)
-    labels = object_labels(context, clarification)
+    _, labels, steps = _run_cover(args)
+    texts = explain_covering(steps, labels)
     payload = {
         "command": "explain",
         "heuristic": args.heuristic,
         "entries": [
             {
-                "text": e.text,
-                "family": str(e.motif.family),
-                "families_rendered": [str(f) for f in e.families_rendered],
-                "domain": [labels[g] for g in e.motif.domain],
+                "text": text,
+                "family": str(s.motif.family),
+                "families_rendered": [str(f) for f in s.families],
+                "domain": [labels[g] for g in s.motif.domain],
                 "tie_count": s.tie_count,
             }
-            for e, s in zip(doc.entries, steps)
+            for text, s in zip(texts, steps)
         ],
     }
-    return payload, doc.to_text() + "\n"
+    return payload, number_entries(texts) + "\n"
 
 
 def cmd_basis(args: argparse.Namespace) -> Result:

@@ -11,7 +11,6 @@ each by its intent, so any closure is one intent and one lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
@@ -25,20 +24,6 @@ class UnclarifiedObjectsError(ValueError):
             f"objects {first!r} and {second!r} have identical rows; clarify first"
         )
         self.pair = (first, second)
-
-
-@dataclass(frozen=True)
-class ClarificationMap:
-    """Maps each kept object index to the labels it absorbed.
-
-    ``groups[g]`` lists the original labels merged into clarified object ``g``,
-    representative first. The groups partition the original object list.
-    """
-
-    groups: dict[int, tuple[str, ...]]
-
-    def label(self, g: int) -> str:
-        return "/".join(self.groups[g])
 
 
 class FormalContext:
@@ -235,13 +220,6 @@ def link_table(rows: Sequence[int], cols: Sequence[int]) -> dict[int, dict]:
     return table
 
 
-def object_labels(context: FormalContext, clarification: ClarificationMap | None) -> list[str]:
-    """Object names for output; a clarified object shows its merged labels "x/y"."""
-    if clarification is None:
-        return list(context.objects)
-    return [clarification.label(g) for g in range(len(context.objects))]
-
-
 def require_clarified(context: FormalContext, objects: Iterable[int]) -> None:
     """Raise :class:`UnclarifiedObjectsError` unless the given objects' rows all differ."""
     seen: dict[int, int] = {}
@@ -254,25 +232,19 @@ def require_clarified(context: FormalContext, objects: Iterable[int]) -> None:
         seen[row] = g
 
 
-def clarify_objects(context: FormalContext) -> tuple[FormalContext, ClarificationMap]:
+def clarify_objects(context: FormalContext) -> tuple[FormalContext, list[tuple[str, ...]]]:
     """Merge objects with identical rows, keeping the first of each group.
 
-    Returns the clarified context together with a map from new object index
-    to the tuple of original labels it represents.
+    Returns the clarified context and its groups: ``groups[g]`` lists the
+    original labels merged into object ``g``, its own label first. The
+    groups partition the original object list.
     """
-    order: list[int] = []
-    members: dict[int, list[str]] = {}
-    first_at: dict[int, int] = {}
+    groups: dict[int, list[str]] = {}
     for g, row in enumerate(context.rows):
-        if row not in first_at:
-            first_at[row] = len(order)
-            order.append(g)
-            members[first_at[row]] = []
-        members[first_at[row]].append(context.objects[g])
+        groups.setdefault(row, []).append(context.objects[g])
     clarified = FormalContext.from_rows(
-        tuple(context.objects[g] for g in order),
+        tuple(labels[0] for labels in groups.values()),
         context.attributes,
-        tuple(context.rows[g] for g in order),
+        tuple(groups),
     )
-    groups = {i: tuple(labels) for i, labels in members.items()}
-    return clarified, ClarificationMap(groups)
+    return clarified, [tuple(labels) for labels in groups.values()]

@@ -6,9 +6,10 @@ a preimage is the AND of its objects' rows (every attribute for the empty
 set), and the context's ``intent_ids()`` table names the extent with that
 intent: the preimage's closure. ``covered_extents`` covers the whole pool
 in one pass, writing each family's ANDs in closed form on the motif's
-witness. They are the extents of ``scales.scale_extents``, which the
-basis reads, written over rows instead of object bits; the tests pin
-them to the preimages of each built scale's brute-force extents.
+witness. This is the package's one closed form of the scale extent
+systems; the basis reads a built scale's ``extents()`` instead, and the
+tests pin these ANDs to the preimages of each built scale's brute-force
+extents.
 
 The standard heuristic picks the largest marginal gain per step; the
 normalized one divides the gain by the motif's own extent count, which

@@ -8,10 +8,8 @@ several families gets one paragraph per family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .context import ClarificationMap, FormalContext, object_labels
 from .covering import CoveringStep
 from .recognition import Motif
 from .scales import ScaleFamily
@@ -63,47 +61,15 @@ def render_motif(motif: Motif, labels: Sequence[str]) -> str:
     return TEMPLATES[motif.family].format(names=join_names(names))
 
 
-@dataclass(frozen=True)
-class ExplanationEntry:
-    """One covering step rendered as text, one paragraph per realized family."""
-
-    text: str
-    motif: Motif
-    families_rendered: tuple[ScaleFamily, ...]
-
-
-@dataclass(frozen=True)
-class ExplanationDoc:
-    entries: tuple[ExplanationEntry, ...]
-
-    def to_text(self) -> str:
-        """Numbered list; extra paragraphs of an entry follow unnumbered."""
-        lines: list[str] = []
-        for i, entry in enumerate(self.entries, 1):
-            first, *rest = entry.text.split("\n")
-            lines.append(f"{i}. {first}")
-            lines.extend(rest)
-        return "\n".join(lines)
-
-
-def explain_covering(
-    context: FormalContext,
-    steps: Sequence[CoveringStep],
-    clarification: Optional[ClarificationMap] = None,
-) -> ExplanationDoc:
-    """Render greedy covering steps in selection order.
+def explain_covering(steps: Sequence[CoveringStep], labels: Sequence[str]) -> list[str]:
+    """One text per greedy covering step, in selection order.
 
     Each step's witnesses give one paragraph per realized family, each in
-    that family's own witness order. Clarified objects show merged labels.
+    that family's own witness order; object ``g`` is named ``labels[g]``.
     """
-    labels = object_labels(context, clarification)
-    return ExplanationDoc(
-        tuple(
-            ExplanationEntry(
-                "\n".join(render_motif(w, labels) for w in step.witnesses),
-                step.motif,
-                step.families,
-            )
-            for step in steps
-        )
-    )
+    return ["\n".join(render_motif(w, labels) for w in step.witnesses) for step in steps]
+
+
+def number_entries(texts: Sequence[str]) -> str:
+    """Numbered list; extra paragraphs of an entry follow unnumbered."""
+    return "\n".join(f"{i}. {text}" for i, text in enumerate(texts, 1))

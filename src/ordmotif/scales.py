@@ -8,15 +8,13 @@ The five families live on the ground set [n] = {1, ..., n}:
 * contranominal  ([n], [n], !=)
 * crown          ([n], [n], J) with a J b iff a = b, b = a + 1, or (a, b) = (n, 1)
 
-``scale_extents`` writes each family's extents over scale-object bits for
-the basis; ``covering.covered_extents`` writes them over rows, inline.
+Each family's extents have one closed form, written over rows inline in
+``covering.covered_extents``; the basis reads a built scale's ``extents()``.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
-from operator import or_
 
 from .context import FormalContext
 
@@ -95,26 +93,3 @@ def column_count(family: ScaleFamily, n: int) -> int:
     """Number of attributes of ``build_scale(family, n)``."""
     return 2 * n if family is ScaleFamily.INTERORDINAL else n
 
-
-def scale_extents(family: ScaleFamily, n: int) -> list[int]:
-    """Extent system of ``build_scale(family, n)``; bit i stands for scale object i + 1.
-
-    Ordinal: the prefixes. Interordinal: the empty set from two objects on,
-    then the intervals. Contranominal: every subset, subset k at index k.
-    Nominal: the empty set, the singletons and the whole set (just the
-    whole set at n = 1). Crown: the empty and whole sets, the singletons
-    and the cycle pairs.
-    """
-    check_scale_size(family, n)
-    atoms = [1 << i for i in range(n)]
-    whole = (1 << n) - 1
-    if family is ScaleFamily.ORDINAL:
-        return list(accumulate(atoms, or_))
-    if family is ScaleFamily.INTERORDINAL:
-        intervals = [p for i in range(n) for p in accumulate(atoms[i:], or_)]
-        return intervals if n == 1 else [0, *intervals]
-    if family is ScaleFamily.CONTRANOMINAL:
-        return list(range(1 << n))
-    if family is ScaleFamily.NOMINAL:
-        return [whole] if n == 1 else [0, *atoms, whole]
-    return [0, whole, *atoms, *map(or_, atoms, atoms[1:] + atoms[:1])]

@@ -291,13 +291,11 @@ def test_criterion_7_explanation_goldens():
     config = EnumerationConfig(min_size=2)
     rendered = 0
     for _ in range(20):
-        ctx, clar = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))
+        ctx, groups = clarify_objects(random_context(rng, 5, 5, rng.uniform(0.3, 0.7)))
         steps = greedy_cover(ctx, enumerate_motifs(ctx, config), 6)
-        doc = explain_covering(ctx, steps, clarification=clar)
-        for entry in doc.entries:
-            for family, paragraph in zip(
-                entry.families_rendered, entry.text.split("\n")
-            ):
+        texts = explain_covering(steps, ["/".join(group) for group in groups])
+        for step, text in zip(steps, texts):
+            for family, paragraph in zip(step.families, text.split("\n")):
                 assert patterns[family].fullmatch(paragraph), paragraph
                 rendered += 1
     assert rendered >= 30

@@ -217,10 +217,10 @@ def test_clarification():
     )
     with pytest.raises(UnclarifiedObjectsError):
         require_clarified(dup, range(3))
-    clarified, cmap = clarify_objects(dup)
+    clarified, groups = clarify_objects(dup)
     assert clarified.objects == ("a", "b")
-    assert cmap.groups == {0: ("a", "a2"), 1: ("b",)}
-    assert cmap.label(0) == "a/a2"
+    assert groups == [("a", "a2"), ("b",)]
+    assert "/".join(groups[0]) == "a/a2"
     assert set(clarified.extents()) <= {0b00, 0b01, 0b10, 0b11}
     require_clarified(clarified, range(2))
 

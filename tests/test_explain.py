@@ -4,7 +4,6 @@ from random import Random
 import pytest
 
 from ordmotif import (
-    ClarificationMap,
     EnumerationConfig,
     FormalContext,
     Motif,
@@ -14,8 +13,8 @@ from ordmotif import (
     enumerate_motifs,
     explain_covering,
     greedy_cover,
+    number_entries,
 )
-from ordmotif.context import object_labels
 from ordmotif.explain import TEMPLATES, join_names, render_motif
 
 from oracles import random_context
@@ -87,39 +86,37 @@ def test_out_of_range_index_rejected():
 
 
 def test_clarified_groups_render_merged_labels():
-    ctx = FormalContext(["water", "wine"], ["cold", "red"], [[1, 0], [0, 1]])
-    clar = ClarificationMap({0: ("water", "rain"), 1: ("wine",)})
+    raw = FormalContext(["water", "wine", "rain"], ["cold", "red"], [[1, 0], [0, 1], [1, 0]])
+    _, groups = clarify_objects(raw)
     motif = Motif(ScaleFamily.NOMINAL, (0, 1))
-    text = render_motif(motif, object_labels(ctx, clar))
+    text = render_motif(motif, ["/".join(group) for group in groups])
     assert text.startswith("The elements water/rain and wine are incomparable")
 
 
 def test_dual_motif_renders_both_paragraphs():
     steps = greedy_cover(B3, [Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))], 1)
-    doc = explain_covering(B3, steps)
-    assert len(doc.entries) == 1
-    entry = doc.entries[0]
-    assert entry.families_rendered == (
+    texts = explain_covering(steps, B3.objects)
+    assert len(texts) == 1
+    assert steps[0].families == (
         ScaleFamily.CONTRANOMINAL,
         ScaleFamily.CROWN,
     )
-    combination, cycle = entry.text.split("\n")
+    combination, cycle = texts[0].split("\n")
     assert combination.startswith("Each combination of the elements 1, 2 and 3")
     assert "closed cycle from 1 over 2 and 3 back to 1" in cycle
 
 
 def test_doc_numbering_keeps_continuations_unnumbered():
     steps = greedy_cover(B3, [Motif(ScaleFamily.CONTRANOMINAL, (0, 1, 2))], 1)
-    doc = explain_covering(B3, steps)
-    lines = doc.to_text().split("\n")
+    lines = number_entries(explain_covering(steps, B3.objects)).split("\n")
     assert lines[0].startswith("1. Each combination")
     assert lines[1].startswith("The elements")
 
 
 def test_empty_covering_renders_empty_doc():
-    doc = explain_covering(B3, [])
-    assert doc.entries == ()
-    assert doc.to_text() == ""
+    texts = explain_covering([], B3.objects)
+    assert texts == []
+    assert number_entries(texts) == ""
 
 
 def _pattern(template: str) -> re.Pattern[str]:
@@ -134,15 +131,15 @@ def test_rendered_sentences_match_their_templates():
     config = EnumerationConfig(min_size=2)
     rendered = 0
     for _ in range(25):
-        ctx, clar = clarify_objects(
+        ctx, groups = clarify_objects(
             random_context(rng, 5, 5, rng.uniform(0.3, 0.7))
         )
         steps = greedy_cover(ctx, enumerate_motifs(ctx, config), 6)
-        doc = explain_covering(ctx, steps, clarification=clar)
-        for entry in doc.entries:
-            paragraphs = entry.text.split("\n")
-            assert len(paragraphs) == len(entry.families_rendered)
-            for family, paragraph in zip(entry.families_rendered, paragraphs):
+        texts = explain_covering(steps, ["/".join(group) for group in groups])
+        for step, text in zip(steps, texts, strict=True):
+            paragraphs = text.split("\n")
+            assert len(paragraphs) == len(step.families)
+            for family, paragraph in zip(step.families, paragraphs):
                 assert _pattern(TEMPLATES[family]).fullmatch(paragraph)
                 rendered += 1
     assert rendered >= 40
@@ -153,6 +150,8 @@ def test_entries_follow_selection_order():
     steps = greedy_cover(
         ctx, enumerate_motifs(ctx, EnumerationConfig()), 5
     )
-    doc = explain_covering(ctx, steps)
-    assert [e.motif for e in doc.entries] == [s.motif for s in steps]
-    assert doc.to_text() == explain_covering(ctx, steps).to_text()
+    texts = explain_covering(steps, ctx.objects)
+    assert texts == [
+        "\n".join(render_motif(w, ctx.objects) for w in s.witnesses) for s in steps
+    ]
+    assert number_entries(texts) == number_entries(explain_covering(steps, ctx.objects))

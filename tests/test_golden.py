@@ -25,10 +25,15 @@ built the extents, before they became the intersections of the columns.
 The spices-scale table is ``random_context(Random(3), 37, 56, 0.19)``
 clarified, 37 objects and 494 extents, pinned before crowns were walked
 on the context's meet-link table. The basis of it and of the crown
-tables was pinned before the basis read its columns off ``scale_extents``
-with no second shape form. Its maximal motifs (``motifs``) were pinned
+tables was pinned before the basis read its columns off one closed form
+per family, and still holds now that it reads them off each built
+scale's ``extents()``. Its maximal motifs (``motifs``) were pinned
 before the maximal nominal list came from a pivoting maximal-clique
-search instead of the full clique list.
+search instead of the full clique list. The duplicated-row tables are
+the only ones written unclarified; ``--clarify`` merges their objects,
+so they pin the merged "x/y" labels of ``explain --json`` and
+``concepts --list --json``. They were taken while a clarification map
+and an explanation document still carried the labels and texts.
 To regenerate after a deliberate output change, print ``_digest(...)``
 for every case below and paste the results.
 """
@@ -38,7 +43,7 @@ from random import Random
 
 import pytest
 
-from ordmotif import clarify_objects
+from ordmotif import FormalContext, clarify_objects
 from ordmotif.cli import main
 from ordmotif.io import to_burmeister
 
@@ -58,6 +63,8 @@ COMMANDS = {
     "motifs-top-min1": ["motifs", "--json", "--maximal-only", "--min-size", "1"],
     "motifs-top-max3": ["motifs", "--json", "--maximal-only", "--max-size", "3"],
     "crowns": ["motifs", "--json", "--families", "crown", "--crown-cap", "12"],
+    "explain-clarify": ["explain", "--json", "--clarify"],
+    "concepts-clarify": ["concepts", "--list", "--json", "--clarify"],
 }
 
 GOLDEN = {
@@ -205,3 +212,42 @@ def spices_path(tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(SPICES_GOLDEN))
 def test_spices_scale_output_is_pinned(capsys, spices_path, command):
     assert _digest(capsys, command, spices_path) == SPICES_GOLDEN[command]
+
+
+# Tables written unclarified, so ``--clarify`` merges objects and the
+# output names them "x/y": the explanation's sentences and domains, and
+# every extent of the listing.
+DUPLICATED_GOLDEN = {
+    (1, "explain-clarify"): "057acc39a3c01e2d73c6fa69e5bc2d2a0c0ba0c18c085c838da7e2c5b6babad3",
+    (1, "concepts-clarify"): "cfc89dab96af3076fc3d66ab066d43dbe856ed93d961dbf3d50c91fd3960fe79",
+    (2, "explain-clarify"): "7a621ad82708e0a7f9248f7f2c756215cd29e43a4cd7325b6194a4abbdacf7c5",
+    (2, "concepts-clarify"): "167786566810793d2dada7598c0536df927e3b56abc17126d16866ef0c9579c8",
+    (3, "explain-clarify"): "6934b8237bde295a4145c22da262577e4cdd2923183b6404d3758434515d756a",
+    (3, "concepts-clarify"): "089f6e07f79fd7be4608aba1366b7b71fd8a13995996e636fc9cfcffff9970fc",
+}
+
+
+def _duplicated_table(seed: int) -> FormalContext:
+    """``random_context(Random(seed), 12, 10, 0.35)`` with four copied rows.
+
+    Each copy, labelled ``d1`` to ``d4``, goes to a random position, so
+    it may come before the row it copies and lead its merged label.
+    """
+    rng = Random(seed)
+    base = random_context(rng, 12, 10, 0.35)
+    objects, rows = list(base.objects), list(base.rows)
+    for i in range(4):
+        row = rows[rng.randrange(len(rows))]
+        at = rng.randrange(len(rows) + 1)
+        objects.insert(at, f"d{i + 1}")
+        rows.insert(at, row)
+    return FormalContext.from_rows(objects, base.attributes, rows)
+
+
+@pytest.mark.parametrize("seed,command", sorted(DUPLICATED_GOLDEN))
+def test_clarified_labels_are_pinned(capsys, tmp_path, seed, command):
+    context = _duplicated_table(seed)
+    assert len(clarify_objects(context)[0].objects) < len(context.objects)
+    path = tmp_path / "duplicated.cxt"
+    path.write_text(to_burmeister(context), encoding="utf-8")
+    assert _digest(capsys, command, path) == DUPLICATED_GOLDEN[seed, command]

@@ -6,7 +6,6 @@ from ordmotif import (
     FormalContext,
     ScaleFamily,
     build_scale,
-    scale_extents,
 )
 from ordmotif.dimension import MAX_COLUMN_SCANS
 from ordmotif.scales import (
@@ -15,7 +14,6 @@ from ordmotif.scales import (
 )
 
 from oracles import (
-    brute_force_extents,
     expected_extent_count,
     induced_subcontext,
     oracle_scale,
@@ -100,20 +98,7 @@ def test_size_below_minimum_rejected():
     with pytest.raises(ValueError):
         build_scale(ScaleFamily.NOMINAL, 0)
     with pytest.raises(ValueError):
-        scale_extents(ScaleFamily.CROWN, 2)
-    with pytest.raises(ValueError):
         expected_extent_count(ScaleFamily.CROWN, 2)
-
-
-def test_scale_extents_closed_form_matches_brute_force():
-    for f in ALL:
-        for n in sizes(f):
-            expected = brute_force_extents(build_scale(f, n))
-            got = scale_extents(f, n)
-            assert len(got) == len(set(got))
-            assert set(got) == expected
-    for n in range(1, 9):
-        assert scale_extents(ScaleFamily.CONTRANOMINAL, n) == list(range(2**n))
 
 
 def test_expected_extent_count_matches_built_scale():
