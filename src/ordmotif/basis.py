@@ -35,7 +35,6 @@ class IncompleteCoveringError(ValueError):
 
     def __init__(self, uncovered: int):
         super().__init__(f"covering misses {uncovered} extents")
-        self.uncovered = uncovered
 
 
 def build_basis(context: FormalContext, motifs: Sequence[Motif]) -> FormalContext:

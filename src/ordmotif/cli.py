@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .basis import IncompleteCoveringError, build_basis
+from .basis import build_basis
 from .bitsets import bits
 from .context import FormalContext, clarify_objects
 from .covering import CoveringStep, HeuristicKind, greedy_cover
@@ -31,7 +31,7 @@ from .enumeration import (
     maximal_filter,
 )
 from .explain import explain_covering, number_entries
-from .io import ParseError, load_context, to_burmeister
+from .io import load_context, to_burmeister
 from .recognition import Motif
 from .scales import ScaleFamily, build_scale
 
@@ -361,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
         elif text is not None:
             print(text, end="")
-    except (OSError, ParseError, IncompleteCoveringError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -23,7 +23,6 @@ class UnclarifiedObjectsError(ValueError):
         super().__init__(
             f"objects {first!r} and {second!r} have identical rows; clarify first"
         )
-        self.pair = (first, second)
 
 
 class FormalContext:

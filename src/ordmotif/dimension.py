@@ -16,68 +16,69 @@ exact search bounded by cardinality: it branches only on the maps' sets
 holding the least uncovered irreducible, and stops once d sets of the
 largest size are too few for what is left.
 
-Three exact cuts spare the search work whose answer is known:
+Three exact cuts spare the search work whose answer is known. Measures
+onto a scale depend only on its extents (Ganter, Hanika & Hirth,
+"Scaling Dimension", ICFCA 2023), so the cuts key on the family
+:func:`recognize` finds for all the scale's objects, clarified first if
+two rows are equal:
 
-* Chain-shaped scales are walked over extents. A scale with objects T is
-  *chain-shaped* when every column is T, a member of a chain
-  C_1 < ... < C_c of distinct, proper, nonempty sets, or, in the
-  *complemented* shape, T minus some C_i, with every such complement a
-  column. Ordinal scales have the plain shape and ``interordinal:n`` the
-  complemented one with c = n - 1. A measure pulls the C_i back to a
-  nondecreasing chain A_1 <= ... <= A_c of extents, and in the
-  complemented shape each G minus A_i must be an extent too. Every such
-  chain is realized: send g to an object of C_i outside C_(i-1) for the
-  least i with g in A_i, or to an object outside C_c when no A_i holds
-  g. Then C_i pulls back to A_i, T minus C_i to G minus A_i, and T to G.
-  A shorter chain is padded by repeats, so the coverage sets are the
-  irreducibles met by chains of at most c distinct extents, and only the
-  extents that meet one matter: in the plain shape the irreducibles
-  themselves, in the complemented one the extents E with G minus E an
-  extent and E or G minus E irreducible. The plain shape always realizes
-  the chain G, ..., G; the complemented one realizes some chain only if
-  some extent's complement is an extent.
-* Chain scales are answered by width. A *chain scale* has the plain
-  shape, and its *capacity* is c, its distinct columns other than T.
-  With no irreducible at all, one map that pulls every column back to G
-  suffices. So when every scale is a chain scale and the longest chain
-  of irreducibles fits the largest capacity, the dimension is the least
+* Ordinal and interordinal scales are walked over extents. On either, of
+  n objects T, the prefixes C_1 < ... < C_c (c = n - 1) are distinct,
+  proper and nonempty, and the extents are the intersections of T and
+  the C_i, in the interordinal, *complemented*, case also of each T
+  minus C_i. A measure pulls the C_i back to a nondecreasing chain
+  A_1 <= ... <= A_c of extents, and in the complemented case each G
+  minus A_i must be an extent too. Every such chain is realized: send g
+  to an object of C_i outside C_(i-1) for the least i with g in A_i, or
+  to an object outside C_c when no A_i holds g. Then C_i pulls back to
+  A_i, T minus C_i to G minus A_i, and T to G. A shorter chain is padded
+  by repeats, so the coverage sets are the irreducibles met by chains of
+  at most c distinct extents, and only the extents that meet one
+  matter: the irreducibles themselves, or in the complemented case the
+  extents E with G minus E an extent and E or G minus E irreducible.
+  Ordinal scales always realize the chain G, ..., G; interordinal ones
+  realize some chain only if some extent's complement is an extent.
+* Ordinal scales are answered by width, c being the *capacity*. With no
+  irreducible at all, one map that pulls every column back to G
+  suffices. So when every scale is ordinal and the longest chain of
+  irreducibles fits the largest capacity, the dimension is the least
   number of chains covering the irreducibles, at least 1: by Dilworth's
   theorem their width, the irreducibles minus a maximum matching on
-  strict inclusion (Fulkerson 1956; Ganter, Hanika & Hirth, "Scaling
-  Dimension", ICFCA 2023).
-* The map search grows one map per orbit of the scale's automorphisms.
-  An automorphism permutes the scale's columns, so composed with a map
-  it keeps the preimage family, measure or not. Once the first objects
-  are assigned, an automorphism fixing every used scale object carries
-  the maps sending the next object to t onto those sending it to t's
-  image, with the same partial preimages, so only one scale object per
-  orbit of that pointwise stabilizer is tried, and by induction every
-  measure has a grown image (isomorph rejection along a stabilizer chain;
-  McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
-  A used object is fixed, hence always tried. On a crown, a cycle of n
-  pairs, the automorphisms are its rotations and reflections: the first
-  object goes to cycle position 0 only. While every used object lies
-  in {0, n/2} (n/2 only for even n), the reflection through 0 still
-  fixes them and pairs position i with n - i, so positions 0..n//2 are
-  tried; once another object is used, only the identity fixes them. On
-  a nominal or contranominal scale every permutation is an
-  automorphism, so the unused objects form one orbit and only the least
-  of them is tried.
-  Any other scale tries every object.
+  strict inclusion (Fulkerson 1956).
+* The map search grows one map per orbit of the scale automorphisms that
+  permute its columns: composed with a map, one keeps the preimage
+  family, measure or not. Once the first objects are assigned, one
+  fixing every used scale object carries the maps sending the next
+  object to t onto those sending it to t's image, with the same partial
+  preimages, so only one scale object per orbit of that pointwise
+  stabilizer is tried, and by induction every measure has a grown image
+  (isomorph rejection along a stabilizer chain; McKay, "Isomorph-free
+  exhaustive generation", J. Algorithms 1998). A used object is fixed,
+  hence always tried. The column sizes name the family to ask: pairs a
+  crown, singletons nominal, all objects but one contranominal. Once
+  recognized, the columns are the family's meet-irreducible extents,
+  which every automorphism permutes. On a crown, a cycle of n pairs,
+  these are its rotations and reflections: the first object goes to
+  position 0 of the witness only. While every used object lies in
+  {0, n/2} (n/2 only for even n), the reflection through 0 still fixes
+  them and pairs position i with n - i, so positions 0..n//2 are tried;
+  after that, only the identity does. On a nominal or contranominal
+  scale every permutation is an automorphism, so the unused objects form
+  one orbit and only the least of them is tried. Any other scale tries
+  every object.
 
 Crowns, nominal and contranominal scales of three or more objects, and
-any scale the shape test misses keep the map search.
+any scale recognized as neither ordinal nor interordinal, keep the map
+search.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_, or_
 from typing import Callable, Sequence
 
 from .bitsets import bits, mask_of
-from .context import FormalContext
-from .recognition import recognize
+from .context import FormalContext, clarify_objects
+from .recognition import Motif, recognize
 from .scales import ScaleFamily, check_scale_size, column_count
 
 MAX_OBJECTS = 8
@@ -97,17 +98,19 @@ def check_scale_specs(
     """Refuse a search before any of its ``(family, size)`` scales is built.
 
     Each size must be valid for its family and the context must pass
-    :func:`check_object_count`. The map search runs on crowns and on
-    nominal and contranominal scales of three or more objects, and the
-    first grown map of such a scale ``S`` already scans its
-    ``|S| * |M_S|`` columns. One count spans all scales, so the sum over
-    these scales must stay within ``MAX_COLUMN_SCANS``.
+    :func:`check_object_count`. :func:`recognize` finds a built scale of
+    one or two objects ordinal or interordinal, so the map search runs on
+    crowns and on nominal and contranominal scales of three or more
+    objects, and the first grown map of such a scale ``S`` already scans
+    its ``|S| * |M_S|`` columns. One count spans all scales, so the sum
+    over these scales must stay within ``MAX_COLUMN_SCANS``.
 
-    Returns the specs to build. The other scales are chain-shaped and
-    walked over chains of distinct extents, which have at most
-    ``n_objects + 1`` members. So an ordinal or interordinal scale of
-    more than ``n_objects + 2`` objects gives the same answer on the same
-    column scan count as one of that size, which is built instead.
+    Returns the specs to build. The other scales are recognized as
+    ordinal or interordinal and walked over chains of distinct extents,
+    which have at most ``n_objects + 1`` members. So an ordinal or
+    interordinal scale of more than ``n_objects + 2`` objects gives the
+    same answer on the same column scan count as one of that size, which
+    is built instead.
     """
     for family, n in specs:
         check_scale_size(family, n)
@@ -158,53 +161,44 @@ def _spend(spent: list[int], scans: int) -> None:
         )
 
 
-def _cycle_shape(scale: FormalContext) -> list[int] | None:
-    """The cyclic order of a crown-shaped scale's objects, else ``None``.
+def _symmetric_motif(scale: FormalContext) -> Motif | None:
+    """The crown, nominal or contranominal scale ``recognize`` finds on all objects, else ``None``.
 
-    A scale is crown-shaped when it has at least three objects, every
-    column is a pair and the distinct pairs form one cycle through all
-    objects, so relabeled crowns qualify. No column then holds every
-    object, so the pairs are the crown rule's links, and the order is the
-    witness of :func:`recognize`: 0, its smaller neighbour and on, so
-    ``build_scale(CROWN, n)`` gives 0, 1, ..., n - 1. Equal rows lie in
-    the same columns, which no cycle allows: ``None``, not an error.
+    Only the family the column sizes name is asked (the third cut of the
+    module docstring); a later key wins, so a 3-crown, also contranominal
+    3, is a crown. Equal rows answer ``None``, not an error. A crown's
+    witness is its cycle order from 0 towards its smaller neighbour:
+    0, 1, ..., n - 1 on ``build_scale(CROWN, n)``.
     """
     n = len(scale.rows)
-    if n < 3 or any(c.bit_count() != 2 for c in scale.cols) or len(set(scale.rows)) < n:
+    sizes = {c.bit_count() for c in scale.cols}
+    families = {1: ScaleFamily.NOMINAL, n - 1: ScaleFamily.CONTRANOMINAL, 2: ScaleFamily.CROWN}
+    family = families.get(sizes.pop()) if len(sizes) == 1 else None
+    if family is None or len(set(scale.rows)) < n:
         return None
-    crown = recognize(scale, range(n), ScaleFamily.CROWN)
-    return None if crown is None else list(crown.domain)
+    return recognize(scale, range(n), family)
 
 
 def _orbit_rule(scale: FormalContext) -> Callable[[int], int]:
     """The scale objects to try next, as a mask, given the used ones.
 
     One object per orbit of the automorphisms that fix every used object
-    (the third cut of the module docstring):
-
-    * a crown (:func:`_cycle_shape`) tries cycle position 0 first, then
-      positions 0..n//2 while every used object lies in {0, n/2} (n/2
-      only for even n), and then every object;
-    * a nominal or contranominal scale (every column a singleton, or all
-      objects but one, and each object in, or left out of, some column)
-      tries the used objects and the least unused one;
-    * any other scale tries every object.
+    (the third cut of the module docstring): on a crown, cycle position
+    0, then positions 0..n//2 while every used object lies in {0, n/2},
+    then every object; on a nominal or contranominal scale, the used
+    objects and the least unused one; on any other scale, every object.
     """
     everything = scale.object_mask
-    order = _cycle_shape(scale)
-    if order is not None:
-        n = len(order)
+    motif = _symmetric_motif(scale)
+    if motif is None:
+        return lambda used: everything
+    if motif.family is ScaleFamily.CROWN:
+        order, n = motif.domain, motif.size
         first = 1 << order[0]
         mirror = first | 1 << order[n // 2] if n % 2 == 0 else first
         half = mask_of(order[: n // 2 + 1])
         return lambda used: everything if used & ~mirror else half if used else first
-    sizes = {c.bit_count() for c in scale.cols}
-    if (
-        sizes == {1} and reduce(or_, scale.cols) == everything
-        or sizes == {len(scale.rows) - 1} and reduce(and_, scale.cols) == 0
-    ):
-        return lambda used: used | ~used & (used + 1)
-    return lambda used: everything
+    return lambda used: used | ~used & (used + 1)
 
 
 def _measure_coverages(
@@ -279,59 +273,31 @@ def _measure_coverages(
 
 
 def _chain_shape(scale: FormalContext) -> tuple[int, bool] | None:
-    """``(|C|, complemented)`` for a chain-shaped scale, else ``None``.
+    """``(n - 1, complemented)`` for an ordinal or interordinal scale of n objects, else ``None``.
 
-    Every column must be the scale's object set T or a member of a chain
-    C of distinct, proper, nonempty sets (the plain shape), or else also
-    T minus a member of C, with every member's complement a column (the
-    complemented shape). ``None`` for a scale without objects. The test
-    is conservative: a scale it misses is still measured by the map
-    search. In the complemented shape C and its complements swap roles,
-    and the smallest proper column is a least member of one of them, so C
-    is taken as the columns sharing that column's first object.
+    The family is the first of the two that :func:`recognize` finds on
+    all objects, clarified first if two rows are equal; ``complemented``
+    says interordinal. A scale without objects answers ``None``.
     """
-    top = scale.object_mask
-    if not scale.rows:
-        return None
-    # Members of C have distinct sizes, and so do their complements, so
-    # neither shape has three distinct proper columns of one size. One
-    # pass groups the proper columns by size and rejects most other
-    # scales (nominal, contranominal, crowns) by their third column.
-    by_size: dict[int, list[int]] = {}
-    for col in scale.cols:
-        if col != top:
-            same = by_size.setdefault(col.bit_count(), [])
-            if col not in same:
-                if len(same) == 2:
-                    return None
-                same.append(col)
-    if 0 in by_size:
-        return None
-    proper = [c for size in sorted(by_size) for c in by_size[size]]
-    if all(a & b == a for a, b in zip(proper, proper[1:])):
-        return len(proper), False
-    first = proper[0] & -proper[0]
-    chain = [c for c in proper if c & first]
-    objects = len(scale.rows)
-    if (
-        2 * len(chain) == len(proper)
-        and all(top ^ c in by_size.get(objects - c.bit_count(), ()) for c in chain)
-        and all(a & b == a for a, b in zip(chain, chain[1:]))
-    ):
-        return len(chain), True
+    if len(set(scale.rows)) < len(scale.rows):
+        scale, _ = clarify_objects(scale)
+    n = len(scale.rows)
+    for family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL):
+        if n and recognize(scale, range(n), family):
+            return n - 1, family is ScaleFamily.INTERORDINAL
     return None
 
 
 def _chain_coverages(
     context: FormalContext, length: int, complemented: bool, irreducibles: int, spent: list[int]
 ) -> set[int]:
-    """Maximal coverage sets of the measures onto a chain-shaped scale.
+    """Maximal coverage sets of the measures onto an ordinal or interordinal scale.
 
     A measure pulls the chain C back to a nondecreasing chain of at most
-    ``length`` extents, in the complemented shape of extents whose
-    complements are extents too, and every such chain is realized (see
+    ``length`` extents, in the complemented (interordinal) case of
+    extents whose complements are extents too, and every such chain is realized (see
     the module docstring). The irreducibles a chain meets are those among
-    its members, and in the complemented shape also those among their
+    its members, and in the complemented case also those among their
     complements, so only *relevant* members, which meet some irreducible,
     are walked: chains of them grow upwards by strict inclusion, and each
     chain that cannot grow gives a coverage set. Without relevant members
@@ -410,11 +376,11 @@ def scaling_dimension(
     """Least d <= ``max_d`` admitting a full measure into a d-fold semi-product.
 
     Scales may repeat within a tuple. Returns ``None`` when no tuple of
-    length up to ``max_d`` works. When every scale is a chain scale and
-    the longest chain of irreducibles fits the largest capacity,
-    the answer is their width (at least 1) and no map is searched.
-    Otherwise chain-shaped scales are walked over extents and the others
-    searched, on one column scan count.
+    length up to ``max_d`` works. When every scale is ordinal and the
+    longest chain of irreducibles fits the largest capacity, the answer
+    is their width (at least 1) and no map is searched. Otherwise
+    ordinal and interordinal scales are walked over extents and the
+    others searched, on one column scan count.
     """
     check_object_count(len(context.objects))
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:

@@ -48,17 +48,15 @@ def test_identity_is_full_into_the_basis():
 
 def test_empty_covering_rejected():
     # every extent but the top, the empty intersection of columns
-    with pytest.raises(IncompleteCoveringError) as err:
+    with pytest.raises(IncompleteCoveringError, match="covering misses 7 extents"):
         build_basis(B3, [])
-    assert err.value.uncovered == 7
 
 
 def test_incomplete_covering_reports_missing_count():
     # one nominal pair covers the empty set, its singletons and itself;
     # {2}, {0, 2} and {1, 2} are missed, the top needs no column
-    with pytest.raises(IncompleteCoveringError) as err:
+    with pytest.raises(IncompleteCoveringError, match="covering misses 3 extents"):
         build_basis(B3, [Motif(ScaleFamily.NOMINAL, (0, 1))])
-    assert err.value.uncovered == 3
 
 
 def test_covering_that_misses_only_the_top_is_complete():

@@ -378,7 +378,7 @@ def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
     assert main(["scaling-dim", str(b7), "--scales", "crown:7"]) == 1
     assert time.monotonic() - start < 5
     assert "the cap is 10000 column scans" in capsys.readouterr().err
-    # An interordinal scale is chain-shaped: its walk over extents answers
+    # An interordinal scale is walked over extents, which answers
     # under the same cap where the map search passed it.
     start = time.monotonic()
     assert main(["scaling-dim", str(b7), "--scales", "interordinal:7"]) == 0
@@ -472,9 +472,10 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     empty.write_text("B\n\n0\n0\n\n", encoding="utf-8")
     assert main(["scaling-dim", str(empty), "--scales", "nominal:100000"]) == 1
     assert "the cap is" in capsys.readouterr().err
-    # Chain-shaped scales are walked over extents and scan no column, so
-    # they are not charged. A chain of distinct extents of one object has
-    # at most two members, so each scale is built with three objects.
+    # Ordinal and interordinal scales are walked over extents and scan no
+    # column, so they are not charged. A chain of distinct extents of one
+    # object has at most two members, so each scale is built with three
+    # objects.
     built = []
     monkeypatch.setattr("ordmotif.cli.build_scale", lambda f, n: built.append(n) or build_scale(f, n))
     start = time.monotonic()

@@ -110,7 +110,7 @@ def test_bounds_are_enforced(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="the cap is 10000 column scans"):
         scaling_dimension(b7, [build_scale(ScaleFamily.CROWN, 7)])
-    # The interordinal scale is chain-shaped, so it is walked, not searched.
+    # The interordinal scale is recognized as such, so it is walked, not searched.
     assert scaling_dimension(b7, [build_scale(ScaleFamily.INTERORDINAL, 7)]) == 4
     assert time.perf_counter() - start < 1
 
@@ -218,8 +218,8 @@ def test_pruned_map_search_matches_the_exhaustive_one_on_random_contexts():
 
 def test_pruned_map_search_matches_the_exhaustive_one_on_random_scales():
     # Random scales, and the twin scale whose objects b and c swap, are
-    # neither crown-, nominal- nor contranominal-shaped (or rarely so),
-    # so they take the plain search.
+    # rarely crowns, nominal or contranominal scales, so they take the
+    # plain search.
     rng = Random(2753)
     twins = FormalContext.from_rows(["a", "b", "c"], ["p", "q", "r"], (0b111, 0b010, 0b100))
     for _ in range(300):
@@ -334,7 +334,7 @@ def test_chain_capacity_counts_the_proper_columns():
     # One column, the full object set, is a chain of capacity 0.
     assert dimension._chain_shape(build_scale(ScaleFamily.NOMINAL, 1)) == (0, False)
     assert dimension._chain_shape(build_scale(ScaleFamily.INTERORDINAL, 1)) == (0, False)
-    # An empty column makes no chain-shaped scale.
+    # An empty row is no ordinal or interordinal scale of one object.
     assert dimension._chain_shape(build_scale(ScaleFamily.CONTRANOMINAL, 1)) is None
     # Two columns that do not nest but complement each other: C = {{1}}.
     for family in (ScaleFamily.NOMINAL, ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL):
@@ -343,6 +343,11 @@ def test_chain_capacity_counts_the_proper_columns():
         assert dimension._chain_shape(build_scale(ScaleFamily.INTERORDINAL, n)) == (n - 1, True)
         for family in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN):
             assert dimension._chain_shape(build_scale(family, n)) is None, (family, n)
+    # A duplicated object adds no extent: the scale is clarified first.
+    for family, complemented in ((ScaleFamily.ORDINAL, False), (ScaleFamily.INTERORDINAL, True)):
+        s4 = build_scale(family, 4)
+        twice = FormalContext.from_rows((*s4.objects, "2'"), s4.attributes, (*s4.rows, s4.rows[1]))
+        assert dimension._chain_shape(twice) == (3, complemented), family
     # A chain {a} < {a, b} and as many other columns, {b} and {b, c}, but
     # {c} = T minus {a, b} is no column.
     lopsided = FormalContext.from_rows(
@@ -436,7 +441,7 @@ def test_a_scale_that_is_no_chain_takes_the_map_search(monkeypatch):
     monkeypatch.setattr(dimension, "_measure_coverages", counted)
     assert scaling_dimension(O3, [O3]) == 1
     assert calls == []
-    # O3 is chain-shaped, so only N3 is searched.
+    # O3 is walked, so only N3 is searched.
     assert scaling_dimension(O3, [O3, N3]) == 1
     assert calls == [N3]
     assert scaling_dimension(I3, [O2, N3]) == _searched_dimension(I3, [O2, N3], 4)
@@ -450,7 +455,7 @@ def _maximal(sets):
     return {s for s in sets if not any(s != t and s & t == s for t in sets)}
 
 
-CHAIN_SHAPED = [
+CHAIN_SCALES = [
     *(build_scale(ScaleFamily.INTERORDINAL, n) for n in range(1, 7)),
     *(build_scale(ScaleFamily.ORDINAL, n) for n in range(1, 7)),
     N2,
@@ -460,7 +465,7 @@ CHAIN_SHAPED = [
 def test_chain_walk_finds_the_maximal_sets_of_the_map_search():
     # The walk reads the coverage sets off the extents, the map search
     # grows every measure. A third of the contexts have a full row, so the
-    # empty set is no extent and no complemented shape has any measure.
+    # empty set is no extent and no interordinal scale has any measure.
     rng = Random(9973)
     seen = set()
     for trial in range(300):
@@ -470,7 +475,7 @@ def test_chain_walk_finds_the_maximal_sets_of_the_map_search():
         else:
             ctx = random_context(rng, n, rng.randint(0, 6), rng.uniform(0.2, 0.8))
         target = _irreducible_bits(ctx)
-        for scale in CHAIN_SHAPED:
+        for scale in CHAIN_SCALES:
             walked = dimension._chain_coverages(ctx, *dimension._chain_shape(scale), target, [0])
             assert walked == _maximal(dimension._measure_coverages(ctx, scale, target, [0])), (
                 ctx,
@@ -482,9 +487,9 @@ def test_chain_walk_finds_the_maximal_sets_of_the_map_search():
 
 
 def test_a_relabeled_interordinal_scale_gets_the_map_search_answer():
-    # Objects and columns shuffled: the shape test reads sets, not order.
-    # One more column, {2} = "<=2" and ">=2": the same extents, but no
-    # chain shape, so the map search runs.
+    # Objects and columns shuffled: recognition reads sets, not order.
+    # One more column, {2} = "<=2" and ">=2": the same extents, so the
+    # same interordinal scale, walked like the others.
     rng = Random(401)
     i4 = build_scale(ScaleFamily.INTERORDINAL, 4)
     order = [2, 0, 3, 1]
@@ -498,7 +503,7 @@ def test_a_relabeled_interordinal_scale_gets_the_map_search_answer():
         i4.objects, (*i4.attributes, "=2"), [r | (g == 1) << 8 for g, r in enumerate(i4.rows)]
     )
     assert dimension._chain_shape(relabeled) == (3, True)
-    assert dimension._chain_shape(padded) is None
+    assert dimension._chain_shape(padded) == (3, True)
     for trial in range(40):
         ctx = random_context(rng, rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.2, 0.8))
         max_d = rng.randint(1, 4)
@@ -517,6 +522,19 @@ def test_interordinal_dimension_of_contranominal_scales():
         target = _irreducible_bits(b)
         assert least_cover_oracle(coverages_oracle(b, i, target), target, 4) == d
         assert scaling_dimension(b, [i]) == d
+
+
+def test_an_interordinal_scale_with_a_redundant_column_is_walked():
+    # "=2" is the meet of "<=2" and ">=2", so interordinal 8 keeps its
+    # extents, and contranominal 8 gets the interordinal answer from the
+    # walk; searched by maps it stopped at the column-scan cap.
+    i8 = build_scale(ScaleFamily.INTERORDINAL, 8)
+    padded = FormalContext.from_rows(
+        i8.objects, (*i8.attributes, "=2"), [r | (g == 1) << 16 for g, r in enumerate(i8.rows)]
+    )
+    start = time.perf_counter()
+    assert scaling_dimension(build_scale(ScaleFamily.CONTRANOMINAL, 8), [padded]) == 4
+    assert time.perf_counter() - start < 1
 
 
 def test_the_walk_counts_against_the_column_scan_cap(monkeypatch):
@@ -539,14 +557,20 @@ def _is_cycle_order(scale, order):
     return sorted(order) == list(range(n)) and pairs == set(scale.cols)
 
 
+def _cycle_order(scale):
+    # The crown's cycle order, as the orbit rule reads it, else None.
+    motif = dimension._symmetric_motif(scale)
+    return list(motif.domain) if motif and motif.family is ScaleFamily.CROWN else None
+
+
 def test_cycle_shape_reads_the_order_of_any_crown():
     rng = Random(881)
     for n in range(3, 9):
         crown = build_scale(ScaleFamily.CROWN, n)
-        assert dimension._cycle_shape(crown) == list(range(n))
+        assert _cycle_order(crown) == list(range(n))
         for _ in range(5):
             relabeled = _relabeled(rng, crown)
-            order = dimension._cycle_shape(relabeled)
+            order = _cycle_order(relabeled)
             assert order[0] == 0 and order[1] < order[-1]
             assert _is_cycle_order(relabeled, order), (relabeled, order)
     # Two disjoint triangles: every object has two neighbours, but the
@@ -557,24 +581,24 @@ def test_cycle_shape_reads_the_order_of_any_crown():
         [f"m{j}" for j in range(6)],
         [sum((c >> g & 1) << j for j, c in enumerate(triangles)) for g in range(6)],
     )
-    assert dimension._cycle_shape(two) is None
+    assert _cycle_order(two) is None
     # One more column, a chord of the 5-crown: two objects get three neighbours.
     c5 = build_scale(ScaleFamily.CROWN, 5)
     chord = FormalContext.from_rows(
         c5.objects, (*c5.attributes, "13"), [r | (g in (0, 2)) << 5 for g, r in enumerate(c5.rows)]
     )
-    assert dimension._cycle_shape(chord) is None
+    assert _cycle_order(chord) is None
     # A repeated column is the same pair.
     doubled = FormalContext.from_rows(
         c5.objects, (*c5.attributes, "1'"), [r | (r & 1) << 5 for r in c5.rows]
     )
-    assert dimension._cycle_shape(doubled) == list(range(5))
-    assert dimension._cycle_shape(FormalContext.from_rows([], [], [])) is None
+    assert _cycle_order(doubled) == list(range(5))
+    assert _cycle_order(FormalContext.from_rows([], [], [])) is None
     for family in (ScaleFamily.NOMINAL, ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL):
-        assert dimension._cycle_shape(build_scale(family, 4)) is None
+        assert _cycle_order(build_scale(family, 4)) is None
     # contranominal:3 is the 3-crown.
-    assert dimension._cycle_shape(build_scale(ScaleFamily.CONTRANOMINAL, 3)) == [0, 1, 2]
-    assert dimension._cycle_shape(build_scale(ScaleFamily.CONTRANOMINAL, 4)) is None
+    assert _cycle_order(build_scale(ScaleFamily.CONTRANOMINAL, 3)) == [0, 1, 2]
+    assert _cycle_order(build_scale(ScaleFamily.CONTRANOMINAL, 4)) is None
 
 
 def test_cycle_shape_on_random_pair_column_scales():
@@ -601,7 +625,7 @@ def test_cycle_shape_on_random_pair_column_scales():
             [f"m{j}" for j in range(len(cols))],
             [sum((c >> g & 1) << j for j, c in enumerate(cols)) for g in range(n)],
         )
-        order = dimension._cycle_shape(scale)
+        order = _cycle_order(scale)
         assert order == cycle_order_oracle(scale), (n, pairs)
         if len(set(scale.rows)) < n:
             repeated += 1
@@ -613,7 +637,7 @@ def test_cycle_shape_on_random_pair_column_scales():
             forward = [labels[(start + i) % n] for i in range(n)]
             backward = [labels[(start - i) % n] for i in range(n)]
             assert order == min(forward, backward, key=lambda o: o[1])
-            assert dimension._cycle_shape(crown) == list(range(n))
+            assert _cycle_order(crown) == list(range(n))
         shaped += order is not None
     assert shaped > 500 and repeated > 300
 
