@@ -12,8 +12,6 @@ from its payload as well.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -162,6 +160,8 @@ def _run_cover(args: argparse.Namespace) -> tuple[FormalContext, list[str], list
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    import csv  # here, so a run that writes no CSV file does not load it
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -358,6 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload, text = args.func(args)
         if args.json:
+            import json  # here, so a run without --json does not load it
+
             print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
         elif text is not None:
             print(text, end="")

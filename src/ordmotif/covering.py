@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .context import FormalContext
 from .recognition import Motif, realizations
@@ -46,13 +45,14 @@ class HeuristicKind(enum.Enum):
     NORMALIZED = "normalized"
 
 
-@dataclass(frozen=True)
-class CoveringStep:
+class CoveringStep(NamedTuple):
     """One greedy selection: the motif, its gain, and the running total.
 
     ``witnesses`` holds one recognized motif per family the selected domain
     realizes, in rank order; explanations render these. ``tie_count`` is the
-    number of candidates that shared the winning score.
+    number of candidates that shared the winning score. A named tuple, so it
+    equals the plain tuple ``(motif, witnesses, new_extents, cumulative,
+    tie_count)``.
     """
 
     motif: Motif

@@ -29,7 +29,6 @@ listing of the command line sorts its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .bitsets import bits
@@ -41,7 +40,6 @@ DEFAULT_MIN_SIZE = 2
 DEFAULT_CROWN_SIZE_CAP = 8
 
 
-@dataclass(frozen=True)
 class EnumerationConfig:
     """Bounds for the enumeration; sizes are inclusive and apply to every family.
 
@@ -50,24 +48,26 @@ class EnumerationConfig:
     family whose minimum exceeds ``max_size`` yields no motifs.
     """
 
-    families: tuple[ScaleFamily, ...] = tuple(ScaleFamily)
-    min_size: int | None = None
-    max_size: int | None = None
-    crown_size_cap: int = DEFAULT_CROWN_SIZE_CAP
+    __slots__ = ("families", "min_size", "max_size", "crown_size_cap")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        families: tuple[ScaleFamily, ...] = tuple(ScaleFamily),
+        min_size: int | None = None,
+        max_size: int | None = None,
+        crown_size_cap: int = DEFAULT_CROWN_SIZE_CAP,
+    ):
+        # A family named twice is enumerated once, at its first mention.
+        self.families = tuple(dict.fromkeys(families))
         if not self.families:
             raise ValueError("no scale family selected")
-        # A family named twice is enumerated once, at its first mention.
-        object.__setattr__(self, "families", tuple(dict.fromkeys(self.families)))
-        if (
-            self.min_size is not None
-            and self.max_size is not None
-            and self.min_size > self.max_size
-        ):
-            raise ValueError(f"max size {self.max_size} below min size {self.min_size}")
-        if self.crown_size_cap < 3:
+        if min_size is not None and max_size is not None and min_size > max_size:
+            raise ValueError(f"max size {max_size} below min size {min_size}")
+        if crown_size_cap < 3:
             raise ValueError("crown size cap must be at least 3")
+        self.min_size = min_size
+        self.max_size = max_size
+        self.crown_size_cap = crown_size_cap
 
     def bounds(self, family: ScaleFamily, object_count: int) -> tuple[int, int]:
         lo = DEFAULT_MIN_SIZE if self.min_size is None else self.min_size

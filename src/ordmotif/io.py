@@ -17,7 +17,6 @@ is ignored), then one row per object holding its name followed by 0/1 cells.
 
 from __future__ import annotations
 
-import csv
 import io as _io
 from pathlib import Path
 
@@ -111,6 +110,8 @@ def to_burmeister(context: FormalContext) -> str:
 
 
 def parse_csv(text: str) -> FormalContext:
+    import csv  # here, so reading a Burmeister file does not load it
+
     # newline="" hands line ends to csv, so a bare "\r" ends a row too.
     reader = csv.reader(_io.StringIO(text, newline=""))
     try:

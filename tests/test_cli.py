@@ -439,6 +439,32 @@ def test_scaling_dim_bounds_the_final_cover(tmp_path):
         assert done.stdout == "unknown (no full measure with at most 4 scales)\n"
 
 
+def test_a_cold_start_loads_only_what_the_run_uses(tmp_path):
+    # dataclasses would pull in inspect, ast, dis and tokenize; json and csv
+    # load where --json and CSV files use them. Compared against the modules
+    # loaded before, so what a site hook preloads does not count.
+    path = tmp_path / "b3.cxt"
+    path.write_text(to_burmeister(B3), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import ordmotif.cli, ordmotif\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+        "ordmotif.cli.main(['explain', sys.argv[2]])\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(ordmotif.__file__).parents[1]), str(path)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    first, *explained, last = done.stdout.splitlines()
+    assert explained and "ordmotif.cli" in first.split()
+    unneeded = {"dataclasses", "inspect", "json", "csv"}
+    assert not unneeded & set(first.split())
+    assert not unneeded & set(last.split())
+
+
 def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):
     def no_build(family, n):
         raise AssertionError(f"built {family}:{n}")

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from ordmotif import (
+    CoveringStep,
     EnumerationConfig,
     FormalContext,
     HeuristicKind,
@@ -21,7 +22,7 @@ from ordmotif import (
 )
 from ordmotif.bitsets import bits
 from ordmotif.covering import covered_extents
-from ordmotif.recognition import preimage
+from ordmotif.recognition import preimage, realizations
 from ordmotif.scales import FAMILY_MIN_SIZE
 
 from oracles import (
@@ -212,6 +213,15 @@ def test_tie_break_prefers_lower_family_rank():
     assert steps[0].motif.family is ScaleFamily.CONTRANOMINAL
     assert steps[0].tie_count == 2
     assert steps[0].families == (ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN)
+
+
+def test_a_step_is_the_plain_tuple_of_its_fields():
+    witnesses = realizations(B3, TRIPLE.domain)
+    assert greedy_cover(B3, [TRIPLE], 1) == [(TRIPLE, witnesses, 8, 8, 1)]
+    step = CoveringStep(TRIPLE, witnesses, 1, 1)
+    assert step.tie_count == 1
+    assert step == (TRIPLE, witnesses, 1, 1, 1)
+    assert step.families == (ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN)
 
 
 def test_tie_break_prefers_lexicographically_smaller_domain():

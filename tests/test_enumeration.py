@@ -531,6 +531,17 @@ def test_config_validation():
         EnumerationConfig(families=())
 
 
+def test_config_keeps_each_family_at_its_first_mention():
+    crown, nominal = ScaleFamily.CROWN, ScaleFamily.NOMINAL
+    assert EnumerationConfig(families=(crown, nominal, crown)).families == (crown, nominal)
+
+    def fields(c):
+        return c.families, c.min_size, c.max_size, c.crown_size_cap
+
+    assert fields(EnumerationConfig()) == (tuple(ScaleFamily), None, None, DEFAULT_CROWN_SIZE_CAP)
+    assert fields(EnumerationConfig((nominal,), 2, 4, 5)) == ((nominal,), 2, 4, 5)
+
+
 def test_size_bounds_are_respected():
     b4 = build_scale(ScaleFamily.CONTRANOMINAL, 4)
     config = EnumerationConfig(
