@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .basis import build_basis
@@ -39,7 +38,7 @@ Result = tuple[dict, Optional[str]]
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", type=Path, help="context file (.cxt or .csv)")
+    p.add_argument("path", help="context file (.cxt or .csv)")
     p.add_argument(
         "--transpose", action="store_true", help="swap objects and attributes first"
     )
@@ -159,7 +158,7 @@ def _run_cover(args: argparse.Namespace) -> tuple[FormalContext, list[str], list
     return context, labels, steps
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     import csv  # here, so a run that writes no CSV file does not load it
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -240,7 +239,8 @@ def cmd_basis(args: argparse.Namespace) -> Result:
     basis = build_basis(context, [s.motif for s in steps])
     text = to_burmeister(basis)
     if args.output:
-        args.output.write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return {"command": "basis"}, None if args.output else text
 
 
@@ -286,8 +286,8 @@ def _cover_parser(p: argparse.ArgumentParser) -> None:
     _add_enumeration_flags(p)
     _add_pool_flag(p)
     _add_cover_flags(p)
-    p.add_argument("--coverage-csv", type=Path, help="write the coverage curve")
-    p.add_argument("--ratios-csv", type=Path, help="write per-step family ratios")
+    p.add_argument("--coverage-csv", help="write the coverage curve")
+    p.add_argument("--ratios-csv", help="write per-step family ratios")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cover)
 
@@ -305,7 +305,7 @@ def _basis_parser(p: argparse.ArgumentParser) -> None:
     _add_input_flags(p)
     _add_enumeration_flags(p)
     _add_pool_flag(p)
-    p.add_argument("--output", type=Path, help="write Burmeister output here")
+    p.add_argument("--output", help="write Burmeister output here")
     p.set_defaults(func=cmd_basis, json=False)
 
 

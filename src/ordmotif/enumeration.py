@@ -1,30 +1,20 @@
 """Exhaustive motif enumeration over a clarified context.
 
 :func:`enumerate_family` checks the context, bounds the sizes and lists
-singletons through ``recognize``; the family's search lists the rest.
-With ``maximal`` it lists only the motifs no listed domain contains:
-nominal's from the clique search, every other family's through
-:func:`maximal_filter`. :func:`enumerate_motifs` joins the selected
-families' lists, full or maximal, in family rank order.
-Nominal, ordinal, interordinal and contranominal motifs are hereditary
-along their witnesses: every prefix of a witness of two or more objects
-is a witness too. So their domains grow depth-first, one object at a
-time. Ordinal, interordinal and contranominal domains grow under the
-family's step rule on rows; each node keeps the objects it may still try
-as one int and narrows it with ``&`` before the rule runs. Nominal sets
-have no step rule: they are the cliques of one graph per meet, read off
-the context's ``meet_links()``, so a clique carries the objects that may
-still join it. One Bron-Kerbosch search lists every clique or only the
-maximal ones, those no object extends within the size bound, with
-Tomita's pivot when no size cuts. Crowns are not hereditary: H is a
-crown iff the objects sharing an attribute outside H's intent link H
-into one cycle. Crown enumeration runs
-``recognition.crown_walks``, the walk ``recognize`` also runs, on the
-same table, from every seed triplet of an object and two objects above
-it that link with it at a nonempty meet, capped by size, so it finds
-each cycle once. Every list comes in its search's order, deterministic
-but not sorted: covering does not depend on it, and the ``motifs``
-listing of the command line sorts its own.
+singletons through ``recognize``; the family's search lists the rest,
+in its own deterministic order (the ``motifs`` command sorts its
+listing). With ``maximal`` it lists only the motifs no listed domain
+contains: nominal's from the clique search, crowns' through
+:func:`maximal_filter`, and the other families' by its one-short rule on
+the domain masks their searches carry. :func:`enumerate_motifs` joins
+the selected families' lists in family rank order. Nominal, ordinal,
+interordinal and contranominal motifs are hereditary along their
+witnesses, so their domains grow depth-first, one object at a time:
+ordinal, interordinal and contranominal ones in the loops of
+``recognition.HEREDITARY_SEARCHES``, which ``recognize`` runs too, and
+nominal sets as the cliques of one graph per meet of ``meet_links()``,
+in one Bron-Kerbosch search. Crowns are not hereditary; their search
+runs ``recognition.crown_walks`` from seed triplets (see :func:`_crowns`).
 """
 
 from __future__ import annotations
@@ -33,7 +23,7 @@ from typing import Iterable
 
 from .bitsets import bits
 from .context import FormalContext, require_clarified
-from .recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES, Motif, crown_walks, recognize
+from .recognition import HEREDITARY_SEARCHES, Motif, crown_walks, recognize
 from .scales import FAMILY_MIN_SIZE, ScaleFamily
 
 DEFAULT_MIN_SIZE = 2
@@ -76,62 +66,6 @@ class EnumerationConfig:
         if family is ScaleFamily.CROWN:
             hi = min(hi, self.crown_size_cap)
         return lo, hi
-
-
-def _singletons(context: FormalContext, family: ScaleFamily) -> list[Motif]:
-    # A one-object domain obeys its own rule, which ``recognize`` decides.
-    return [m for g in range(len(context.objects)) if (m := recognize(context, (g,), family))]
-
-
-def _grow(context: FormalContext, family: ScaleFamily, lo: int, hi: int) -> list[Motif]:
-    """The domains of ``lo..hi`` objects (``lo >= 2``) of a family with a step rule.
-
-    Paths grow under ``recognition.HEREDITARY_RULES`` and are their own
-    witnesses: contranominal sets in ascending object order, ordinal
-    chains down from the full row, interordinal walks from every object,
-    kept when ``path[0] < path[-1]``; so each domain is reached once. A
-    node's options are one int of objects: the siblings the step rule
-    accepted (for sets only those above the new object), since dropping
-    any object but the first from a witness leaves a witness.
-    ``recognition.HEREDITARY_CANDIDATES`` narrows that mask with column
-    ORs and ANDs, and the step rule decides every object left. The stack
-    pops seeds and children in ascending object order, so paths come out
-    in depth-first lexicographic order.
-    """
-    n_objects = len(context.objects)
-    rows, cols = context.rows, context.cols
-    seed, step = HEREDITARY_RULES[family]
-    candidates = HEREDITARY_CANDIDATES.get(family)
-    walks = family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
-    interordinal = family is ScaleFamily.INTERORDINAL
-    everyone = (1 << n_objects) - 1
-    stack = []
-    for g in reversed(range(n_objects)):
-        state = seed(rows[g], context.attribute_mask)
-        if state is not None:
-            stack.append(([g], state, everyone ^ 1 << g if walks else everyone & -(2 << g)))
-    motifs = []
-    while stack:
-        path, state, options = stack.pop()
-        if len(path) >= lo and (not interordinal or path[0] < path[-1]):
-            motifs.append(Motif(family, tuple(path)))
-        if len(path) >= hi:
-            continue
-        if candidates is not None:
-            options &= candidates(rows, cols, path, state)
-        grown = []
-        after = 0
-        while options:
-            low = options & -options
-            options ^= low
-            x = low.bit_length() - 1
-            s = step(rows, path, state, rows[x])
-            if s is not None:
-                grown.append((x, s))
-                after |= low
-        for x, s in reversed(grown):
-            stack.append((path + [x], s, after ^ 1 << x if walks else after & -(2 << x)))
-    return motifs
 
 
 def _cliques(context: FormalContext, lo: int, hi: int, maximal: bool) -> list[Motif]:
@@ -237,26 +171,31 @@ def enumerate_family(
     """The family's list within the size bounds: singletons, then its search's order.
 
     With ``maximal``, only the motifs with no proper superset domain in
-    the full list. Nominal's come from the clique search in maximal mode; a listed
-    singleton has the full row, which no pair holds, so it is maximal
-    too. Every other family's are :func:`maximal_filter` of its full list.
+    the full list, found as the module docstring says; a listed singleton
+    is maximal when no listed pair holds its object.
     """
     config = config or EnumerationConfig()
     n_objects = len(context.objects)
     require_clarified(context, range(n_objects))
     lo, hi = config.bounds(family, n_objects)
-    motifs = _singletons(context, family) if lo <= 1 <= hi else []
-    lo = max(lo, 2)
-    if lo <= hi:
-        if family is ScaleFamily.NOMINAL:
-            motifs += _cliques(context, lo, hi, maximal)
-        elif family is ScaleFamily.CROWN:
-            motifs += _crowns(context, lo, hi)
-        else:
-            motifs += _grow(context, family, lo, hi)
-    if maximal and family is not ScaleFamily.NOMINAL:
-        return maximal_filter(motifs, family)
-    return motifs
+    # A one-object domain obeys its own rule, which ``recognize`` decides.
+    singles = range(n_objects) if lo <= 1 <= hi else ()
+    motifs = [m for g in singles if (m := recognize(context, (g,), family))]
+    if max(lo, 2) > hi:
+        return motifs
+    if family is ScaleFamily.NOMINAL:
+        return motifs + _cliques(context, max(lo, 2), hi, maximal)
+    if family is ScaleFamily.CROWN:
+        motifs += _crowns(context, lo, hi)
+        return maximal_filter(motifs, family) if maximal else motifs
+    found = HEREDITARY_SEARCHES[family](context, max(lo, 2), hi)
+    if not maximal:
+        return motifs + [Motif(family, path) for path, _ in found]
+    # The one-short rule of maximal_filter on the masks the search carried.
+    # A domain of lo objects or fewer marks none that is listed.
+    short = {mask ^ 1 << g for path, mask in found if len(path) > lo for g in path}
+    motifs = [m for m in motifs if 1 << m.domain[0] not in short]
+    return motifs + [Motif(family, path) for path, mask in found if mask not in short]
 
 
 def maximal_filter(motifs: Iterable[Motif], family: ScaleFamily) -> list[Motif]:

@@ -18,7 +18,7 @@ is ignored), then one row per object holding its name followed by 0/1 cells.
 from __future__ import annotations
 
 import io as _io
-from pathlib import Path
+import os
 
 from .context import FormalContext
 
@@ -146,10 +146,11 @@ def parse_csv(text: str) -> FormalContext:
         raise ParseError(str(exc)) from exc
 
 
-def load_context(path: str | Path) -> FormalContext:
+def load_context(path: str | os.PathLike) -> FormalContext:
     """Read a UTF-8 context file, BOM or not; the suffix (.cxt or .csv, any case) picks the format."""
-    suffix = Path(path).suffix.lower()
+    suffix = os.path.splitext(os.fspath(path))[1].lower()
     parsers = {".cxt": parse_burmeister, ".csv": parse_csv}
     if suffix not in parsers:
         raise ParseError(f"cannot infer format from suffix {suffix!r}")
-    return parsers[suffix](Path(path).read_bytes().decode("utf-8-sig"))
+    with open(path, "rb") as fh:
+        return parsers[suffix](fh.read().decode("utf-8-sig"))

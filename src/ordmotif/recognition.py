@@ -4,13 +4,12 @@ A motif is a set H of objects whose induced subcontext K[H, M] admits a
 full scale-measure onto a standard scale of size |H|. Verification works
 for arbitrary maps; recognition finds a witnessing bijection in
 polynomial time per family, or reports that none exists. Each family's
-rule lives here once and enumeration runs it too: a step function for
-ordinal, interordinal and contranominal domains, and :func:`crown_walks`
-for crowns, on the context's cached link table ``meet_links()``: cut to
-the domain here, whole in enumeration. The nominal rule is pairwise and
-checked in O(|H|^2): every pair of rows meets in one intent that no row
-equals. Enumeration grows nominal sets as the cliques of one meet under
-the same rule, read off the same cached table.
+rule lives here once and enumeration runs it too: one depth-first search
+per ordinal, interordinal and contranominal family, which recognition
+runs along the witness order, and :func:`crown_walks` for crowns, on the
+context's cached link table ``meet_links()``. The nominal rule is
+pairwise, checked in O(|H|^2): every pair of rows meets in one intent
+that no row equals; enumeration grows nominal sets as its cliques.
 """
 
 from __future__ import annotations
@@ -95,9 +94,7 @@ def _recognize_size_one(context: FormalContext, g: int, family: ScaleFamily) -> 
     # All size-1 scales collapse to a 1x1 context: full for nominal, ordinal
     # and interordinal (one extent), empty for contranominal (two extents).
     full_row = context.rows[g] == context.attribute_mask
-    if family is ScaleFamily.CONTRANOMINAL:
-        return (g,) if not full_row else None
-    return (g,) if full_row else None
+    return (g,) if full_row != (family is ScaleFamily.CONTRANOMINAL) else None
 
 
 def _is_nominal(rows: Sequence[int], idx: list[int]) -> bool:
@@ -107,99 +104,6 @@ def _is_nominal(rows: Sequence[int], idx: list[int]) -> bool:
     return all(rows[g] != intent for g in idx) and all(
         rows[g] & rows[h] == intent for i, g in enumerate(idx) for h in idx[i + 1 :]
     )
-
-
-def _ordinal_step(rows, path, state, r):
-    # The rows fall along a strict chain; the state is the last row.
-    return r if r & ~state == 0 and r != state else None
-
-
-def _interordinal_step(rows, path, state, r):
-    # Along the walk, each attribute's holders stay contiguous (``gap`` holds
-    # what some member has and a later one lacks), the old path stays a
-    # prefix column, and every suffix keeps a column of its own: ``tails[i]``
-    # is what member i + 1 has, member i lacks and every later member has.
-    # The extents of K[H, M] are H and the intersections of the cut columns,
-    # so with interval columns and every proper prefix and suffix among them
-    # they are exactly the empty set and the intervals.
-    union, gap, tails = state
-    if r & gap or not rows[path[0]] & rows[path[-1]] & ~r:
-        return None
-    tails = [t & r for t in tails] + [r & ~rows[path[-1]]]
-    return (union | r, gap | union & ~r, tails) if all(tails) else None
-
-
-def _interordinal_candidates(rows, cols, path, state):
-    # The step needs rows[path[0]] & rows[path[-1]] & ~r and tails[-1] & r
-    # nonzero: no row passes once the ends share nothing, and a row that
-    # passes holds an attribute of the newest tail (none yet at one object).
-    # It also needs r & gap zero, and gap holds what the next-to-last member
-    # x has and the last member y lacks, so a row that passes holds none of
-    # that. With it the gap test never rejects: a candidate z was accepted
-    # beside y, after x, so rows[z] & rows[p] lies in rows[x] for every
-    # earlier member p; holding nothing of rows[x] & ~rows[y] puts
-    # rows[z] & rows[x], and so rows[z] & rows[p], inside rows[y], which is
-    # what the new part of gap, union & ~rows[y], asks.
-    if not rows[path[0]] & rows[path[-1]]:
-        return 0
-    tails = state[2]
-    if not tails:
-        return -1
-    return _holders(cols, tails[-1]) & ~_holders(cols, rows[path[-2]] & ~rows[path[-1]])
-
-
-def _contranominal_step(rows, path, state, r):
-    # Every member lacks an attribute that all other members share; ``lacks``
-    # holds those attributes per member, in path order.
-    intent, lacks = state
-    lacks = [l & r for l in lacks] + [intent & ~r]
-    return (intent & r, lacks) if all(lacks) else None
-
-
-def _contranominal_candidates(rows, cols, path, state):
-    # The step needs lacks[-1] & r and intent & ~r nonzero: an object that
-    # passes holds something of the newest lack and not the whole intent.
-    intent, lacks = state
-    whole = -1
-    for m in bits(intent):
-        whole &= cols[m]
-    return _holders(cols, lacks[-1]) & ~whole
-
-
-def _holders(cols, attributes):
-    # The objects holding at least one of ``attributes``.
-    out = 0
-    for m in bits(attributes):
-        out |= cols[m]
-    return out
-
-
-# Ordinal, interordinal and contranominal domains H (|H| >= 2) are decided
-# on rows, one object at a time: ``seed(r, M)`` is the state of the
-# one-object domain with row ``r`` (M is the attribute mask), and
-# ``step(rows, path, state, r)`` the state once an object with row ``r``
-# joins ``path``; either is None when no motif can follow. H is a motif iff
-# the rule folds along its witness order, and enumeration grows domains
-# with it. I is the AND of the rows, U the OR. Nominal sets have no step
-# rule: theirs is pairwise (``_is_nominal``).
-HEREDITARY_RULES = {
-    # An ordinal scale has no empty extent, so its chain starts at the full row.
-    ScaleFamily.ORDINAL: (lambda r, full: r if r == full else None, _ordinal_step),
-    ScaleFamily.INTERORDINAL: (lambda r, full: (r, 0, []), _interordinal_step),
-    ScaleFamily.CONTRANOMINAL: (
-        lambda r, full: (r, [full & ~r]) if full & ~r else None,
-        _contranominal_step,
-    ),
-}
-
-# Necessary conditions of a step as one object mask: ``candidates(rows,
-# cols, path, state)`` holds every object whose row the step could accept
-# (-1 admits all). Enumeration narrows a node's options with it before
-# stepping; the step still decides each object left. Ordinal has none.
-HEREDITARY_CANDIDATES = {
-    ScaleFamily.INTERORDINAL: _interordinal_candidates,
-    ScaleFamily.CONTRANOMINAL: _contranominal_candidates,
-}
 
 
 def crown_walks(
@@ -254,15 +158,170 @@ def crown_walks(
             stack.append((path + [nxt], common & same))
 
 
-def _fold(context: FormalContext, family: ScaleFamily, walk: list[int]) -> tuple[int, ...] | None:
-    seed, step = HEREDITARY_RULES[family]
-    rows = context.rows
-    state = seed(rows[walk[0]], context.attribute_mask)
-    for k in range(1, len(walk)):
-        if state is None:
-            return None
-        state = step(rows, walk[:k], state, rows[walk[k]])
-    return None if state is None else tuple(walk)
+def ordinal_chains(context: FormalContext, lo: int, hi: int, witness: Sequence[int] = ()) -> list:
+    """The ordinal chains of ``lo..hi`` objects (``lo >= 2``) as (path, domain mask) pairs.
+
+    H is ordinal iff its rows form a strict chain down from the full row
+    (an ordinal scale has no empty extent), its witness. This loop and the
+    two below grow paths depth-first under their family's rule. A node
+    carries its domain mask and, as one int, the objects it may try: those
+    its parent accepted, as dropping any object but the first from a
+    witness leaves one. Nodes pop in ascending object order, so paths come
+    out in depth-first lexicographic order. :func:`recognize` runs the loop
+    forced along its witness order, trying at depth k only ``witness[k]``.
+    """
+    rows, full, everyone = context.rows, context.attribute_mask, context.object_mask
+    seeds = witness[:1] or range(len(rows) - 1, -1, -1)
+    stack = [((g,), 1 << g, everyone ^ 1 << g) for g in seeds if rows[g] == full]
+    found = []
+    while stack:
+        path, mask, options = stack.pop()
+        k = len(path)
+        if k >= lo:
+            found.append((path, mask))
+        if k >= hi:
+            continue
+        last = rows[path[-1]]
+        options = 1 << witness[k] if witness else options
+        after = 0
+        while options:
+            low = options & -options
+            options ^= low
+            r = rows[low.bit_length() - 1]
+            if not r & ~last and r != last:
+                after |= low
+        grow = after
+        while grow:
+            x = grow.bit_length() - 1
+            grow ^= 1 << x
+            stack.append((path + (x,), mask | 1 << x, after ^ 1 << x))
+    return found
+
+
+def interordinal_walks(context: FormalContext, lo: int, hi: int, witness: Sequence[int] = ()) -> list:
+    """The interordinal walks of ``lo..hi`` objects (``lo >= 2``), as :func:`ordinal_chains`.
+
+    Walks start at every object and are kept when ``path[0] < path[-1]``.
+    z may follow a walk ending in x, y iff it holds nothing an earlier
+    member has and a later one lacks (holders stay contiguous), lacks
+    something the ends share, and holds something y lacks and something
+    of each tail: what a member has, the one before lacks and every later
+    one has (each prefix and suffix is a cut column, so the extents of
+    K[H, M] are the empty set and the intervals). For z accepted beside
+    y, rows[z] & rows[p] lies in rows[x] for every earlier member p, so
+    a mask of column ORs settles the first and last tests: no attribute
+    of rows[x] & ~rows[y], one of the newest tail. Then rows[z] & rows[p]
+    lies in rows[y], as does what z holds of an older tail (in a rows[p]).
+    """
+    rows, cols, everyone = context.rows, context.cols, context.object_mask
+    seeds = witness[:1] or range(len(rows) - 1, -1, -1)
+    stack = [((g,), 1 << g, everyone ^ 1 << g) for g in seeds]
+    found = []
+    union, gap, tails = 0, 0, []
+    while stack:
+        path, mask, options = stack.pop()
+        k = len(path)
+        if k >= lo and (witness or path[0] < path[-1]):
+            found.append((path, mask))
+        last = rows[path[-1]]
+        ends = rows[path[0]] & last
+        if k >= hi or not ends:
+            continue
+        if witness:
+            # Forced, z passed no sibling test: keep the gap test and every tail.
+            z = rows[witness[k]]
+            gap |= union & ~last
+            union |= last
+            tails = [t & z for t in tails] + [z & ~last]
+            options = 0 if z & gap or not all(tails) else 1 << witness[k]
+        elif k > 1:
+            prev = rows[path[-2]]
+            near = far = 0
+            m = last & ~prev
+            while m:
+                low = m & -m
+                near |= cols[low.bit_length() - 1]
+                m ^= low
+            m = prev & ~last
+            while m:
+                low = m & -m
+                far |= cols[low.bit_length() - 1]
+                m ^= low
+            options &= near & ~far
+        after = 0
+        while options:
+            low = options & -options
+            options ^= low
+            r = rows[low.bit_length() - 1]
+            if ends & ~r and r & ~last:
+                after |= low
+        grow = after
+        while grow:
+            x = grow.bit_length() - 1
+            grow ^= 1 << x
+            stack.append((path + (x,), mask | 1 << x, after ^ 1 << x))
+    return found
+
+
+def contranominal_sets(context: FormalContext, lo: int, hi: int, witness: Sequence[int] = ()) -> list:
+    """The contranominal sets of ``lo..hi`` objects (``lo >= 2``), as :func:`ordinal_chains`.
+
+    H is contranominal iff every member lacks an attribute that all other
+    members share: ``lacks`` holds them per member, ``intent`` the AND of
+    the rows. Sets grow in ascending object order, so each is listed
+    once. A mask of column ORs keeps the objects holding something of the
+    newest lack; the older lacks and the intent, of which a new member
+    must lack something, are tested object by object.
+    """
+    rows, cols, full = context.rows, context.cols, context.attribute_mask
+    seeds = witness[:1] or range(len(rows) - 1, -1, -1)
+    stack = [
+        ((g,), 1 << g, r, (full & ~r,), context.object_mask & -(2 << g))
+        for g in seeds if full & ~(r := rows[g])
+    ]
+    found = []
+    while stack:
+        path, mask, intent, lacks, options = stack.pop()
+        k = len(path)
+        if k >= lo:
+            found.append((path, mask))
+        if k >= hi:
+            continue
+        near = 0
+        m = lacks[-1]
+        while m:
+            low = m & -m
+            near |= cols[low.bit_length() - 1]
+            m ^= low
+        options = (1 << witness[k] if witness else options) & near
+        after = 0
+        while options:
+            low = options & -options
+            options ^= low
+            r = rows[low.bit_length() - 1]
+            if not intent & ~r:
+                continue
+            for l in lacks:
+                if not l & r:
+                    break
+            else:
+                after |= low
+        grow = after
+        while grow:
+            x = grow.bit_length() - 1
+            grow ^= 1 << x
+            r = rows[x]
+            lack = (*[l & r for l in lacks], intent & ~r)
+            stack.append((path + (x,), mask | 1 << x, intent & r, lack, after & -(2 << x)))
+    return found
+
+
+#: Each hereditary family's search, run by enumeration and :func:`recognize`.
+HEREDITARY_SEARCHES = {
+    ScaleFamily.ORDINAL: ordinal_chains,
+    ScaleFamily.INTERORDINAL: interordinal_walks,
+    ScaleFamily.CONTRANOMINAL: contranominal_sets,
+}
 
 
 def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int]:
@@ -271,7 +330,7 @@ def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int]:
     # member sharing fewest attributes with any member is an end, the one
     # sharing fewest with that end is the other end, and the walk is the
     # domain by decreasing share with an end. Any other domain gets some
-    # order, and the fold rejects it. Reversal maps intervals to intervals,
+    # order, and the search rejects it. Reversal maps intervals to intervals,
     # so starting from the lower end loses nothing.
     rows = context.rows
 
@@ -283,7 +342,7 @@ def _interordinal_walk(context: FormalContext, idx: list[int]) -> list[int]:
     return sorted(idx, key=lambda g: -(rows[g] & end).bit_count())
 
 
-#: The witness order each hereditary family folds its rule along.
+#: The witness order along which recognize runs each hereditary search.
 _WITNESS_ORDERS = {
     # Down the chain: by decreasing row size.
     ScaleFamily.ORDINAL: lambda context, idx: sorted(idx, key=lambda g: -context.rows[g].bit_count()),
@@ -333,7 +392,8 @@ def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily
     elif family is ScaleFamily.CROWN:
         witness = _recognize_crown(context, idx)
     else:
-        witness = _fold(context, family, _WITNESS_ORDERS[family](context, idx))
+        found = HEREDITARY_SEARCHES[family](context, n, n, _WITNESS_ORDERS[family](context, idx))
+        witness = found[0][0] if found else None
     if witness is None:
         return None
     return Motif(family, witness)

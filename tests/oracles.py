@@ -304,6 +304,92 @@ def subsets_oracle(
     return out
 
 
+def _ordinal_step(rows, path, state, r, gap):
+    # The rows fall along a strict chain; the state is the last row.
+    return r if r & ~state == 0 and r != state else None
+
+
+def _interordinal_step(rows, path, state, r, gap):
+    # ``gap`` holds what some member has and a later one lacks, ``tails[i]``
+    # what member i + 1 has, member i lacks and every later member has.
+    union, holes, tails = state
+    if gap and r & holes or not rows[path[0]] & rows[path[-1]] & ~r:
+        return None
+    tails = [t & r for t in tails] + [r & ~rows[path[-1]]]
+    return (union | r, holes | union & ~r, tails) if all(tails) else None
+
+
+def _contranominal_step(rows, path, state, r, gap):
+    # Every member lacks an attribute that all other members share.
+    intent, lacks = state
+    lacks = [l & r for l in lacks] + [intent & ~r]
+    return (intent & r, lacks) if all(lacks) else None
+
+
+# Per family, ``seed(r, full)`` is the state of the one-object path with
+# row r (None when no motif of two or more objects starts there) and
+# ``step(rows, path, state, r, gap)`` the state once an object with row r
+# joins ``path``, or None. ``gap`` False skips the interordinal gap test.
+HEREDITARY_STEPS = {
+    ScaleFamily.ORDINAL: (lambda r, full: r if r == full else None, _ordinal_step),
+    ScaleFamily.INTERORDINAL: (lambda r, full: (r, 0, []), _interordinal_step),
+    ScaleFamily.CONTRANOMINAL: (
+        lambda r, full: (r, [full & ~r]) if full & ~r else None,
+        _contranominal_step,
+    ),
+}
+
+
+def fold_oracle(
+    context: FormalContext, family: ScaleFamily, walk: list[int], gap: bool = True
+) -> bool:
+    """True iff the family's step rule folds along ``walk`` (ordinal, interordinal, contranominal).
+
+    A one-object walk is a motif iff its row is full, or for contranominal
+    not full: every one-object scale but contranominal has one extent.
+    """
+    rows, full = context.rows, context.attribute_mask
+    if len(walk) == 1:
+        return (rows[walk[0]] == full) != (family is ScaleFamily.CONTRANOMINAL)
+    seed, step = HEREDITARY_STEPS[family]
+    state = seed(rows[walk[0]], full)
+    for k in range(1, len(walk)):
+        if state is None:
+            return False
+        state = step(rows, walk[:k], state, rows[walk[k]], gap)
+    return state is not None
+
+
+def hereditary_oracle(context: FormalContext, family: ScaleFamily, lo: int, hi: int) -> list[Motif]:
+    """The family's motifs of ``lo..hi`` objects, as a plain depth-first search lists them.
+
+    Singletons first, then every path the step rule accepts, each object
+    tried at every node: all objects not on the path for ordinal and
+    interordinal walks (an interordinal walk is kept when it starts below
+    its end), those above the last member for contranominal sets. Seeds
+    and children go in ascending object order.
+    """
+    rows, full = context.rows, context.attribute_mask
+    n = len(rows)
+    seed, step = HEREDITARY_STEPS[family]
+    sets = family is ScaleFamily.CONTRANOMINAL
+    out = [Motif(family, (g,)) for g in range(n) if lo <= 1 <= hi and fold_oracle(context, family, [g])]
+
+    def grow(path, state):
+        if len(path) >= max(lo, 2) and (family is not ScaleFamily.INTERORDINAL or path[0] < path[-1]):
+            out.append(Motif(family, tuple(path)))
+        if len(path) >= hi:
+            return
+        for x in range(path[-1] + 1 if sets else 0, n):
+            if x not in path and (s := step(rows, path, state, rows[x], True)) is not None:
+                grow(path + [x], s)
+
+    for g in range(n):
+        if (state := seed(rows[g], full)) is not None and hi >= 2:
+            grow([g], state)
+    return out
+
+
 def oracle_semiproduct(scales: list[FormalContext]) -> FormalContext:
     """Tupled objects, disjoint-union attributes, componentwise incidence."""
     obj_tuples = list(product(*(range(len(s.objects)) for s in scales)))

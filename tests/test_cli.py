@@ -465,6 +465,22 @@ def test_a_cold_start_loads_only_what_the_run_uses(tmp_path):
     assert not unneeded & set(last.split())
 
 
+def test_a_bare_interpreter_imports_the_cli_without_pathlib(tmp_path):
+    # Under -S no site hook preloads pathlib, which would pull in fnmatch
+    # and urllib.parse; paths stay strings, and a Path still loads.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import ordmotif.cli; print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(Path(ordmotif.__file__).parents[1])],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "ordmotif.cli" in loaded
+    assert not {"pathlib", "fnmatch", "urllib.parse"} & loaded
+    path = tmp_path / "b3.cxt"
+    path.write_text(to_burmeister(B3), encoding="utf-8")
+    assert load_context(path) == load_context(str(path)) == B3
+
+
 def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):
     def no_build(family, n):
         raise AssertionError(f"built {family}:{n}")

@@ -23,11 +23,11 @@ from ordmotif.cli import main
 from ordmotif.context import link_table
 from ordmotif.enumeration import DEFAULT_CROWN_SIZE_CAP, enumerate_family, maximal_filter
 from ordmotif.io import to_burmeister
-from ordmotif.recognition import HEREDITARY_CANDIDATES, HEREDITARY_RULES
 
 from oracles import (
     crown_heavy_context,
     full_row_context,
+    hereditary_oracle,
     is_valid_motif,
     random_context,
     random_corpus_item,
@@ -37,6 +37,7 @@ from oracles import (
 
 ALL = list(ScaleFamily)
 HEREDITARY = [f for f in ALL if f is not ScaleFamily.CROWN]
+STEP_FAMILIES = [ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL]
 CROWN = ScaleFamily.CROWN
 
 
@@ -630,22 +631,17 @@ def _fixed_row_size_context(rng, n_objects, n_attributes, per_row):
     return clarify_objects(FormalContext.from_rows(objects, attributes, rows))[0]
 
 
-def test_candidate_masks_drop_only_objects_the_step_rejects(monkeypatch):
-    # At every node the search expands, each object outside the narrowed
-    # mask must fail the step rule, so narrowing never loses a motif.
-    dropped = dict.fromkeys(HEREDITARY_CANDIDATES, 0)
-    for family, candidates in list(HEREDITARY_CANDIDATES.items()):
-        step = HEREDITARY_RULES[family][1]
+def _superset_free(motifs):
+    masks = [m.domain_mask for m in motifs]
+    return [m for m, a in zip(motifs, masks) if not any(b != a and b & a == a for b in masks)]
 
-        def checked(rows, cols, path, state, family=family, candidates=candidates, step=step):
-            admitted = candidates(rows, cols, path, state)
-            for x, r in enumerate(rows):
-                if not admitted >> x & 1:
-                    assert step(rows, path, state, r) is None, (rows, path, x)
-                    dropped[family] += 1
-            return admitted
 
-        monkeypatch.setitem(HEREDITARY_CANDIDATES, family, checked)
+def test_candidate_masks_drop_only_objects_the_step_rejects():
+    # The searches narrow each node's options with candidate masks before
+    # the step rule runs. A plain depth-first search under the step rules
+    # (tests/oracles.py), trying every object, must list the same paths in
+    # the same order, and the same maximal ones, also with singletons and
+    # under a size cut.
     rng = Random(107)
     contexts = [clarify_objects(random_corpus_item(rng))[0] for _ in range(60)]
     contexts += [clarify_objects(full_row_context(rng, 7 + i % 4))[0] for i in range(8)]
@@ -657,27 +653,41 @@ def test_candidate_masks_drop_only_objects_the_step_rejects(monkeypatch):
         _fixed_row_size_context(Random(109), 27, 23, 3),
         _fixed_row_size_context(Random(113), 22, 18, 6),
     ]
+    listed = dict.fromkeys(STEP_FAMILIES, 0)
     for ctx in contexts:
-        for family in HEREDITARY_CANDIDATES:
-            enumerate_family(ctx, family)
-    assert all(count > 1000 for count in dropped.values()), dropped
+        for family in STEP_FAMILIES:
+            for config in (EnumerationConfig(), EnumerationConfig(min_size=1, max_size=3)):
+                lo, hi = config.bounds(family, len(ctx.objects))
+                expected = hereditary_oracle(ctx, family, lo, hi)
+                assert enumerate_family(ctx, family, config) == expected, (ctx.rows, family)
+                maximal = enumerate_family(ctx, family, config, maximal=True)
+                assert maximal == _superset_free(expected), (ctx.rows, family)
+                listed[family] += len(expected)
+    assert all(count > 300 for count in listed.values()), listed
 
 
-def test_candidate_masks_keep_step_rule_calls_down(monkeypatch):
-    # Before the candidate masks, the search made 26,749 interordinal and
-    # 3,289 contranominal step-rule calls on this table; with them, 2,518
-    # and 632.
+class _CountingRows(tuple):
+    # A rows tuple that counts its item reads: the searches read one row
+    # per object they try.
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_candidate_masks_keep_step_rule_calls_down():
+    # The searches read one row per object they try, and a few per node.
+    # On this table they read 6,661 interordinal and 1,852 contranominal
+    # rows; under the full step rules with no candidate masks, trying every
+    # accepted sibling, the same loops read 14,127 and 3,798.
     ctx = _fixed_row_size_context(Random(127), 27, 23, 3)
-    calls = dict.fromkeys(HEREDITARY_CANDIDATES, 0)
-    for family in calls:
-        seed, step = HEREDITARY_RULES[family]
-
-        def counting(rows, path, state, r, family=family, step=step):
-            calls[family] += 1
-            return step(rows, path, state, r)
-
-        monkeypatch.setitem(HEREDITARY_RULES, family, (seed, counting))
-    found = {family: len(enumerate_family(ctx, family)) for family in calls}
-    assert found[ScaleFamily.INTERORDINAL] > 500 and found[ScaleFamily.CONTRANOMINAL] > 200
-    assert calls[ScaleFamily.INTERORDINAL] < 6000, calls
-    assert calls[ScaleFamily.CONTRANOMINAL] < 1200, calls
+    rows = _CountingRows(ctx.rows)
+    object.__setattr__(ctx, "rows", rows)
+    reads = {}
+    for family, least in (ScaleFamily.INTERORDINAL, 1000), (ScaleFamily.CONTRANOMINAL, 400):
+        rows.reads = 0
+        assert len(enumerate_family(ctx, family)) >= least
+        reads[family] = rows.reads
+    assert reads[ScaleFamily.INTERORDINAL] < 10_000, reads
+    assert reads[ScaleFamily.CONTRANOMINAL] < 2_500, reads

@@ -16,14 +16,18 @@ from ordmotif import (
     verify_full,
     verify_scale_measure,
 )
-from ordmotif.recognition import realizations
+from ordmotif.enumeration import EnumerationConfig, enumerate_family
+from ordmotif.recognition import _WITNESS_ORDERS, realizations
 
 from oracles import (
     bijection_oracle,
     brute_force_extents,
     crown_heavy_context,
+    fold_oracle,
+    full_row_context,
     is_valid_motif,
     random_context,
+    random_corpus_item,
     with_shared_column,
 )
 
@@ -144,6 +148,40 @@ def test_recognizer_agrees_with_bijection_oracle():
                     assert (got is not None) == want, (ctx.rows, domain, f)
                     if got is not None:
                         assert is_valid_motif(ctx, got)
+
+
+def test_recognize_matches_the_step_rule_fold():
+    # recognize runs the enumeration's search, forced along the witness
+    # order; the step rules folded along that order (tests/oracles.py) must
+    # give the same answer. Half the domains are listed motifs, some with
+    # one more object, so near misses are common, among them domains that
+    # only the interordinal gap test rejects.
+    families = [ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL]
+    rng = Random(131)
+    contexts = [random_corpus_item(rng) for _ in range(40)]
+    contexts += [full_row_context(rng, rng.randint(7, 10)) for _ in range(20)]
+    contexts += [with_shared_column(random_context(rng, rng.randint(7, 10), 6, 0.35)) for _ in range(20)]
+    config = EnumerationConfig(min_size=1, max_size=7)
+    tables = []
+    for raw in contexts:
+        ctx, _ = clarify_objects(raw)
+        tables.append((ctx, [m.domain for f in families for m in enumerate_family(ctx, f, config)]))
+    seen = Counter()
+    for _ in range(2000):
+        ctx, listed = rng.choice(tables)
+        n = len(ctx.objects)
+        if listed and rng.random() < 0.5:
+            domain = {*rng.choice(listed), rng.randrange(n)}
+        else:
+            domain = rng.sample(range(n), rng.randint(1, min(8, n)))
+        for f in families:
+            walk = _WITNESS_ORDERS[f](ctx, sorted(domain))
+            want = fold_oracle(ctx, f, walk)
+            assert recognize(ctx, domain, f) == (Motif(f, tuple(walk)) if want else None), (ctx.rows, walk)
+            seen[f, want] += 1
+            seen["gap only"] += f is ScaleFamily.INTERORDINAL and not want and fold_oracle(ctx, f, walk, gap=False)
+    assert all(seen[f, want] >= 200 for f in families for want in (False, True)), seen
+    assert seen["gap only"] >= 20, seen
 
 
 def test_crown_rule_agrees_with_bijection_oracle_on_six_and_seven_objects():
