@@ -27,6 +27,8 @@ each weight's candidates sit in buckets by a bound on their gain, first
 the cover's size. A step re-scores the top bucket of each group that can
 reach the best score, moving candidates to their gain (0 is never read),
 until a bucket keeps someone: the group's best gain and all its ties.
+The first step re-scores nothing: with nothing covered, every bucket
+already holds exact gains.
 """
 
 from __future__ import annotations
@@ -178,8 +180,9 @@ def greedy_cover(
         for group in order:
             top, weight, buckets = group
             while top and top * best_weight >= best_gain * weight:
-                for i in buckets.pop(top):
-                    buckets[(covers[i] & uncovered).bit_count()].append(i)
+                if covered:
+                    for i in buckets.pop(top):
+                        buckets[(covers[i] & uncovered).bit_count()].append(i)
                 kept = buckets[top]
                 if kept:
                     if top * best_weight > best_gain * weight:

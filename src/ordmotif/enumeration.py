@@ -14,7 +14,7 @@ ordinal, interordinal and contranominal ones in the loops of
 ``recognition.HEREDITARY_SEARCHES``, which ``recognize`` runs too, and
 nominal sets as the cliques of one graph per meet of ``meet_links()``,
 in one Bron-Kerbosch search. Crowns are not hereditary; their search
-runs ``recognition.crown_walks`` from seed triplets (see :func:`_crowns`).
+runs ``recognition.crown_walks`` from seed pairs (see :func:`_crowns`).
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def _crowns(context: FormalContext, lo: int, hi: int) -> list[Motif]:
     ``x`` and x's two cycle neighbours ``a < b``, both above ``x`` and
     linked with it in ``meet_links()``. Its witness is the walk
     ``[x, a, ..., b]`` that ``recognition.crown_walks`` grows from the
-    triplet, the one :func:`recognize` returns. Crowns come out grouped
+    triplet, the one :func:`recognize` returns. One walk generator per
+    pair x, a tries every b in ascending order. Crowns come out grouped
     by their least object.
     """
     family = ScaleFamily.CROWN
@@ -154,11 +155,10 @@ def _crowns(context: FormalContext, lo: int, hi: int) -> list[Motif]:
     for x in range(len(context.objects)):
         # Crown members are incomparable and neighbours share more than the
         # intent, so x's neighbours link with x at a nonempty meet.
-        ups = list(bits(sum(ys for meet, ys in links[x].items() if meet) & -(2 << x)))
-        for i, a in enumerate(ups):
-            for b in ups[i + 1 :]:
-                for walk in crown_walks(rows, links, context.object_mask, x, a, b, lo, hi):
-                    crowns.append(Motif(family, walk))
+        ups = sum(ys for meet, ys in links[x].items() if meet) & -(2 << x)
+        for a in bits(ups):
+            for walk in crown_walks(rows, links, context.object_mask, x, a, ups & -(2 << a), lo, hi):
+                crowns.append(Motif(family, walk))
     return crowns
 
 

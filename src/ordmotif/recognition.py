@@ -8,7 +8,7 @@ rule lives here once and enumeration runs it too: one depth-first search
 per ordinal, interordinal and contranominal family, which recognition
 runs along the witness order, and :func:`crown_walks` for crowns, on the
 context's cached link table ``meet_links()``. The nominal rule is
-pairwise, checked in O(|H|^2): every pair of rows meets in one intent
+pairwise, checked in O(|H|): every pair of rows meets in one intent
 that no row equals; enumeration grows nominal sets as its cliques.
 """
 
@@ -98,26 +98,36 @@ def _recognize_size_one(context: FormalContext, g: int, family: ScaleFamily) -> 
 
 
 def _is_nominal(rows: Sequence[int], idx: list[int]) -> bool:
-    # Every pair meets in the same intent I, and no row equals I. The
-    # clique search of ``enumeration.enumerate_family`` grows these sets.
-    intent = rows[idx[0]] & rows[idx[1]]
-    return all(rows[g] != intent for g in idx) and all(
-        rows[g] & rows[h] == intent for i, g in enumerate(idx) for h in idx[i + 1 :]
-    )
+    # The pairwise rule: every pair meets in the same intent, and no row
+    # equals it. That intent is then I, the AND of all the rows, and with
+    # residues r_g = rows[g] & ~I each meet is I | (r_g & r_h). So every
+    # meet equals I iff the residues are pairwise disjoint, and no row
+    # equals I iff every residue is nonempty: one running OR decides it.
+    # The clique search of ``enumeration.enumerate_family`` grows these sets.
+    intent = reduce(and_, (rows[g] for g in idx))
+    seen = 0
+    for g in idx:
+        residue = rows[g] & ~intent
+        if not residue or residue & seen:
+            return False
+        seen |= residue
+    return True
 
 
 def crown_walks(
-    rows: Sequence[int], links: dict, objects: int, x: int, a: int, b: int, lo: int, hi: int
+    rows: Sequence[int], links: dict, objects: int, x: int, a: int, bs: int, lo: int, hi: int
 ) -> Iterator[tuple[int, ...]]:
-    """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects seeded by x, a, b.
+    """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects, for each b of ``bs`` in turn.
 
     The crown rule, run by :func:`recognize`, enumeration and the scaling
     dimension's orbit rule: a set H of at least three objects with intent
     I is a crown iff its members linked by sharing something outside I
     form one cycle through H, and its witness walks from its least object
     x over x's neighbours a < b. ``links`` is the context's ``meet_links()``.
-    Enumeration needs the walk to branch; recognize first checks that
-    every member has two links, so its walk never does.
+    ``bs`` is a mask of b candidates, each above a, tried in ascending
+    order, so one generator serves every seed triplet of x and a.
+    Enumeration needs the walk to branch; recognize passes one b and
+    first checks that every member has two links, so its walk never does.
 
     A crown's consecutive pairs share an attribute outside its intent and
     no other pair does, so no member's row contains another's. On a
@@ -133,29 +143,54 @@ def crown_walks(
     and a walk so found needs no system check: a column cut to H is H or
     a clique of the cycle (an edge at most when |H| >= 4), every edge is
     a cut column, and edges meet in singletons and the empty set.
+
+    Children that cannot close are never pushed (the reach-the-target
+    rule of chordless-cycle listing; Dias et al. 2013, Uno & Satoh 2014).
+    A walk closes only at a last object of ``closers``, those not linked
+    with b at I. A child's descendants use only objects of its own
+    ``common``, the parent's ``common & same``. So a child outside
+    ``closers`` yields a walk only if ``common & same & closers`` is
+    nonzero; and a child one short of the cap cannot grow, so it yields
+    one only if it closes itself. In either case the children narrow to
+    ``closers``, which drops only children that would yield nothing, so
+    the walks and their order stay the same.
     """
-    ab = rows[a] & rows[b]
-    if ab & ~rows[x]:
-        # a and b share more than x holds, so they are consecutive.
-        intent = rows[x] & ab
-        if lo <= 3 and rows[x] & rows[a] & ~intent and rows[x] & rows[b] & ~intent:
-            yield x, a, b
-        return
-    if hi < 4 or not links[a].get(ab, 0) >> b & 1 or ab in (rows[x] & rows[a], rows[x] & rows[b]):
-        return
-    # An explicit stack, so the cap is not bounded by the recursion limit.
-    stack = [([x, a], links[x].get(ab, 0) & objects & -(2 << x))]
-    while stack:
-        path, common = stack.pop()
-        same = links[path[-1]].get(ab, 0)
-        if not same >> b & 1:
-            if lo <= len(path) + 1:
-                yield (*path, b)
+    rx = rows[x]
+    ra = rows[a]
+    xa = rx & ra
+    a_links = links[a]
+    while bs:
+        low = bs & -bs
+        bs ^= low
+        b = low.bit_length() - 1
+        rb = rows[b]
+        ab = ra & rb
+        if ab & ~rx:
+            # a and b share more than x holds, so they are consecutive.
+            intent = rx & ab
+            if lo <= 3 and xa & ~intent and rx & rb & ~intent:
+                yield x, a, b
             continue
-        if len(path) + 1 >= hi:
+        if hi < 4 or not a_links.get(ab, 0) & low or ab == xa or ab == rx & rb:
             continue
-        for nxt in bits(common & ~same):
-            stack.append((path + [nxt], common & same))
+        closers = ~links[b].get(ab, 0)
+        # An explicit stack, so the cap is not bounded by the recursion limit.
+        stack = [([x, a], links[x].get(ab, 0) & objects & -(2 << x))]
+        while stack:
+            path, common = stack.pop()
+            same = links[path[-1]].get(ab, 0)
+            if not same & low:
+                if lo <= len(path) + 1:
+                    yield (*path, b)
+                continue
+            if len(path) + 1 >= hi:
+                continue
+            grow = common & ~same
+            common &= same
+            if len(path) + 2 >= hi or not common & closers:
+                grow &= closers
+            for nxt in bits(grow):
+                stack.append((path + [nxt], common))
 
 
 def ordinal_chains(context: FormalContext, lo: int, hi: int, witness: Sequence[int] = ()) -> list:
@@ -212,12 +247,17 @@ def interordinal_walks(context: FormalContext, lo: int, hi: int, witness: Sequen
     a mask of column ORs settles the first and last tests: no attribute
     of rows[x] & ~rows[y], one of the newest tail. Then rows[z] & rows[p]
     lies in rows[y], as does what z holds of an older tail (in a rows[p]).
+    That mask depends on x and y alone, so one search keeps it per pair.
+    Every later member of a walk comes from its node's options, so a node
+    with no option above ``path[0]`` leads to no walk that is kept, and
+    pushes no children; the forced walk of :func:`recognize` keeps all.
     """
     rows, cols, everyone = context.rows, context.cols, context.object_mask
     seeds = witness[:1] or range(len(rows) - 1, -1, -1)
     stack = [((g,), 1 << g, everyone ^ 1 << g) for g in seeds]
     found = []
     union, gap, tails = 0, 0, []
+    masks = {}
     while stack:
         path, mask, options = stack.pop()
         k = len(path)
@@ -234,20 +274,28 @@ def interordinal_walks(context: FormalContext, lo: int, hi: int, witness: Sequen
             union |= last
             tails = [t & z for t in tails] + [z & ~last]
             options = 0 if z & gap or not all(tails) else 1 << witness[k]
-        elif k > 1:
-            prev = rows[path[-2]]
-            near = far = 0
-            m = last & ~prev
-            while m:
-                low = m & -m
-                near |= cols[low.bit_length() - 1]
-                m ^= low
-            m = prev & ~last
-            while m:
-                low = m & -m
-                far |= cols[low.bit_length() - 1]
-                m ^= low
-            options &= near & ~far
+        else:
+            if k > 1:
+                pair = path[-2], path[-1]
+                narrow = masks.get(pair)
+                if narrow is None:
+                    prev = rows[pair[0]]
+                    near = far = 0
+                    m = last & ~prev
+                    while m:
+                        low = m & -m
+                        near |= cols[low.bit_length() - 1]
+                        m ^= low
+                    m = prev & ~last
+                    while m:
+                        low = m & -m
+                        far |= cols[low.bit_length() - 1]
+                        m ^= low
+                    narrow = masks[pair] = near & ~far
+                options &= narrow
+            if not options >> path[0] + 1:
+                # Every later member comes from options: none ends above path[0].
+                continue
         after = 0
         while options:
             low = options & -options
@@ -364,7 +412,8 @@ def _recognize_crown(context: FormalContext, idx: list[int]) -> tuple[int, ...] 
     ends = [domain & ~(1 << g | links[g].get(intent, 0)) for g in idx]
     if any(e.bit_count() != 2 for e in ends):
         return None
-    return next(crown_walks(rows, links, domain, idx[0], *bits(ends[0]), len(idx), len(idx)), None)
+    a, b = bits(ends[0])
+    return next(crown_walks(rows, links, domain, idx[0], a, 1 << b, len(idx), len(idx)), None)
 
 
 def recognize(context: FormalContext, domain: Iterable[int], family: ScaleFamily) -> Motif | None:

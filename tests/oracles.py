@@ -288,6 +288,17 @@ def bijection_oracle(context: FormalContext, domain: tuple[int, ...], family: Sc
     return False
 
 
+def nominal_pairwise_oracle(rows: list[int], domain: list[int]) -> bool:
+    """The nominal rule as stated, over every pair: one common meet that no row equals.
+
+    For domains of at least two objects with pairwise distinct rows.
+    """
+    meet = rows[domain[0]] & rows[domain[1]]
+    return all(rows[g] != meet for g in domain) and all(
+        rows[g] & rows[h] == meet for g, h in combinations(domain, 2)
+    )
+
+
 def subsets_oracle(
     context: FormalContext,
     family: ScaleFamily,

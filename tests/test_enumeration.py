@@ -23,6 +23,7 @@ from ordmotif.cli import main
 from ordmotif.context import link_table
 from ordmotif.enumeration import DEFAULT_CROWN_SIZE_CAP, enumerate_family, maximal_filter
 from ordmotif.io import to_burmeister
+from ordmotif.recognition import crown_walks
 
 from oracles import (
     crown_heavy_context,
@@ -678,9 +679,11 @@ class _CountingRows(tuple):
 
 def test_candidate_masks_keep_step_rule_calls_down():
     # The searches read one row per object they try, and a few per node.
-    # On this table they read 6,661 interordinal and 1,852 contranominal
+    # On this table they read 5,913 interordinal and 1,852 contranominal
     # rows; under the full step rules with no candidate masks, trying every
-    # accepted sibling, the same loops read 14,127 and 3,798.
+    # accepted sibling, the same loops read 14,127 and 3,798. Without the
+    # pair masks kept per search and the direction cut, interordinal
+    # walks read 6,661.
     ctx = _fixed_row_size_context(Random(127), 27, 23, 3)
     rows = _CountingRows(ctx.rows)
     object.__setattr__(ctx, "rows", rows)
@@ -689,5 +692,53 @@ def test_candidate_masks_keep_step_rule_calls_down():
         rows.reads = 0
         assert len(enumerate_family(ctx, family)) >= least
         reads[family] = rows.reads
-    assert reads[ScaleFamily.INTERORDINAL] < 10_000, reads
+    assert reads[ScaleFamily.INTERORDINAL] < 6_300, reads
     assert reads[ScaleFamily.CONTRANOMINAL] < 2_500, reads
+
+
+class _CountingLinks(dict):
+    # One object's links that count their lookups: a crown walk reads
+    # one per node it pops, and up to three per seed triplet.
+    gets = 0
+
+    def get(self, key, default=None):
+        _CountingLinks.gets += 1
+        return dict.get(self, key, default)
+
+
+def test_crown_closers_keep_link_reads_down():
+    # On this table of 3,559 crowns the walk reads 12,074 links, and 5,659
+    # for the 2,016 crowns under cap 5. Pushing every child, as a walk that
+    # does not narrow to the objects that can still close with b does, it
+    # reads 15,624 and 8,376; narrowing only where no descendant can close,
+    # and not one short of the cap, 12,813 and 7,330.
+    ctx, _ = clarify_objects(random_context(Random(0), 40, 25, 0.12))
+    links = {g: _CountingLinks(table) for g, table in ctx.meet_links().items()}
+    object.__setattr__(ctx, "_meet_links", links)
+    for cap, least, bound in (8, 3_500, 13_500), (5, 2_000, 6_300):
+        _CountingLinks.gets = 0
+        assert len(enumerate_family(ctx, CROWN, EnumerationConfig(crown_size_cap=cap))) >= least
+        assert _CountingLinks.gets < bound, (cap, _CountingLinks.gets)
+
+
+def test_crown_walks_over_a_mask_of_b_chain_the_one_b_walks():
+    # Enumeration hands crown_walks every b above a at once; the walks
+    # come out as the one-b calls give them, b by b in ascending order.
+    rng = Random(151)
+    raws = [crown_heavy_context(rng, rng.randint(6, 11)) for _ in range(20)]
+    raws += [random_context(rng, rng.randint(8, 14), rng.randint(5, 9), 0.3) for _ in range(20)]
+    walks = 0
+    for raw in raws:
+        ctx, _ = clarify_objects(raw)
+        rows, links, everyone = ctx.rows, ctx.meet_links(), ctx.object_mask
+        for lo, hi in (3, 8), (4, 5), (3, 3), (5, 12):
+            for x in range(len(rows)):
+                ups = sum(links[x].values()) & -(2 << x)
+                for a in range(x + 1, len(rows)):
+                    bs = ups & -(2 << a)
+                    got = list(crown_walks(rows, links, everyone, x, a, bs, lo, hi))
+                    want = [w for b in range(a + 1, len(rows)) if bs >> b & 1
+                            for w in crown_walks(rows, links, everyone, x, a, 1 << b, lo, hi)]
+                    assert got == want, (rows, x, a, lo, hi)
+                    walks += len(got)
+    assert walks > 500, walks
