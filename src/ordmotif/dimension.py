@@ -3,84 +3,60 @@
 A full scale-measure into a semi-product decomposes into one map per
 component, each a scale-measure on its own, whose attribute-extent
 preimages jointly meet-generate the extent system. Every extent is an
-intersection of meet-irreducible ones, so the search reduces to covering
-the irreducibles with per-map preimage families. Each scale's maps are
-grown one object at a time, and a partial map is dropped as soon as
-some column's partial preimage can no longer grow into an extent. Each
-column carries its preimage's intent, so that test reads the closure
-off the context's intent table and computes none. The problem is hard
-in general, and a context in which every set is an extent drops no
-partial map, hence the caps on object count, tuple length and the
-scale column scans the search counts as it goes. The final cover is an
-exact search bounded by cardinality: it branches only on the maps' sets
-holding the least uncovered irreducible, and stops once d sets of the
-largest size are too few for what is left.
+intersection of meet-irreducible ones, so the search covers the
+irreducibles with the *coverage sets* of single maps, the irreducibles
+among a map's column preimages. A set inside another covers nothing
+more, so only maximal ones are kept. The final cover is an exact search
+bounded by cardinality: it branches only on the sets holding the least
+uncovered irreducible, and stops once d sets of the largest size are
+too few for what is left.
 
-Three exact cuts spare the search work whose answer is known. Measures
-onto a scale depend only on its extents (Ganter, Hanika & Hirth,
-"Scaling Dimension", ICFCA 2023), so the cuts key on the family
-:func:`recognize` finds for all the scale's objects, clarified first if
-two rows are equal:
+Measures onto a scale depend only on its extents (Ganter, Hanika & Hirth,
+"Scaling Dimension", ICFCA 2023), so no map is searched. Each scale is
+keyed on the family :func:`recognize` finds for all its objects,
+clarified first if two rows are equal, and its coverage sets are read
+off a walk over the context's extents:
 
-* Ordinal and interordinal scales are walked over extents. On either, of
-  n objects T, the prefixes C_1 < ... < C_c (c = n - 1) are distinct,
-  proper and nonempty, and the extents are the intersections of T and
-  the C_i, in the interordinal, *complemented*, case also of each T
-  minus C_i. A measure pulls the C_i back to a nondecreasing chain
-  A_1 <= ... <= A_c of extents, and in the complemented case each G
-  minus A_i must be an extent too. Every such chain is realized: send g
-  to an object of C_i outside C_(i-1) for the least i with g in A_i, or
-  to an object outside C_c when no A_i holds g. Then C_i pulls back to
-  A_i, T minus C_i to G minus A_i, and T to G. A shorter chain is padded
-  by repeats, so the coverage sets are the irreducibles met by chains of
-  at most c distinct extents, and only the extents that meet one
-  matter: the irreducibles themselves, or in the complemented case the
-  extents E with G minus E an extent and E or G minus E irreducible.
-  Ordinal scales always realize the chain G, ..., G; interordinal ones
-  realize some chain only if some extent's complement is an extent.
-* Ordinal scales are answered by width, c being the *capacity*. With no
-  irreducible at all, one map that pulls every column back to G
-  suffices. So when every scale is ordinal and the longest chain of
-  irreducibles fits the largest capacity, the dimension is the least
-  number of chains covering the irreducibles, at least 1: by Dilworth's
-  theorem their width, the irreducibles minus a maximum matching on
-  strict inclusion (Fulkerson 1956).
-* The map search grows one map per orbit of the scale automorphisms that
-  permute its columns: composed with a map, one keeps the preimage
-  family, measure or not. Once the first objects are assigned, one
-  fixing every used scale object carries the maps sending the next
-  object to t onto those sending it to t's image, with the same partial
-  preimages, so only one scale object per orbit of that pointwise
-  stabilizer is tried, and by induction every measure has a grown image
-  (isomorph rejection along a stabilizer chain; McKay, "Isomorph-free
-  exhaustive generation", J. Algorithms 1998). A used object is fixed,
-  hence always tried. The column sizes name the family to ask: pairs a
-  crown, singletons nominal, all objects but one contranominal. Once
-  recognized, the columns are the family's meet-irreducible extents,
-  which every automorphism permutes. On a crown, a cycle of n pairs,
-  these are its rotations and reflections: the first object goes to
-  position 0 of the witness only. While every used object lies in
-  {0, n/2} (n/2 only for even n), the reflection through 0 still fixes
-  them and pairs position i with n - i, so positions 0..n//2 are tried;
-  after that, only the identity does. On a nominal or contranominal
-  scale every permutation is an automorphism, so the unused objects form
-  one orbit and only the least of them is tried. Any other scale tries
-  every object.
+* Ordinal and interordinal scales of n objects T: the prefixes
+  C_1 < ... < C_c (c = n - 1) are distinct, proper and nonempty, and
+  the extents are the intersections of T and the C_i, in the
+  interordinal, *complemented*, case also of each T minus C_i. A measure
+  pulls the C_i back to a nondecreasing chain A_1 <= ... <= A_c of
+  extents, in the complemented case with each G minus A_i an extent
+  too. Every such chain is realized: send g to an object of C_i outside
+  C_(i-1) for the least i with g in A_i, or to an object outside C_c
+  when no A_i holds g. So the walk follows chains of at most c distinct
+  extents. When every scale is ordinal and the longest chain of
+  irreducibles fits the largest c, the *capacity*, the dimension is the
+  least number of chains covering the irreducibles, at least 1: by
+  Dilworth's theorem their width (Fulkerson 1956).
+* Nominal and contranominal scales of n objects: a map is a partition
+  of G into at most n nonempty blocks. Nominal columns pull back to the
+  blocks, and to the empty set once fewer than n blocks are used;
+  contranominal ones to the blocks' complements, and to G.
+* Crowns of n >= 4 objects: the columns are the pairs of cycle
+  neighbours, so a map with blocks B_0, ..., B_(n-1) in cycle order is
+  a measure iff every B_i | B_(i+1) (indices mod n) is an extent.
 
-Crowns, nominal and contranominal scales of three or more objects, and
-any scale recognized as neither ordinal nor interordinal, keep the map
-search.
+A partition has at most |G| nonempty blocks, and around a crown a run of
+empty blocks between two nonempty ones matters only as none, one, or two
+or more (which pull a column back to the empty set). So larger scales
+measure a context as those of |G| + 1 and of 3|G| objects do, and
+:func:`check_scale_specs` builds none larger than :func:`_walked_size`
+allows; the walks cap built ones alike. A walk counts its steps as
+column scans, on one count per call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
-from .bitsets import bits, mask_of
+from .bitsets import bits
 from .context import FormalContext, clarify_objects
-from .recognition import Motif, recognize
-from .scales import ScaleFamily, check_scale_size, column_count
+from .recognition import recognize
+from .scales import ScaleFamily, check_scale_size
 
+#: The crown walk's memo table grows as 4**|G| * n, hence the object cap.
 MAX_OBJECTS = 8
 MAX_TUPLE_LENGTH = 4
 MAX_COLUMN_SCANS = 2**23
@@ -92,42 +68,28 @@ def check_object_count(n_objects: int) -> None:
         raise ValueError(f"scaling dimension search is capped at {MAX_OBJECTS} objects")
 
 
+def _walked_size(family: ScaleFamily, n_objects: int) -> int:
+    """Size above which a scale of ``family`` measures ``n_objects`` objects as at this size.
+
+    See the module docstring; a chain of distinct extents, at most
+    ``n_objects + 1`` of them, fits a chain scale of ``n_objects + 2``.
+    """
+    return max(4, 3 * n_objects) if family is ScaleFamily.CROWN else n_objects + 2
+
+
 def check_scale_specs(
     n_objects: int, specs: Sequence[tuple[ScaleFamily, int]]
 ) -> list[tuple[ScaleFamily, int]]:
     """Refuse a search before any of its ``(family, size)`` scales is built.
 
     Each size must be valid for its family and the context must pass
-    :func:`check_object_count`. :func:`recognize` finds a built scale of
-    one or two objects ordinal or interordinal, so the map search runs on
-    crowns and on nominal and contranominal scales of three or more
-    objects, and the first grown map of such a scale ``S`` already scans
-    its ``|S| * |M_S|`` columns. One count spans all scales, so the sum
-    over these scales must stay within ``MAX_COLUMN_SCANS``.
-
-    Returns the specs to build. The other scales are recognized as
-    ordinal or interordinal and walked over chains of distinct extents,
-    which have at most ``n_objects + 1`` members. So an ordinal or
-    interordinal scale of more than ``n_objects + 2`` objects gives the
-    same answer on the same column scan count as one of that size, which
-    is built instead.
+    :func:`check_object_count`. Returns the specs to build, each capped
+    at :func:`_walked_size`: a larger scale gives the same answer.
     """
     for family, n in specs:
         check_scale_size(family, n)
     check_object_count(n_objects)
-    first = sum(
-        n * column_count(family, n)
-        for family, n in specs
-        if family is ScaleFamily.CROWN
-        or family in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL) and n >= 3
-    )
-    if first > MAX_COLUMN_SCANS:
-        raise ValueError(
-            f"the scales would scan {first} columns for one object; "
-            f"the cap is {MAX_COLUMN_SCANS} column scans"
-        )
-    chains = (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
-    return [(f, min(n, n_objects + 2) if f in chains else n) for f, n in specs]
+    return [(f, min(n, _walked_size(f, n_objects))) for f, n in specs]
 
 
 def meet_irreducible_extents(context: FormalContext) -> list[int]:
@@ -161,136 +123,42 @@ def _spend(spent: list[int], scans: int) -> None:
         )
 
 
-def _symmetric_motif(scale: FormalContext) -> Motif | None:
-    """The crown, nominal or contranominal scale ``recognize`` finds on all objects, else ``None``.
-
-    Only the family the column sizes name is asked (the third cut of the
-    module docstring); a later key wins, so a 3-crown, also contranominal
-    3, is a crown. Equal rows answer ``None``, not an error. A crown's
-    witness is its cycle order from 0 towards its smaller neighbour:
-    0, 1, ..., n - 1 on ``build_scale(CROWN, n)``.
-    """
-    n = len(scale.rows)
-    sizes = {c.bit_count() for c in scale.cols}
-    families = {1: ScaleFamily.NOMINAL, n - 1: ScaleFamily.CONTRANOMINAL, 2: ScaleFamily.CROWN}
-    family = families.get(sizes.pop()) if len(sizes) == 1 else None
-    if family is None or len(set(scale.rows)) < n:
-        return None
-    return recognize(scale, range(n), family)
-
-
-def _orbit_rule(scale: FormalContext) -> Callable[[int], int]:
-    """The scale objects to try next, as a mask, given the used ones.
-
-    One object per orbit of the automorphisms that fix every used object
-    (the third cut of the module docstring): on a crown, cycle position
-    0, then positions 0..n//2 while every used object lies in {0, n/2},
-    then every object; on a nominal or contranominal scale, the used
-    objects and the least unused one; on any other scale, every object.
-    """
-    everything = scale.object_mask
-    motif = _symmetric_motif(scale)
-    if motif is None:
-        return lambda used: everything
-    if motif.family is ScaleFamily.CROWN:
-        order, n = motif.domain, motif.size
-        first = 1 << order[0]
-        mirror = first | 1 << order[n // 2] if n % 2 == 0 else first
-        half = mask_of(order[: n // 2 + 1])
-        return lambda used: everything if used & ~mirror else half if used else first
-    return lambda used: used | ~used & (used + 1)
-
-
-def _measure_coverages(
-    context: FormalContext, scale: FormalContext, irreducibles: int, spent: list[int]
-) -> set[int]:
-    """Irreducibles reachable per valid map from the context onto ``scale``.
-
-    Grows each map one object at a time, in object order, trying the
-    scale objects :func:`_orbit_rule` names in their order, and carries
-    the partial preimage ``P`` of every scale column next to its intent.
-    A branch ends as soon as some ``P`` has an assigned object outside
-    ``P`` in its closure: every completion's preimage contains ``P`` and
-    is an extent, so it would hold that object too, which the assignment
-    already ruled out. An object joining ``P`` narrows the intent to its
-    row, and the closure is read off ``context.intent_ids()``; an object
-    kept out of ``P`` is outside the closure iff it lacks some attribute
-    of the intent. Once every object is assigned the test says that each
-    preimage is an extent, so exactly the measures survive. Records which
-    irreducibles appear among their preimages; sets of extents are ints
-    over ``intent_ids()``.
-
-    The orbit rule skips a scale object t only when an automorphism that
-    fixes every used scale object carries t onto a tried one. Composing
-    with it keeps the assignment so far and permutes the columns, so the
-    partial preimages form the same family and the tried branch is
-    pruned exactly when t's is. By induction over the objects, every
-    measure has a grown image under some automorphism, with the same
-    preimage family: the recorded sets are those of the full search.
-
-    Each grown partial map adds its ``|S| * |M_S|`` column scans to the
-    shared ``spent[0]``; past ``MAX_COLUMN_SCANS`` the search fails.
-    """
-    n = len(context.objects)
-    cost = len(scale.rows) * len(scale.attributes)
-    rows = context.rows
-    extents = context.extents()
-    ids = context.intent_ids()
-    tries = _orbit_rule(scale)
-    scale_objects = [(1 << s, row) for s, row in enumerate(scale.rows)]
-    out: set[int] = set()
-
-    def grow(g: int, columns: list[tuple[int, int]], used: int) -> None:
-        if g == n:
-            hit = 0
-            for _, intent in columns:
-                hit |= 1 << ids[intent]
-            out.add(hit & irreducibles)
-            return
-        _spend(spent, cost)
-        tried = tries(used)
-        bit = 1 << g
-        assigned = (bit << 1) - 1
-        row_g = rows[g]
-        for s, row in scale_objects:
-            if not tried & s:
-                continue
-            grown = []
-            for c, (pre, intent) in enumerate(columns):
-                if row >> c & 1:
-                    pre |= bit
-                    intent &= row_g
-                    if extents[ids[intent]] & assigned != pre:
-                        break
-                elif not intent & ~row_g:
-                    break
-                grown.append((pre, intent))
-            else:
-                grow(g + 1, grown, used | s)
-
-    grow(0, [(0, context.attribute_mask)] * len(scale.attributes), 0)
+def _maximal(hits: Iterable[int]) -> list[int]:
+    """The distinct sets of ``hits`` that no other one strictly contains, largest first."""
+    out: list[int] = []
+    for hit in sorted(set(hits), key=int.bit_count, reverse=True):
+        if all(hit & ~kept for kept in out):
+            out.append(hit)
     return out
 
 
-def _chain_shape(scale: FormalContext) -> tuple[int, bool] | None:
-    """``(n - 1, complemented)`` for an ordinal or interordinal scale of n objects, else ``None``.
+#: The order in which :func:`_shape` asks the families: chain scales first.
+_SHAPES = (
+    ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL,
+    ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN,
+)
 
-    The family is the first of the two that :func:`recognize` finds on
-    all objects, clarified first if two rows are equal; ``complemented``
-    says interordinal. A scale without objects answers ``None``.
+
+def _shape(scale: FormalContext) -> tuple[ScaleFamily, int] | None:
+    """The first family :func:`recognize` finds for all of the scale's objects, and their count.
+
+    The scale is clarified first if two rows are equal. Chain scales are
+    asked first, so no scale of two objects is nominal or contranominal,
+    and contranominal before crown, so the 3-crown is contranominal 3. A
+    scale without objects, or that no family fits, answers ``None``.
     """
     if len(set(scale.rows)) < len(scale.rows):
         scale, _ = clarify_objects(scale)
     n = len(scale.rows)
-    for family in (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL):
+    for family in _SHAPES:
         if n and recognize(scale, range(n), family):
-            return n - 1, family is ScaleFamily.INTERORDINAL
+            return family, n
     return None
 
 
 def _chain_coverages(
     context: FormalContext, length: int, complemented: bool, irreducibles: int, spent: list[int]
-) -> set[int]:
+) -> list[int]:
     """Maximal coverage sets of the measures onto an ordinal or interordinal scale.
 
     A measure pulls the chain C back to a nondecreasing chain of at most
@@ -304,7 +172,7 @@ def _chain_coverages(
     the empty coverage stands, if any map is a measure at all.
 
     Each walk step adds one plus the members it tries to the shared
-    ``spent[0]``, the count the map search keeps.
+    ``spent[0]``.
     """
     extents = context.extents()
     if complemented:
@@ -316,12 +184,12 @@ def _chain_coverages(
             if top ^ e in index
         }
         if not hits:
-            return set()
+            return []
     else:
         hits = {extents[i]: 1 << i for i in bits(irreducibles)}
     relevant = sorted((e for e, hit in hits.items() if hit), key=int.bit_count)
     if not length or not relevant:
-        return {0}
+        return [0]
     above = {e: [f for f in relevant if f != e and e & f == e] for e in relevant}
     found: set[int] = set()
 
@@ -335,11 +203,103 @@ def _chain_coverages(
 
     for e in relevant:
         walk(e, 1, hits[e])
-    out: set[int] = set()
-    for hit in sorted(found, key=int.bit_count, reverse=True):
-        if all(hit & ~kept for kept in out):
-            out.add(hit)
-    return out
+    return _maximal(found)
+
+
+def _partition_coverages(
+    context: FormalContext, n: int, complemented: bool, irreducibles: int, spent: list[int]
+) -> list[int]:
+    """Maximal coverage sets of the measures onto a nominal or contranominal scale of n objects.
+
+    A measure is a partition of G into at most n nonempty blocks that are
+    extents, or in the complemented (contranominal) case whose complements
+    are, and a nominal one of fewer blocks needs the empty set to be an
+    extent. Each block holds the least object not yet placed, so every
+    partition is grown once. A state is the objects not yet placed and
+    the number of blocks; growing one adds one plus the blocks it tries
+    to the shared ``spent[0]``.
+    """
+    top = context.object_mask
+    n = min(n, _walked_size(ScaleFamily.NOMINAL, len(context.objects)))
+    extents = context.extents()
+    blocks = [
+        (top ^ e if complemented else e, 1 << i & irreducibles) for i, e in enumerate(extents)
+    ]
+    # A scale object no block uses pulls its column back to G, or to the empty set.
+    unused = top if complemented else 0
+    spare = [1 << extents.index(unused) & irreducibles] if unused in extents else []
+    memo: dict[tuple[int, int], list[int]] = {}
+
+    def walk(free: int, depth: int) -> list[int]:
+        key = free, depth
+        if key not in memo:
+            if not free:
+                memo[key] = [0] if depth == n else spare
+            elif depth == n:
+                memo[key] = []
+            else:
+                _spend(spent, 1 + len(blocks))
+                low = free & -free
+                memo[key] = _maximal(
+                    hit | rest
+                    for b, hit in blocks
+                    if b & low and not b & ~free
+                    for rest in walk(free ^ b, depth + 1)
+                )
+        return memo[key]
+
+    return walk(top, 0)
+
+
+def _crown_coverages(
+    context: FormalContext, n: int, irreducibles: int, spent: list[int]
+) -> list[int]:
+    """Maximal coverage sets of the measures onto a crown of n >= 4 objects.
+
+    A rotation keeps the preimages, so object 0 lies in B_0. Each block
+    is an extent, the meet of the two unions that hold it: B_0 is one
+    holding object 0, and each later block one of the objects not yet
+    placed whose union with the block before is an extent. The last
+    block takes the objects left and closes with B_0. A state is B_0,
+    the last block, the objects not yet placed and the blocks still to
+    place; with k objects left, more than 3k + 2 blocks walk as that many
+    (see the module docstring). Growing a state adds one plus the blocks
+    it tries to the shared ``spent[0]``.
+    """
+    extents = context.extents()
+    hits = {e: 1 << i & irreducibles for i, e in enumerate(extents)}
+    n = min(n, _walked_size(ScaleFamily.CROWN, len(context.objects)))
+    inside: dict[int, list[int]] = {}
+    memo: dict[tuple[int, int, int, int], list[int]] = {}
+
+    def walk(first: int, last: int, free: int, left: int) -> list[int]:
+        left = min(left, 3 * free.bit_count() + 2)
+        key = first, last, free, left
+        if key not in memo:
+            blocks = inside.get(free)
+            if blocks is None:
+                blocks = inside[free] = [e for e in extents if not e & ~free]
+            _spend(spent, 1 + len(blocks))
+            found = []
+            for b in blocks:
+                joint = hits.get(last | b)
+                if joint is None:
+                    continue
+                rest = free ^ b
+                if left > 2:
+                    found += [joint | hit for hit in walk(first, b, rest, left - 1)]
+                elif rest in hits and rest | b in hits and rest | first in hits:
+                    # The last block takes every object left and closes with B_0.
+                    found.append(joint | hits[rest | b] | hits[rest | first])
+            memo[key] = _maximal(found)
+        return memo[key]
+
+    top = context.object_mask
+    if not top:
+        return [irreducibles & 1]
+    return _maximal(
+        hit for first in extents if first & 1 for hit in walk(first, first, top ^ first, n - 1)
+    )
 
 
 def _height_and_width(sets: list[int]) -> tuple[int, int]:
@@ -368,6 +328,18 @@ def _height_and_width(sets: list[int]) -> tuple[int, int]:
     return max(height, default=0), len(sets) - matched
 
 
+def _coverages(
+    context: FormalContext, family: ScaleFamily, n: int, irreducibles: int, spent: list[int]
+) -> list[int]:
+    """Maximal coverage sets of the measures onto the family's scale of n objects."""
+    if family is ScaleFamily.CROWN:
+        return _crown_coverages(context, n, irreducibles, spent)
+    complemented = family in (ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL)
+    if family in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL):
+        return _partition_coverages(context, n, complemented, irreducibles, spent)
+    return _chain_coverages(context, n - 1, complemented, irreducibles, spent)
+
+
 def scaling_dimension(
     context: FormalContext,
     scales: Sequence[FormalContext],
@@ -375,24 +347,27 @@ def scaling_dimension(
 ) -> int | None:
     """Least d <= ``max_d`` admitting a full measure into a d-fold semi-product.
 
-    Scales may repeat within a tuple. Returns ``None`` when no tuple of
+    Scales may repeat within a tuple, and each must be a standard scale up
+    to its labels, its repeated objects and its redundant columns;
+    another raises ``ValueError``. Returns ``None`` when no tuple of
     length up to ``max_d`` works. When every scale is ordinal and the
     longest chain of irreducibles fits the largest capacity, the answer
-    is their width (at least 1) and no map is searched. Otherwise
-    ordinal and interordinal scales are walked over extents and the
-    others searched, on one column scan count.
+    is their width (at least 1) and nothing is walked. Otherwise every
+    scale is walked over extents, on one column scan count.
     """
     check_object_count(len(context.objects))
     if not 1 <= max_d <= MAX_TUPLE_LENGTH:
         raise ValueError(f"max_d must be between 1 and {MAX_TUPLE_LENGTH}")
     if not scales:
         raise ValueError("the scale family must not be empty")
+    shapes = [_shape(scale) for scale in scales]
+    if None in shapes:
+        raise ValueError(f"scale {shapes.index(None) + 1} is no standard scale")
 
     irreducibles = meet_irreducible_extents(context)
-    shapes = [_chain_shape(scale) for scale in scales]
-    if all(shape is not None and not shape[1] for shape in shapes):
+    if all(family is ScaleFamily.ORDINAL for family, _ in shapes):
         height, width = _height_and_width(irreducibles)
-        if height <= max(length for length, _ in shapes):
+        if height < max(n for _, n in shapes):
             d = max(width, 1)
             return d if d <= max_d else None
 
@@ -402,11 +377,8 @@ def scaling_dimension(
         target |= 1 << ids[context.derive_objects(e)]
     coverages: set[int] = set()
     spent = [0]
-    for scale, shape in zip(scales, shapes):
-        if shape is None:
-            coverages |= _measure_coverages(context, scale, target, spent)
-        else:
-            coverages |= _chain_coverages(context, *shape, target, spent)
+    for family, n in shapes:
+        coverages.update(_coverages(context, family, n, target, spent))
     if not coverages:
         return None
     largest = max(c.bit_count() for c in coverages)

@@ -119,13 +119,13 @@ def crown_walks(
 ) -> Iterator[tuple[int, ...]]:
     """Walks ``(x, a, ..., b)`` of the crowns of ``lo..hi`` objects, for each b of ``bs`` in turn.
 
-    The crown rule, run by :func:`recognize`, enumeration and the scaling
-    dimension's orbit rule: a set H of at least three objects with intent
-    I is a crown iff its members linked by sharing something outside I
-    form one cycle through H, and its witness walks from its least object
-    x over x's neighbours a < b. ``links`` is the context's ``meet_links()``.
-    ``bs`` is a mask of b candidates, each above a, tried in ascending
-    order, so one generator serves every seed triplet of x and a.
+    The crown rule, run by :func:`recognize` and enumeration: a set H of
+    at least three objects with intent I is a crown iff its members
+    linked by sharing something outside I form one cycle through H, and
+    its witness walks from its least object x over x's neighbours a < b.
+    ``links`` is the context's ``meet_links()``. ``bs`` is a mask of b
+    candidates, each above a, tried in ascending order, so one generator
+    serves every seed triplet of x and a.
     Enumeration needs the walk to branch; recognize passes one b and
     first checks that every member has two links, so its walk never does.
 
@@ -153,7 +153,9 @@ def crown_walks(
     nonzero; and a child one short of the cap cannot grow, so it yields
     one only if it closes itself. In either case the children narrow to
     ``closers``, which drops only children that would yield nothing, so
-    the walks and their order stay the same.
+    the walks and their order stay the same. ``closers`` is read once a
+    node of the walk has children, and the root takes the links of a at
+    I that the seed test read.
     """
     rx = rows[x]
     ra = rows[a]
@@ -171,26 +173,29 @@ def crown_walks(
             if lo <= 3 and xa & ~intent and rx & rb & ~intent:
                 yield x, a, b
             continue
-        if hi < 4 or not a_links.get(ab, 0) & low or ab == xa or ab == rx & rb:
+        if hi < 4 or not (same := a_links.get(ab, 0)) & low or ab == xa or ab == rx & rb:
             continue
-        closers = ~links[b].get(ab, 0)
+        closers = None
         # An explicit stack, so the cap is not bounded by the recursion limit.
-        stack = [([x, a], links[x].get(ab, 0) & objects & -(2 << x))]
+        stack = [([x, a], links[x].get(ab, 0) & objects & -(2 << x), same)]
         while stack:
-            path, common = stack.pop()
-            same = links[path[-1]].get(ab, 0)
+            path, common, same = stack.pop()
+            if same is None:
+                same = links[path[-1]].get(ab, 0)
             if not same & low:
                 if lo <= len(path) + 1:
                     yield (*path, b)
                 continue
-            if len(path) + 1 >= hi:
-                continue
             grow = common & ~same
+            if len(path) + 1 >= hi or not grow:
+                continue
             common &= same
+            if closers is None:
+                closers = ~links[b].get(ab, 0)
             if len(path) + 2 >= hi or not common & closers:
                 grow &= closers
             for nxt in bits(grow):
-                stack.append((path + [nxt], common))
+                stack.append((path + [nxt], common, None))
 
 
 def ordinal_chains(context: FormalContext, lo: int, hi: int, witness: Sequence[int] = ()) -> list:

@@ -88,8 +88,3 @@ def build_scale(family: ScaleFamily, n: int) -> FormalContext:
     cols = [(1 << m) | (1 << ((m - 1) % n)) for m in range(n)]
     return FormalContext._from_rows_and_cols(labels, labels, rows, cols)
 
-
-def column_count(family: ScaleFamily, n: int) -> int:
-    """Number of attributes of ``build_scale(family, n)``."""
-    return 2 * n if family is ScaleFamily.INTERORDINAL else n
-

@@ -444,8 +444,8 @@ def least_cover_oracle(coverages: set[int], target: int, max_d: int) -> int | No
     """Least d <= ``max_d`` such that d of ``coverages``, repeats allowed, cover ``target``.
 
     ``coverages`` are per-map sets of irreducibles as ints, such as the
-    union of ``dimension._measure_coverages`` over a call's scales; every
-    choice of d of them is tried.
+    union of ``coverages_oracle`` over a call's scales; every choice of d
+    of them is tried.
     """
     for d in range(1, max_d + 1):
         for combo in combinations_with_replacement(sorted(coverages), d):

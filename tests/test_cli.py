@@ -361,7 +361,8 @@ def _contranominal_path(tmp_path, n):
 
 
 def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
-    # 40**6 maps if none were dropped, but the search drops them early.
+    # 40**6 maps, but nominal:40 is built as nominal 8, |G| + 2, and
+    # walked over partitions into extents.
     path = tmp_path / "six.csv"
     path.write_text(
         ",p,q\n" + "".join(f"g{i},{i % 2},{i // 3}\n" for i in range(6)),
@@ -371,15 +372,16 @@ def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
     assert main(["scaling-dim", str(path), "--scales", "nominal:40"]) == 0
     assert time.monotonic() - start < 5
     assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
-    # Every set is an extent of contranominal 7, so the search drops no map.
+    # Every set is an extent of contranominal 7, so the crown walk drops
+    # no block for failing to be one, and passes a low cap.
     monkeypatch.setattr("ordmotif.dimension.MAX_COLUMN_SCANS", 10_000)
     b7 = _contranominal_path(tmp_path, 7)
     start = time.monotonic()
     assert main(["scaling-dim", str(b7), "--scales", "crown:7"]) == 1
     assert time.monotonic() - start < 5
     assert "the cap is 10000 column scans" in capsys.readouterr().err
-    # An interordinal scale is walked over extents, which answers
-    # under the same cap where the map search passed it.
+    # The walk over the chains of an interordinal scale answers under
+    # the same cap.
     start = time.monotonic()
     assert main(["scaling-dim", str(b7), "--scales", "interordinal:7"]) == 0
     assert time.monotonic() - start < 1
@@ -387,8 +389,9 @@ def test_scaling_dim_rejects_huge_map_searches(capsys, tmp_path, monkeypatch):
 
 
 def test_scaling_dim_grows_one_crown_map_per_rotation_and_reflection(capsys, tmp_path):
-    # Every set is an extent of contranominal 7, so no map is dropped; the
-    # full search scanned 6.7M columns in about 2 s, the orbit rule 0.48M.
+    # Every set is an extent of contranominal 7, so a search over maps
+    # drops none: it scanned 6.7M columns in about 2 s. The crown walk,
+    # with object 0 in the first block by rotation, takes 61,591.
     b7 = _contranominal_path(tmp_path, 7)
     start = time.monotonic()
     assert main(["scaling-dim", str(b7), "--scales", "crown:7"]) == 0
@@ -397,21 +400,31 @@ def test_scaling_dim_grows_one_crown_map_per_rotation_and_reflection(capsys, tmp
 
 
 def test_scaling_dim_stops_runaway_searches_at_the_real_cap(capsys, tmp_path):
+    # Every set is an extent of contranominal 8, so the crown walk drops
+    # no block for failing to be one. crown:24, the largest crown walked
+    # on eight objects, takes 820,519 column scans, and eleven of them
+    # pass the cap.
     b8 = _contranominal_path(tmp_path, 8)
     start = time.monotonic()
-    assert main(["scaling-dim", str(b8), "--scales", "crown:8"]) == 1
+    assert main(["scaling-dim", str(b8), "--scales", ",".join(["crown:24"] * 11)]) == 1
     assert f"the cap is {MAX_COLUMN_SCANS} column scans" in capsys.readouterr().err
-    # Only a runaway search comes near this; the refusal takes about 4 s.
+    # Only a runaway search comes near this; the refusal takes about 9 s.
     assert time.monotonic() - start < 60
-    # Unbounded, the interordinal map search took about 130 s, and capped
-    # it stopped after about 4 s. The walk over complemented extents finds
+    # crown:8 alone answers, where a search over maps stopped at the cap
+    # after about 3.5 s and, uncapped, also found 4.
+    start = time.monotonic()
+    assert main(["scaling-dim", str(b8), "--scales", "crown:8"]) == 0
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().out == "4\n"
+    # Unbounded, a search over maps onto interordinal:8 took about 130 s,
+    # and capped it stopped after about 4 s. The walk over complemented extents finds
     # that one map reaches two co-atoms at most: one in its chain and one
     # as the complement of an atom below it. So the eight need four maps.
     start = time.monotonic()
     assert main(["scaling-dim", str(b8), "--scales", "interordinal:8"]) == 0
     assert time.monotonic() - start < 1
     assert capsys.readouterr().out == "4\n"
-    # Its own scale's objects are interchangeable, so each is tried once.
+    # Its own scale is walked over partitions.
     assert main(["scaling-dim", str(b8), "--scales", "contranominal:8"]) == 0
     assert capsys.readouterr().out == "1\n"
 
@@ -482,44 +495,46 @@ def test_a_bare_interpreter_imports_the_cli_without_pathlib(tmp_path):
 
 
 def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkeypatch):
-    def no_build(family, n):
-        raise AssertionError(f"built {family}:{n}")
-
-    monkeypatch.setattr("ordmotif.cli.build_scale", no_build)
+    # Each scale is built no larger than the walks need, which give the
+    # same answer at that size: crowns at max(4, 3|G|) objects, the other
+    # families at |G| + 2.
+    built = []
+    monkeypatch.setattr("ordmotif.cli.build_scale", lambda f, n: built.append((str(f), n)) or build_scale(f, n))
     two = tmp_path / "two.csv"
     two.write_text(",p\ng0,1\ng1,0\n", encoding="utf-8")
-    assert main(["scaling-dim", str(two), "--scales", "nominal:100000"]) == 1
-    assert "the cap is" in capsys.readouterr().err
-    # One object alone would scan all 20000 columns of each of 20000 scale objects.
+    assert main(["scaling-dim", str(two), "--scales", "nominal:100000"]) == 0
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+    assert built == [("nominal", 4)]
     one = tmp_path / "one.csv"
     one.write_text(",p\ng0,1\n", encoding="utf-8")
     start = time.monotonic()
-    assert main(["scaling-dim", str(one), "--scales", "contranominal:20000"]) == 1
+    assert main(["scaling-dim", str(one), "--scales", "contranominal:20000"]) == 0
     assert time.monotonic() - start < 5
-    assert "the cap is" in capsys.readouterr().err
-    # An invalid size is reported as such, not as a map count.
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+    # An invalid size is reported as such, and a context of too many
+    # objects is refused, before any scale is built.
+    built.clear()
     assert main(["scaling-dim", str(two), "--scales", "nominal:-5000"]) == 1
     assert "needs size >= 1" in capsys.readouterr().err
     nine = tmp_path / "nine.csv"
     nine.write_text(",p\n" + "".join(f"g{i},{i % 2}\n" for i in range(9)), encoding="utf-8")
     assert main(["scaling-dim", str(nine), "--scales", "ordinal:2"]) == 1
     assert "capped at 8 objects" in capsys.readouterr().err
-    # Each crown alone is below the cap, but the count is shared: 50 * 410 * 410.
+    assert built == []
     many = ",".join(["crown:410"] * 50)
-    assert main(["scaling-dim", str(one), "--scales", many]) == 1
-    err = capsys.readouterr().err
-    assert f"would scan 8405000 columns for one object; the cap is {MAX_COLUMN_SCANS} column" in err
-    # A context without objects scans nothing, but its scales are not built either.
+    assert main(["scaling-dim", str(one), "--scales", many]) == 0
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+    assert built == [("crown", 4)] * 50
+    # A context without objects builds each scale at two objects.
+    built.clear()
     empty = tmp_path / "empty.cxt"
     empty.write_text("B\n\n0\n0\n\n", encoding="utf-8")
-    assert main(["scaling-dim", str(empty), "--scales", "nominal:100000"]) == 1
-    assert "the cap is" in capsys.readouterr().err
-    # Ordinal and interordinal scales are walked over extents and scan no
-    # column, so they are not charged. A chain of distinct extents of one
-    # object has at most two members, so each scale is built with three
-    # objects.
-    built = []
-    monkeypatch.setattr("ordmotif.cli.build_scale", lambda f, n: built.append(n) or build_scale(f, n))
+    assert main(["scaling-dim", str(empty), "--scales", "nominal:100000"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert built == [("nominal", 2)]
+    # A chain of distinct extents of one object has at most two members,
+    # so each chain scale is built with three objects.
+    built.clear()
     start = time.monotonic()
     assert main(["scaling-dim", str(one), "--scales", "interordinal:2896"]) == 0
     assert time.monotonic() - start < 1
@@ -527,19 +542,25 @@ def test_scaling_dim_checks_caps_before_building_scales(capsys, tmp_path, monkey
     many = ",".join(["ordinal:2000"] * 50)
     assert main(["scaling-dim", str(one), "--scales", many]) == 0
     assert capsys.readouterr().out == "1\n"
-    assert built == [3] * 51
+    assert [n for _, n in built] == [3] * 51
 
 
 def test_scaling_dim_admission_reads_the_cap_in_dimension(capsys, tmp_path, monkeypatch):
+    # The command reads both caps where dimension keeps them, when it runs.
+    one = tmp_path / "one.csv"
+    one.write_text(",p\ng0,1\n", encoding="utf-8")
+    # nominal:11 is built as nominal 3 and walked well within 100 column scans.
+    monkeypatch.setattr("ordmotif.dimension.MAX_COLUMN_SCANS", 100)
+    assert main(["scaling-dim", str(one), "--scales", "nominal:11"]) == 0
+    assert capsys.readouterr().out == "unknown (no full measure with at most 4 scales)\n"
+
     def no_build(family, n):
         raise AssertionError(f"built {family}:{n}")
 
-    monkeypatch.setattr("ordmotif.dimension.MAX_COLUMN_SCANS", 100)
+    monkeypatch.setattr("ordmotif.dimension.MAX_OBJECTS", 0)
     monkeypatch.setattr("ordmotif.cli.build_scale", no_build)
-    one = tmp_path / "one.csv"
-    one.write_text(",p\ng0,1\n", encoding="utf-8")
     assert main(["scaling-dim", str(one), "--scales", "nominal:11"]) == 1
-    assert "would scan 121 columns for one object; the cap is 100" in capsys.readouterr().err
+    assert "capped at 0 objects" in capsys.readouterr().err
 
 
 class _ClosedStdout:

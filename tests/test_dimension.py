@@ -100,11 +100,12 @@ def test_bounds_are_enforced(monkeypatch):
         scaling_dimension(B3, [O2], max_d=5)
     with pytest.raises(ValueError):
         scaling_dimension(B3, [])
-    # 40**6 maps if none were dropped, but the empty set is no extent, so
-    # every map leaves some scale column's preimage empty and dies early.
+    # nominal:40 is walked as nominal 8, |G| + 2, and the empty set is no
+    # extent, so no partition into fewer than 40 blocks is a measure.
     six = FormalContext.from_rows([f"g{i}" for i in range(6)], ["m"], (1,) * 6)
     assert scaling_dimension(six, [build_scale(ScaleFamily.NOMINAL, 40)]) is None
-    # Every set is an extent of contranominal 7, so nothing is dropped.
+    # Every set is an extent of contranominal 7, so the crown walk drops
+    # no block for failing to be one.
     monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", 10_000)
     b7 = build_scale(ScaleFamily.CONTRANOMINAL, 7)
     start = time.perf_counter()
@@ -113,12 +114,6 @@ def test_bounds_are_enforced(monkeypatch):
     # The interordinal scale is recognized as such, so it is walked, not searched.
     assert scaling_dimension(b7, [build_scale(ScaleFamily.INTERORDINAL, 7)]) == 4
     assert time.perf_counter() - start < 1
-
-
-def _column_scans(context, scale):
-    spent = [0]
-    dimension._measure_coverages(context, scale, 0, spent)
-    return spent[0]
 
 
 def _irreducible_bits(context):
@@ -130,16 +125,20 @@ def _irreducible_bits(context):
     return target
 
 
-def _walk_scans(context, scale):
+def _walk(context, scale, target, spent):
+    # The maximal coverage sets of the walk the scale's family takes.
+    return set(dimension._coverages(context, *dimension._shape(scale), target, spent))
+
+
+def _column_scans(context, scale):
     spent = [0]
-    shape = dimension._chain_shape(scale)
-    dimension._chain_coverages(context, *shape, _irreducible_bits(context), spent)
+    _walk(context, scale, _irreducible_bits(context), spent)
     return spent[0]
 
 
 def test_one_column_scan_count_spans_every_scale(monkeypatch):
-    # O3 is walked over extents and N3 searched by maps, on one count.
-    first, second = _walk_scans(B3, O3), _column_scans(B3, N3)
+    # O3 is walked over chains and N3 over partitions, on one count.
+    first, second = _column_scans(B3, O3), _column_scans(B3, N3)
     assert first > 0 and second > 0
     monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", first + second)
     assert scaling_dimension(B3, [O3, N3]) == 3
@@ -183,12 +182,26 @@ SMALL_SCALES = _family_scales(range(1, 4))
 RANDOM_SCALES = _family_scales(range(1, 5))
 
 
-def _assert_same_coverages(context, scale):
-    # Every extent counts, so the sets compare the whole preimage families.
-    everything = (1 << len(context.extents())) - 1
-    assert dimension._measure_coverages(context, scale, everything, [0]) == coverages_oracle(
-        context, scale, everything
-    ), (context, scale)
+def _maximal(sets):
+    return {s for s in sets if not any(s != t and s & t == s for t in sets)}
+
+
+CHAINS = (ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL)
+
+
+def _assert_same_coverages(context, scale, every_extent=True):
+    # The walk keeps the maximal coverage sets of every measure. On a
+    # scale with only its family's columns, every extent may count, and
+    # the sets compare the whole preimage families. A chain walk reads
+    # only the irreducibles off its chains, and a redundant column adds
+    # only preimages that are no irreducibles.
+    targets = [_irreducible_bits(context)]
+    if every_extent and dimension._shape(scale)[0] not in CHAINS:
+        targets.append((1 << len(context.extents())) - 1)
+    for target in targets:
+        assert _walk(context, scale, target, [0]) == _maximal(
+            coverages_oracle(context, scale, target)
+        ), (context, scale, target)
 
 
 def _relabeled(rng, scale):
@@ -216,18 +229,27 @@ def test_pruned_map_search_matches_the_exhaustive_one_on_random_contexts():
         _assert_same_coverages(context, rng.choice(RANDOM_SCALES))
 
 
-def test_pruned_map_search_matches_the_exhaustive_one_on_random_scales():
+def test_a_scale_no_standard_family_fits_is_refused():
     # Random scales, and the twin scale whose objects b and c swap, are
-    # rarely crowns, nominal or contranominal scales, so they take the
-    # plain search.
+    # often no standard scale up to labels, repeated objects and
+    # redundant columns: those are refused, and the others walked.
     rng = Random(2753)
     twins = FormalContext.from_rows(["a", "b", "c"], ["p", "q", "r"], (0b111, 0b010, 0b100))
+    assert dimension._shape(twins) is None
+    with pytest.raises(ValueError, match="scale 2 is no standard scale"):
+        scaling_dimension(B3, [O2, twins])
+    refused = 0
     for _ in range(300):
         raw = random_context(rng, rng.randint(0, 5), rng.randint(1, 5), rng.uniform(0.2, 0.8))
         context, _ = clarify_objects(raw)
         scale = random_context(rng, rng.randint(1, 4), rng.randint(1, 4), rng.uniform(0.2, 0.8))
-        _assert_same_coverages(context, scale)
-        _assert_same_coverages(context, twins)
+        if dimension._shape(scale) is None:
+            refused += 1
+            with pytest.raises(ValueError, match="scale 1 is no standard scale"):
+                scaling_dimension(context, [scale])
+        else:
+            _assert_same_coverages(context, scale, every_extent=False)
+    assert 50 < refused < 250, refused
 
 
 def test_pruned_map_search_matches_the_exhaustive_one_without_an_empty_extent():
@@ -239,10 +261,8 @@ def test_pruned_map_search_matches_the_exhaustive_one_without_an_empty_extent():
 
 
 def test_largest_admitted_scales_measure_themselves_with_pruning():
-    # 8**8 maps per scale: the exhaustive search took 19-47 s per scale. A
-    # search that tested preimages only on complete maps would grow all
-    # 8**7 partial maps of seven objects, each costing |S| * |M_S| >= 64
-    # column scans; the pruned one makes 0.02-1.7M scans per scale.
+    # 8**8 maps per scale: the exhaustive search took 19-47 s per scale.
+    # The walks over extents make 247 to 10,448 column scans per scale.
     start = time.perf_counter()
     for family in (ScaleFamily.ORDINAL, ScaleFamily.CROWN, ScaleFamily.INTERORDINAL):
         scale = build_scale(family, 8)
@@ -254,43 +274,43 @@ def test_largest_admitted_scales_measure_themselves_with_pruning():
 
 
 def test_nominal_8_measures_itself_below_the_column_scan_cap():
-    # Every two objects of these scales are interchangeable, so each grown
-    # map tries the used objects and one unused one. Without that, nominal 8
-    # took about 4.4M column scans and contranominal 8, which drops no
-    # partial map, passed the 2**23 cap.
+    # A measure is a partition grown block by block from the least object
+    # left, so each partition is grown once. A search over maps took about
+    # 4.4M column scans on nominal 8 and passed the 2**23 cap on
+    # contranominal 8, in which every set is an extent.
     n8 = build_scale(ScaleFamily.NOMINAL, 8)
     b8 = build_scale(ScaleFamily.CONTRANOMINAL, 8)
     assert scaling_dimension(n8, [n8]) == 1
     assert scaling_dimension(b8, [b8]) == 1
     assert _column_scans(n8, n8) <= 1_000
     assert _column_scans(b8, b8) < 100_000
-    # Exactly: the used objects and the least unused one, also on a
-    # shuffled copy of the scale.
+    # Exactly, also on a shuffled copy of the scale: the walk reads only
+    # the family and the size.
     rng = Random(23)
     for scale in (n8, _relabeled(rng, n8)):
-        assert _column_scans(n8, scale) == 896
+        assert _column_scans(n8, scale) == 88
     for scale in (b8, _relabeled(rng, b8)):
-        assert _column_scans(b8, scale) == 73_984
+        assert _column_scans(b8, scale) == 63_736
 
 
 def _coverage_sets(context, scales):
-    # The irreducibles as one int, and the map search's coverage sets of them.
+    # The irreducibles as one int, and the walks' coverage sets of them.
     target = _irreducible_bits(context)
     coverages = set()
     for scale in scales:
-        coverages |= dimension._measure_coverages(context, scale, target, [0])
+        coverages |= _walk(context, scale, target, [0])
     return coverages, target
 
 
 def _searched_dimension(context, scales, max_d):
-    # The least cover of the irreducibles by the map search's coverage sets.
+    # The least cover of the irreducibles by the walks' coverage sets.
     coverages, target = _coverage_sets(context, scales)
     return least_cover_oracle(coverages, target, max_d)
 
 
 def test_exact_cover_matches_the_least_cover_oracle_on_planted_measures():
     # Each context is the columns of 1-3 random maps onto non-chain scales,
-    # so the map search runs and many answers are 2 to 4. The exact cover
+    # so the walks run and many answers are 2 to 4. The exact cover
     # must find the least cover over the same coverage sets, also where d
     # sets of the largest size hold exactly as many irreducibles as there are.
     rng = Random(3)
@@ -325,40 +345,50 @@ def test_exact_cover_matches_the_least_cover_oracle_on_planted_measures():
 
 def _takes_width_path(context, scales):
     height, _ = dimension._height_and_width(meet_irreducible_extents(context))
-    return height <= max(dimension._chain_shape(s)[0] for s in scales)
+    return height < max(dimension._shape(s)[1] for s in scales)
 
 
 def test_chain_capacity_counts_the_proper_columns():
+    # The classifier names the family and the size; a chain scale of n
+    # objects has capacity n - 1.
+    O, I, N, C, K = (
+        ScaleFamily.ORDINAL,
+        ScaleFamily.INTERORDINAL,
+        ScaleFamily.NOMINAL,
+        ScaleFamily.CONTRANOMINAL,
+        ScaleFamily.CROWN,
+    )
     for n in range(1, 7):
-        assert dimension._chain_shape(build_scale(ScaleFamily.ORDINAL, n)) == (n - 1, False)
-    # One column, the full object set, is a chain of capacity 0.
-    assert dimension._chain_shape(build_scale(ScaleFamily.NOMINAL, 1)) == (0, False)
-    assert dimension._chain_shape(build_scale(ScaleFamily.INTERORDINAL, 1)) == (0, False)
-    # An empty row is no ordinal or interordinal scale of one object.
-    assert dimension._chain_shape(build_scale(ScaleFamily.CONTRANOMINAL, 1)) is None
+        assert dimension._shape(build_scale(O, n)) == (O, n)
+    # One column, the full object set, is an ordinal scale of one object.
+    assert dimension._shape(build_scale(N, 1)) == (O, 1)
+    assert dimension._shape(build_scale(I, 1)) == (O, 1)
+    # An empty row is contranominal 1: its one column pulls back to the empty set.
+    assert dimension._shape(build_scale(C, 1)) == (C, 1)
     # Two columns that do not nest but complement each other: C = {{1}}.
-    for family in (ScaleFamily.NOMINAL, ScaleFamily.INTERORDINAL, ScaleFamily.CONTRANOMINAL):
-        assert dimension._chain_shape(build_scale(family, 2)) == (1, True), family
+    for family in (N, I, C):
+        assert dimension._shape(build_scale(family, 2)) == (I, 2), family
     for n in range(3, 7):
-        assert dimension._chain_shape(build_scale(ScaleFamily.INTERORDINAL, n)) == (n - 1, True)
-        for family in (ScaleFamily.NOMINAL, ScaleFamily.CONTRANOMINAL, ScaleFamily.CROWN):
-            assert dimension._chain_shape(build_scale(family, n)) is None, (family, n)
+        for family in (I, N, C):
+            assert dimension._shape(build_scale(family, n)) == (family, n), (family, n)
+        # The 3-crown is contranominal 3.
+        assert dimension._shape(build_scale(K, n)) == (K if n > 3 else C, n)
     # A duplicated object adds no extent: the scale is clarified first.
-    for family, complemented in ((ScaleFamily.ORDINAL, False), (ScaleFamily.INTERORDINAL, True)):
+    for family in (O, I, N, C, K):
         s4 = build_scale(family, 4)
         twice = FormalContext.from_rows((*s4.objects, "2'"), s4.attributes, (*s4.rows, s4.rows[1]))
-        assert dimension._chain_shape(twice) == (3, complemented), family
+        assert dimension._shape(twice) == (family, 4), family
     # A chain {a} < {a, b} and as many other columns, {b} and {b, c}, but
     # {c} = T minus {a, b} is no column.
     lopsided = FormalContext.from_rows(
         ["a", "b", "c"], ["p", "q", "r", "s"], (0b0011, 0b1110, 0b1000)
     )
-    assert dimension._chain_shape(lopsided) is None
+    assert dimension._shape(lopsided) is None
     # Repeated columns count once.
     doubled = FormalContext.from_rows(["a", "b"], ["p", "q", "r"], (0b111, 0b100))
-    assert dimension._chain_shape(doubled) == (1, False)
+    assert dimension._shape(doubled) == (O, 2)
     # No objects means no map at all, even with no columns.
-    assert dimension._chain_shape(FormalContext.from_rows([], [], [])) is None
+    assert dimension._shape(FormalContext.from_rows([], [], [])) is None
 
 
 def test_height_and_width_of_small_posets():
@@ -431,28 +461,29 @@ def test_width_path_cases():
 
 
 def test_a_scale_that_is_no_chain_takes_the_map_search(monkeypatch):
+    # A scale that is no chain scale takes its own family's walk.
     calls = []
-    search = dimension._measure_coverages
+    walk = dimension._partition_coverages
 
-    def counted(context, scale, irreducibles, spent):
-        calls.append(scale)
-        return search(context, scale, irreducibles, spent)
+    def counted(context, n, complemented, irreducibles, spent):
+        calls.append((n, complemented))
+        return walk(context, n, complemented, irreducibles, spent)
 
-    monkeypatch.setattr(dimension, "_measure_coverages", counted)
+    monkeypatch.setattr(dimension, "_partition_coverages", counted)
     assert scaling_dimension(O3, [O3]) == 1
     assert calls == []
-    # O3 is walked, so only N3 is searched.
+    # O3 is walked over chains, so only N3 is walked over partitions.
     assert scaling_dimension(O3, [O3, N3]) == 1
-    assert calls == [N3]
+    assert calls == [(3, False)]
     assert scaling_dimension(I3, [O2, N3]) == _searched_dimension(I3, [O2, N3], 4)
     calls.clear()
     # Chain scales of capacities 1 and 4: the larger one decides.
     assert scaling_dimension(I3, [O2, build_scale(ScaleFamily.ORDINAL, 5)]) == 2
     assert calls == []
-
-
-def _maximal(sets):
-    return {s for s in sets if not any(s != t and s & t == s for t in sets)}
+    searched = _searched_dimension(I3, [B3], 4)
+    calls.clear()
+    assert scaling_dimension(I3, [B3]) == searched
+    assert calls == [(3, True)]
 
 
 CHAIN_SCALES = [
@@ -463,9 +494,10 @@ CHAIN_SCALES = [
 
 
 def test_chain_walk_finds_the_maximal_sets_of_the_map_search():
-    # The walk reads the coverage sets off the extents, the map search
-    # grows every measure. A third of the contexts have a full row, so the
-    # empty set is no extent and no interordinal scale has any measure.
+    # The walk reads the coverage sets off the extents; the oracle tries
+    # every map, so only scales with |S|**|G| <= 4,096 are compared. A
+    # third of the contexts have a full row, so the empty set is no
+    # extent and no interordinal scale has any measure.
     rng = Random(9973)
     seen = set()
     for trial in range(300):
@@ -476,14 +508,22 @@ def test_chain_walk_finds_the_maximal_sets_of_the_map_search():
             ctx = random_context(rng, n, rng.randint(0, 6), rng.uniform(0.2, 0.8))
         target = _irreducible_bits(ctx)
         for scale in CHAIN_SCALES:
-            walked = dimension._chain_coverages(ctx, *dimension._chain_shape(scale), target, [0])
-            assert walked == _maximal(dimension._measure_coverages(ctx, scale, target, [0])), (
-                ctx,
-                scale,
-            )
+            if len(scale.rows) ** n > 4_096:
+                continue
+            walked = _walk(ctx, scale, target, [0])
+            assert walked == _maximal(coverages_oracle(ctx, scale, target)), (ctx, scale)
             seen.add(min(len(walked), 2) if walked != {0} else "empty")
     # No measure, only the empty coverage, one set and several sets.
     assert seen == {0, "empty", 1, 2}
+
+
+def _oracle_dimension(context, scales, max_d):
+    # The least cover of the irreducibles by the coverage sets of all maps.
+    target = _irreducible_bits(context)
+    coverages = set()
+    for scale in scales:
+        coverages |= coverages_oracle(context, scale, target)
+    return least_cover_oracle(coverages, target, max_d)
 
 
 def test_a_relabeled_interordinal_scale_gets_the_map_search_answer():
@@ -502,12 +542,12 @@ def test_a_relabeled_interordinal_scale_gets_the_map_search_answer():
     padded = FormalContext.from_rows(
         i4.objects, (*i4.attributes, "=2"), [r | (g == 1) << 8 for g, r in enumerate(i4.rows)]
     )
-    assert dimension._chain_shape(relabeled) == (3, True)
-    assert dimension._chain_shape(padded) == (3, True)
+    assert dimension._shape(relabeled) == (ScaleFamily.INTERORDINAL, 4)
+    assert dimension._shape(padded) == (ScaleFamily.INTERORDINAL, 4)
     for trial in range(40):
         ctx = random_context(rng, rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.2, 0.8))
         max_d = rng.randint(1, 4)
-        searched = _searched_dimension(ctx, [i4], max_d)
+        searched = _oracle_dimension(ctx, [i4], max_d)
         for scale in (i4, relabeled, padded):
             assert scaling_dimension(ctx, [scale], max_d) == searched, (ctx, scale, max_d)
 
@@ -539,7 +579,7 @@ def test_an_interordinal_scale_with_a_redundant_column_is_walked():
 
 def test_the_walk_counts_against_the_column_scan_cap(monkeypatch):
     i8 = build_scale(ScaleFamily.INTERORDINAL, 8)
-    walk = _walk_scans(i8, i8)
+    walk = _column_scans(i8, i8)
     monkeypatch.setattr(dimension, "MAX_COLUMN_SCANS", 5)
     with pytest.raises(ValueError, match="the cap is 5 column scans"):
         scaling_dimension(i8, [i8])
@@ -550,61 +590,48 @@ def test_the_walk_counts_against_the_column_scan_cap(monkeypatch):
         scaling_dimension(i8, [i8])
 
 
-def _is_cycle_order(scale, order):
-    # Cyclic neighbours in ``order`` are exactly the scale's columns.
-    n = len(order)
-    pairs = {1 << order[i] | 1 << order[(i + 1) % n] for i in range(n)}
-    return sorted(order) == list(range(n)) and pairs == set(scale.cols)
-
-
-def _cycle_order(scale):
-    # The crown's cycle order, as the orbit rule reads it, else None.
-    motif = dimension._symmetric_motif(scale)
-    return list(motif.domain) if motif and motif.family is ScaleFamily.CROWN else None
-
-
 def test_cycle_shape_reads_the_order_of_any_crown():
+    # The classifier asks recognize, which reads sets, not labels: every
+    # relabeled crown is a crown of as many objects, and the 3-crown is
+    # contranominal 3.
     rng = Random(881)
     for n in range(3, 9):
         crown = build_scale(ScaleFamily.CROWN, n)
-        assert _cycle_order(crown) == list(range(n))
+        shape = (ScaleFamily.CROWN, n) if n > 3 else (ScaleFamily.CONTRANOMINAL, 3)
+        assert dimension._shape(crown) == shape
         for _ in range(5):
             relabeled = _relabeled(rng, crown)
-            order = _cycle_order(relabeled)
-            assert order[0] == 0 and order[1] < order[-1]
-            assert _is_cycle_order(relabeled, order), (relabeled, order)
+            assert dimension._shape(relabeled) == shape, relabeled
     # Two disjoint triangles: every object has two neighbours, but the
-    # walk from the first object meets only half of them.
+    # pairs form two cycles, not one.
     triangles = [0b000011, 0b000110, 0b000101, 0b011000, 0b110000, 0b101000]
     two = FormalContext.from_rows(
         [f"g{i}" for i in range(6)],
         [f"m{j}" for j in range(6)],
         [sum((c >> g & 1) << j for j, c in enumerate(triangles)) for g in range(6)],
     )
-    assert _cycle_order(two) is None
+    assert dimension._shape(two) is None
     # One more column, a chord of the 5-crown: two objects get three neighbours.
     c5 = build_scale(ScaleFamily.CROWN, 5)
     chord = FormalContext.from_rows(
         c5.objects, (*c5.attributes, "13"), [r | (g in (0, 2)) << 5 for g, r in enumerate(c5.rows)]
     )
-    assert _cycle_order(chord) is None
+    assert dimension._shape(chord) is None
     # A repeated column is the same pair.
     doubled = FormalContext.from_rows(
         c5.objects, (*c5.attributes, "1'"), [r | (r & 1) << 5 for r in c5.rows]
     )
-    assert _cycle_order(doubled) == list(range(5))
-    assert _cycle_order(FormalContext.from_rows([], [], [])) is None
+    assert dimension._shape(doubled) == (ScaleFamily.CROWN, 5)
     for family in (ScaleFamily.NOMINAL, ScaleFamily.ORDINAL, ScaleFamily.INTERORDINAL):
-        assert _cycle_order(build_scale(family, 4)) is None
-    # contranominal:3 is the 3-crown.
-    assert _cycle_order(build_scale(ScaleFamily.CONTRANOMINAL, 3)) == [0, 1, 2]
-    assert _cycle_order(build_scale(ScaleFamily.CONTRANOMINAL, 4)) is None
+        assert dimension._shape(build_scale(family, 4)) == (family, 4)
 
 
 def test_cycle_shape_on_random_pair_column_scales():
     # Random pairs, some scales with two objects whose only column is their
     # own pair (so equal rows), and relabeled crowns with a repeated column.
-    # Repeated rows answer None and never raise UnclarifiedObjectsError.
+    # The classifier answers crown n exactly where the pairs form one
+    # cycle through all n >= 4 objects, and the 3-cycle is contranominal 3.
+    # Repeated rows are clarified and never raise UnclarifiedObjectsError.
     rng = Random(4099)
     shaped = repeated = 0
     for trial in range(3000):
@@ -614,7 +641,6 @@ def test_cycle_shape_on_random_pair_column_scales():
             u, v = rng.sample(range(n), 2)
             pairs = [p for p in pairs if u not in p and v not in p] + [[u, v]]
         if trial % 3 == 2 and n >= 3:
-            crown = build_scale(ScaleFamily.CROWN, n)
             labels = rng.sample(range(n), n)
             pairs = [[labels[g], labels[(g + 1) % n]] for g in range(n)]
             pairs += pairs[: rng.randint(0, 1)]
@@ -625,26 +651,23 @@ def test_cycle_shape_on_random_pair_column_scales():
             [f"m{j}" for j in range(len(cols))],
             [sum((c >> g & 1) << j for j, c in enumerate(cols)) for g in range(n)],
         )
-        order = _cycle_order(scale)
-        assert order == cycle_order_oracle(scale), (n, pairs)
-        if len(set(scale.rows)) < n:
-            repeated += 1
-            assert order is None
+        shape = dimension._shape(scale)
+        if cycle_order_oracle(scale) is None:
+            assert shape is None or shape[0] is not ScaleFamily.CROWN, (n, pairs)
+        else:
+            cycle = (ScaleFamily.CROWN, n) if n > 3 else (ScaleFamily.CONTRANOMINAL, 3)
+            assert shape == cycle, (n, pairs)
         if trial % 3 == 2 and n >= 3:
-            # build_scale(CROWN, n)'s order 0, 1, ..., n - 1 carried over
-            # by the relabeling, from object 0 towards its smaller neighbour.
-            start = labels.index(0)
-            forward = [labels[(start + i) % n] for i in range(n)]
-            backward = [labels[(start - i) % n] for i in range(n)]
-            assert order == min(forward, backward, key=lambda o: o[1])
-            assert _cycle_order(crown) == list(range(n))
-        shaped += order is not None
+            assert shape is not None
+        repeated += len(set(scale.rows)) < n
+        shaped += shape is not None and shape[0] is ScaleFamily.CROWN
     assert shaped > 500 and repeated > 300
 
 
 def test_orbit_rule_matches_the_exhaustive_search_on_relabeled_scales():
-    # Crowns, nominal and contranominal scales take the orbit rule, also
-    # shuffled; the oracle tries all |S|**|G| maps, so |G| stays small.
+    # Crowns, nominal and contranominal scales are walked by the family
+    # the classifier finds, also shuffled; the oracle tries all |S|**|G|
+    # maps, so |G| stays small.
     rng = Random(6007)
     scales = [
         *(build_scale(ScaleFamily.CROWN, n) for n in range(3, 8)),
@@ -665,18 +688,40 @@ def test_orbit_rule_matches_the_exhaustive_search_on_relabeled_scales():
         _assert_same_coverages(context, scale)
 
 
-def test_orbit_rule_column_scans():
-    # A crown tries its first object at one cycle position, and then at
-    # positions 0..n//2 while the reflection through 0 fixes the used
-    # ones. Full search: crown 4 496 scans, crown 6 15,804 and
-    # contranominal 7 against crown:7 6,725,593.
-    crowns = {n: build_scale(ScaleFamily.CROWN, n) for n in (4, 6, 7)}
-    assert _column_scans(crowns[4], crowns[4]) == 176
-    assert _column_scans(crowns[6], crowns[6]) == 1_512
-    b7 = build_scale(ScaleFamily.CONTRANOMINAL, 7)
-    assert _column_scans(b7, crowns[7]) == 480_592
-    # A relabeled crown gets the same rule, so the same count.
-    rng = Random(19)
-    for crown in crowns.values():
-        for _ in range(3):
-            assert _column_scans(crown, _relabeled(rng, crown)) == _column_scans(crown, crown)
+WALKED = {
+    ScaleFamily.NOMINAL: range(3, 8),
+    ScaleFamily.CONTRANOMINAL: range(3, 8),
+    ScaleFamily.CROWN: range(4, 8),
+}
+
+
+def test_the_walks_find_the_maximal_coverage_sets_of_all_maps():
+    # Nominal and contranominal 3-7 and crowns 4-7, and sizes above each
+    # family's cap, where the walk runs at the cap: on random contexts,
+    # contexts with a full row (no empty extent) and relabeled standard
+    # scales, with irreducible and all-extent targets. The oracle tries
+    # all |S|**|G| <= 30,000 maps.
+    rng = Random(6211)
+    kinds = set()
+    for trial in range(400):
+        family = rng.choice(list(WALKED))
+        beyond = trial % 2 == 1
+        g = rng.randint(0, 6)
+        while True:
+            cap = dimension._walked_size(family, g)
+            n = cap + rng.randint(1, 3) if beyond else rng.choice(WALKED[family])
+            if n**g <= 30_000:
+                break
+            g -= 1
+        kind = trial % 3 if g >= 3 else trial % 2
+        if kind == 0:
+            raw = random_context(rng, g, rng.randint(1, 6), rng.uniform(0.2, 0.8))
+            context, _ = clarify_objects(raw)
+        elif kind == 1:
+            context = full_row_context(rng, g) if g else FormalContext.from_rows([], ["m"], [])
+        else:
+            shapes = [f for f in ScaleFamily if g >= FAMILY_MIN_SIZE[f]]
+            context = _relabeled(rng, build_scale(rng.choice(shapes), g))
+        kinds.add((kind, beyond))
+        _assert_same_coverages(context, build_scale(family, n))
+    assert len(kinds) == 6, kinds

@@ -698,7 +698,8 @@ def test_candidate_masks_keep_step_rule_calls_down():
 
 class _CountingLinks(dict):
     # One object's links that count their lookups: a crown walk reads
-    # one per node it pops, and up to three per seed triplet.
+    # one per node it pops but the root, up to three per seed triplet,
+    # and one per b whose walk has a node with children.
     gets = 0
 
     def get(self, key, default=None):
@@ -707,18 +708,26 @@ class _CountingLinks(dict):
 
 
 def test_crown_closers_keep_link_reads_down():
-    # On this table of 3,559 crowns the walk reads 12,074 links, and 5,659
+    # On this table of 3,559 crowns the walk reads 11,428 links, and 5,013
     # for the 2,016 crowns under cap 5. Pushing every child, as a walk that
     # does not narrow to the objects that can still close with b does, it
     # reads 15,624 and 8,376; narrowing only where no descendant can close,
-    # and not one short of the cap, 12,813 and 7,330.
-    ctx, _ = clarify_objects(random_context(Random(0), 40, 25, 0.12))
-    links = {g: _CountingLinks(table) for g, table in ctx.meet_links().items()}
-    object.__setattr__(ctx, "_meet_links", links)
-    for cap, least, bound in (8, 3_500, 13_500), (5, 2_000, 6_300):
-        _CountingLinks.gets = 0
-        assert len(enumerate_family(ctx, CROWN, EnumerationConfig(crown_size_cap=cap))) >= least
-        assert _CountingLinks.gets < bound, (cap, _CountingLinks.gets)
+    # and not one short of the cap, 12,813 and 7,330. Reading the root's
+    # links again and each b's closers before its walk, 12,074 and 5,659.
+    # On the spices-shaped table of 4,966 crowns, 4,055 links, and 5,446
+    # with those two reads.
+    tables = [
+        (random_context(Random(0), 40, 25, 0.12), ((8, 3_500, 12_000), (5, 2_000, 5_400))),
+        (random_context(Random(3), 37, 56, 0.19), ((8, 4_900, 5_048),)),
+    ]
+    for raw, caps in tables:
+        ctx, _ = clarify_objects(raw)
+        links = {g: _CountingLinks(table) for g, table in ctx.meet_links().items()}
+        object.__setattr__(ctx, "_meet_links", links)
+        for cap, least, bound in caps:
+            _CountingLinks.gets = 0
+            assert len(enumerate_family(ctx, CROWN, EnumerationConfig(crown_size_cap=cap))) >= least
+            assert _CountingLinks.gets < bound, (cap, _CountingLinks.gets)
 
 
 def test_crown_walks_over_a_mask_of_b_chain_the_one_b_walks():

@@ -7,11 +7,7 @@ from ordmotif import (
     ScaleFamily,
     build_scale,
 )
-from ordmotif.dimension import MAX_COLUMN_SCANS
-from ordmotif.scales import (
-    FAMILY_MIN_SIZE,
-    column_count,
-)
+from ordmotif.scales import FAMILY_MIN_SIZE
 
 from oracles import (
     expected_extent_count,
@@ -63,10 +59,9 @@ def test_build_scale_columns_are_the_rows_transposed():
 
 
 def test_largest_admitted_scales_build_within_a_second():
-    # The largest size whose first object stays within the column-scan cap
-    # of `scaling-dim` (n * n scans); built bit by bit, these took seconds each.
+    # Rows and columns are written in closed form; built bit by bit,
+    # scales of this size took seconds each.
     n = 2896
-    assert n * n <= MAX_COLUMN_SCANS < (n + 1) ** 2
     start = time.monotonic()
     for f in ALL:
         build_scale(f, n)
@@ -105,12 +100,6 @@ def test_expected_extent_count_matches_built_scale():
     for f in ALL:
         for n in sizes(f):
             assert len(build_scale(f, n).extents()) == expected_extent_count(f, n)
-
-
-def test_column_count_matches_built_scale():
-    for f in ALL:
-        for n in sizes(f):
-            assert len(build_scale(f, n).attributes) == column_count(f, n)
 
 
 def test_frozen_extent_counts():
